@@ -1,10 +1,11 @@
 """Implicit-feedback baselines: plain iALS and the per-context composite.
 
-iALS is the classic two-matrix formulation (user and item passes against
-the other side's Gram); it is kept as a standalone code path so the
-generic tensor solver's two-dimensional reduction can be checked against
-it.  The composite baseline (iCA) trains one independent iALS model per
-context state on that state's slice of the events.
+iALS (Hu, Koren & Volinsky, ICDM 2008) is the two-matrix formulation:
+user and item passes, each against the other side's Gram.  It is the
+D = 2 case of the tensor update, so ``fit_ials`` is ``fit`` on a
+2-dimensional tensor.  The composite baseline (iCA) trains one
+independent iALS model per context state on that state's slice of the
+events.
 """
 
 from __future__ import annotations
@@ -15,15 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .solver import (
-    Model,
-    SolverError,
-    TrainConfig,
-    effective_lambdas,
-    init_factors,
-    predict_cell,
-    solve_ridge,
-)
+from .solver import Model, SolverError, TrainConfig, fit, predict_cell
 from .tensor import ObservationTensor, TensorShape
 
 __all__ = ["CompositeModel", "fit_ials", "fit_ica", "predict_ica"]
@@ -36,39 +29,10 @@ def fit_ials(
     config: TrainConfig,
     id_maps: Optional[list] = None,
 ) -> Model:
-    """Train a two-dimensional implicit ALS model.
-
-    Alternates a user pass and an item pass per epoch.  Each pass builds
-    the other side's Gram once, then per row adds the (w - 1)-weighted
-    outer products of the observed columns and solves the ridge system.
-    """
+    """Train a two-dimensional implicit ALS model: ``fit`` on a 2-D tensor."""
     if obs.ndim != 2:
         raise SolverError("iALS requires a 2-dimensional observation tensor")
-    if obs.n_nonzero == 0:
-        raise SolverError("cannot fit an empty observation tensor")
-
-    factors = init_factors(config, obs.shape.dims)
-    lams = [effective_lambdas(config, obs, axis) for axis in range(2)]
-    k = config.features
-
-    for _epoch in range(config.epochs):
-        for axis in (0, 1):
-            this, other = factors[axis], factors[1 - axis]
-            gram = other @ other.T
-            order, starts = obs.axis_groups(axis)
-            other_coords = obs.coords[:, 1 - axis]
-            for j in range(obs.shape.dims[axis]):
-                cells = order[starts[j] : starts[j + 1]]
-                if cells.size == 0:
-                    this[:, j] = solve_ridge(gram, np.zeros(k), lams[axis][j])
-                    continue
-                cols = other[:, other_coords[cells]]
-                w = obs.weights[cells]
-                a_mat = gram + (cols * (w - 1.0)) @ cols.T
-                this[:, j] = solve_ridge(a_mat, cols @ w, lams[axis][j])
-
-    grams = [m @ m.T for m in factors]
-    return Model(obs.shape, factors, grams, config, id_maps)
+    return fit(obs, config, id_maps)
 
 
 @dataclass

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .solver import Model, TrainConfig, effective_lambdas, init_factors, solve_axis
+from .solver import TrainConfig, fit
 from .tensor import ObservationTensor, TensorShape
 
 __all__ = [
@@ -73,20 +73,20 @@ def median_epoch_time(
     repeats: int = 3,
     warmup: int = 1,
 ) -> float:
-    """Median wall time of a full axis sweep, after warmup epochs."""
-    factors = init_factors(config, obs.shape.dims)
-    model = Model(obs.shape, factors, [m @ m.T for m in factors], config)
-    lams = [effective_lambdas(config, obs, axis) for axis in range(obs.ndim)]
+    """Median wall time of a full axis sweep, after warmup epochs.
 
-    def one_epoch() -> float:
-        started = time.perf_counter()
-        for axis in range(obs.ndim):
-            solve_axis(model, obs, axis, lams[axis])
-        return time.perf_counter() - started
+    Runs ``fit`` for warmup + repeats epochs and times each epoch from
+    the end of the previous one; the first epoch's time also covers the
+    seeded init.
+    """
+    ends = [time.perf_counter()]
 
-    for _ in range(warmup):
-        one_epoch()
-    return float(np.median([one_epoch() for _ in range(repeats)]))
+    def after_axis(model, epoch, axis):
+        if axis == obs.ndim - 1:
+            ends.append(time.perf_counter())
+
+    fit(obs, replace(config, epochs=warmup + repeats), after_axis=after_axis)
+    return float(np.median(np.diff(ends)[warmup:]))
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> dict:

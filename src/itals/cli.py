@@ -162,26 +162,27 @@ def parse_context_arg(text: str, season_length: int, utc_offset: int) -> dict:
 
 
 def _category_mapping(opts: Options, events: EventLog):
-    """(item -> category index, category names); reserves no state yet."""
+    """(item -> category index, category names); reserves no state yet.
+
+    Only items that occur in ``events`` need a category: a vocabulary
+    item seen only outside a date split is never looked up.
+    """
     map_path = opts.path("category_map")
     if map_path is not None:
         mapping, names = read_category_map(map_path, events.item_ids)
-        missing = set(range(len(events.item_ids))) - set(mapping)
-        if missing:
-            item = events.item_ids[sorted(missing)[0]]
-            raise ContextError(f"category map misses item {item!r} ({len(missing)} total)")
-        return mapping, names
-    if events.categories is not None:
+    elif events.categories is not None:
         mapping = {}
         for item, cat in zip(events.items, events.categories):
             if cat >= 0:
                 mapping[int(item)] = int(cat)
-        missing = set(range(len(events.item_ids))) - set(mapping)
-        if missing:
-            item = events.item_ids[sorted(missing)[0]]
-            raise ContextError(f"no category for item {item!r} in the event log")
-        return mapping, list(events.category_ids)
-    raise ContextError("sequence context needs --category-map or a category column")
+        names = list(events.category_ids)
+    else:
+        raise ContextError("sequence context needs --category-map or a category column")
+    missing = set(np.unique(events.items).tolist()) - set(mapping)
+    if missing:
+        item = events.item_ids[min(missing)]
+        raise ContextError(f"no category for item {item!r} ({len(missing)} total)")
+    return mapping, names
 
 
 def _build_training_tensor(events: EventLog, ctx: dict, opts: Options):
@@ -328,6 +329,15 @@ def cmd_train(opts: Options) -> int:
     return 0
 
 
+def _check_state_count(model, n_states: int) -> None:
+    """The --context given must yield as many states as the model was trained on."""
+    size = model.shape.dims[model.shape.context_axes[0]]
+    if n_states != size:
+        raise EvalError(
+            f"--context describes {n_states} context states, the model has {size}"
+        )
+
+
 def _request_state_fn(model, ctx: dict, opts: Options, train: EventLog, test: EventLog):
     """Per-user request context at evaluation time."""
     is_composite = isinstance(model, CompositeModel)
@@ -336,6 +346,7 @@ def _request_state_fn(model, ctx: dict, opts: Options, train: EventLog, test: Ev
         return None
     if ctx["kind"] == "timeband":
         spec = ctx["season"]
+        _check_state_count(model, spec.n_bands)
         first_ts: dict = {}
         order = np.lexsort((test.timestamps, test.users))
         for idx in order[::-1]:
@@ -349,6 +360,7 @@ def _request_state_fn(model, ctx: dict, opts: Options, train: EventLog, test: Ev
             category_count=len(names) + 1,
             cold_state=len(names),
         )
+        _check_state_count(model, spec.category_count)
         per_user = last_category_states(train, mapping, spec)
         cold = [(spec.cold_state, 1.0)]
         return lambda user: per_user.get(user, cold)
@@ -452,6 +464,7 @@ def cmd_recommend(opts: Options) -> int:
             )
             if ctx["kind"] != "timeband":
                 raise EvalError("--at needs a timeband --context")
+            _check_state_count(model, ctx["season"].n_bands)
             states = int(assign_time_band(at_ts, ctx["season"]))
         else:
             raise EvalError("context model: pass --state or --at with --context")

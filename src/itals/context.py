@@ -8,6 +8,7 @@ prior purchases with geometrically decayed relative weights.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -156,25 +157,26 @@ def sequential_context(
     """
     n = len(events)
     out: list = [None] * n
-    history: dict = {}
-    last_ts: dict = {}
+    # per user: [timestamp of the current group, categories of strictly
+    # earlier events, categories of the current same-timestamp group];
+    # both windows keep only the history_depth most recent entries
+    state: dict = {}
 
     for e in range(n):
         user = int(events.users[e])
         item = int(events.items[e])
         ts = int(events.timestamps[e])
-        if user in last_ts and ts < last_ts[user]:
+        entry = state.get(user)
+        if entry is None:
+            depth = spec.history_depth
+            entry = state[user] = [ts, deque(maxlen=depth), deque(maxlen=depth)]
+        elif ts < entry[0]:
             raise ContextError("events must be sorted per user by timestamp")
-        last_ts[user] = ts
-
-        past = history.setdefault(user, [])
-        recent = []
-        for prev_ts, prev_cat in reversed(past):
-            if prev_ts < ts:
-                recent.append(prev_cat)
-                if len(recent) == spec.history_depth:
-                    break
-        out[e] = _window_states(recent, spec)
+        elif ts > entry[0]:
+            entry[0] = ts
+            entry[1].extend(entry[2])
+            entry[2].clear()
+        out[e] = _window_states(list(reversed(entry[1])), spec)
 
         cat = item_to_category.get(item)
         if cat is None:
@@ -185,7 +187,7 @@ def sequential_context(
             raise ContextError(
                 f"category {cat} of item {item} collides with reserved states"
             )
-        past.append((ts, cat))
+        entry[2].append(cat)
 
     return out
 

@@ -13,6 +13,11 @@ is the Hadamard product of the other axes' cached K x K Gram matrices.
 Splitting each stored weight as 1 + (w - 1) is what removes the full
 tensor sweep: zero cells are covered entirely by the Gram product, so an
 epoch costs O(K^2 N+ + K^3 sum S_i) instead of touching all cells.
+
+``solve_axis`` is the only ALS kernel: it trains iTALS, and the iALS and
+iCA baselines as its D = 2 case.  It forms each block of columns'
+systems with batched matrix products and solves them with one batched
+LU factorization.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .tensor import ObservationTensor, TensorShape
 
@@ -36,7 +40,6 @@ __all__ = [
     "predict_cell",
     "solve_axis",
     "fit",
-    "solve_ridge",
     "init_factors",
 ]
 
@@ -104,9 +107,6 @@ class Model:
     def features(self) -> int:
         return int(self.factors[0].shape[0])
 
-    def refresh_grams(self) -> None:
-        self.grams = [m @ m.T for m in self.factors]
-
 
 def init_factors(config: TrainConfig, dims: Sequence[int]) -> list:
     """Seeded positive uniform init in (0, init_scale), axis by axis."""
@@ -150,86 +150,28 @@ def predict_cell(model: Model, coord: Sequence[int]) -> float:
     return float(v.sum())
 
 
-def solve_ridge(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (a + lam I) x = b, Cholesky first, pivoted LU as fallback.
-
-    The system matrix is never inverted explicitly.  An exactly singular
-    system with lam == 0 raises SolverError.
-    """
-    k = a.shape[0]
-    system = a + lam * np.eye(k)
-    try:
-        cho = scipy.linalg.cho_factor(system, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(cho, b, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        pass
-    try:
-        return np.linalg.solve(system, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            "singular normal equations; use a regularization value > 0"
-        ) from exc
-
-
-def _segment_sums(arr: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-segment row sums of a (K, n) array; arr must end at starts[-1].
-
-    ``starts`` has one more entry than there are segments.  Empty
-    segments sum to zero; reduceat only sees the nonempty starts, which
-    sidesteps its empty-slice and past-the-end quirks (consecutive
-    nonempty starts still bound each segment exactly because the empty
-    segments between them contain no cells).
-    """
-    n_seg = len(starts) - 1
-    result = np.zeros((arr.shape[0], n_seg))
-    idx = starts[:-1]
-    nonempty = starts[1:] > idx
-    if arr.shape[1] and nonempty.any():
-        result[:, nonempty] = np.add.reduceat(arr, idx[nonempty], axis=1)
-    return result
-
-
-def _cho_solve_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky-solve a stack of SPD systems: a is (m, K, K), b is (m, K).
-
-    numpy has stacked cholesky but no stacked triangular solve, so the
-    substitution loops run over K with all systems vectorized.
-    """
-    lower = np.linalg.cholesky(a)
-    k = b.shape[1]
-    y = np.empty_like(b)
-    for i in range(k):
-        y[:, i] = (b[:, i] - np.einsum("sj,sj->s", lower[:, i, :i], y[:, :i])) / lower[:, i, i]
-    x = np.empty_like(b)
-    for i in range(k - 1, -1, -1):
-        x[:, i] = (y[:, i] - np.einsum("sj,sj->s", lower[:, i + 1 :, i], x[:, i + 1 :])) / lower[
-            :, i, i
-        ]
-    return x
-
-
-# block limits for the vectorized axis solve: cells per block keeps the
-# gathered (K, cells) working set cache-sized, columns per block bounds
-# the stacked (cols, K, K) system buffer
+# block limits for the batched axis solve: padded cells per block keep the
+# gathered (cols, width, K) stack cache-sized, columns per block bound the
+# stacked (cols, K, K) system buffer
 CELL_BLOCK = 8192
 SOLVE_BLOCK = 1024
 
 
-def _column_blocks(starts: np.ndarray, max_cells: int, max_cols: int) -> list:
-    """Split columns into [c0, c1) blocks bounding cells and columns per block.
+def _column_blocks(counts: np.ndarray, max_cells: int, max_cols: int) -> list:
+    """Split ascending per-column cell counts into [b0, b1) blocks.
 
-    A single column with more than max_cells stored cells becomes its own
-    block.
+    A block pads every column to its widest (last) one, so it holds at
+    most max_cells padded cells and max_cols columns; a single column
+    wider than max_cells becomes its own block.
     """
-    size = len(starts) - 1
     blocks = []
-    c0 = 0
-    while c0 < size:
-        c1 = int(np.searchsorted(starts, starts[c0] + max_cells, side="right")) - 1
-        c1 = max(c1, c0 + 1)
-        c1 = min(c1, c0 + max_cols, size)
-        blocks.append((c0, c1))
-        c0 = c1
+    b0 = 0
+    while b0 < len(counts):
+        widths = counts[b0 : b0 + max_cols]
+        padded = np.arange(1, len(widths) + 1) * widths
+        b1 = b0 + max(1, int(np.searchsorted(padded, max_cells, side="right")))
+        blocks.append((b0, b1))
+        b0 = b1
     return blocks
 
 
@@ -245,11 +187,12 @@ def solve_axis(
     Gram matrices of all other axes must be consistent with their factors
     when called; ``fit`` maintains that invariant.
 
-    Stored cells are processed in column blocks: the Hadamard cell
-    vectors of a block are gathered in one pass, every column's system
-    accumulates via segmented sums, and the block's columns are solved by
-    one stacked Cholesky (falling back to per-column solves if any system
-    in the block is not positive definite).
+    Columns without stored cells are set to 0, the exact minimizer of
+    their ridge problem.  The others are sorted by stored-cell count and
+    cut into blocks; each block's Hadamard cell vectors are gathered into
+    a zero-padded (cols, width, K) stack, its systems and right-hand
+    sides come from batched matrix products, and one batched LU solve
+    finishes the block.
     """
     d = model.ndim
     size = obs.shape.dims[axis]
@@ -262,45 +205,44 @@ def solve_axis(
 
     lam = np.broadcast_to(np.asarray(lambda_eff, dtype=np.float64), (size,))
     order, starts = obs.axis_groups(axis)
-    coords = obs.coords
+    counts = np.diff(starts)
     matrix = model.factors[axis]
+    matrix[:, counts == 0] = 0.0
+    cols = np.flatnonzero(counts)
+    cols = cols[np.argsort(counts[cols], kind="stable")]
+    # row-major (S_a, K) copies so a gather yields contiguous K-vectors
+    rows = [np.ascontiguousarray(model.factors[a].T) for a in others]
     eye = np.arange(k)
 
-    for c0, c1 in _column_blocks(starts, CELL_BLOCK, SOLVE_BLOCK):
-        lo, hi = starts[c0], starts[c1]
-        cells = order[lo:hi]
-        n_cols = c1 - c0
-        seg = starts[c0 : c1 + 1] - lo
+    for b0, b1 in _column_blocks(counts[cols], CELL_BLOCK, SOLVE_BLOCK):
+        block = cols[b0:b1]
+        n = counts[block]
+        offsets = np.arange(n[-1])
+        pad = offsets >= n[:, None]
+        cells = order[np.minimum(starts[block, None] + offsets, starts[block + 1, None] - 1)]
 
         # Hadamard product of the other axes' columns, one K-vector per
         # stored cell; w splits as 1 + (w - 1) so the zero cells are
-        # already covered by the Gram product in `base`.
-        # np.take keeps gathers C-contiguous, which reduceat needs to be fast
-        v = model.factors[others[0]].take(coords[cells, others[0]], axis=1)
-        for a in others[1:]:
-            v *= model.factors[a].take(coords[cells, a], axis=1)
+        # already covered by the Gram product in `base`.  Padding cells
+        # get v = 0 and contribute nothing.
+        v = rows[0][obs.coords[cells, others[0]]]
+        for a, r in zip(others[1:], rows[1:]):
+            v *= r[obs.coords[cells, a]]
+        v[pad] = 0.0
         w = obs.weights[cells]
-        confidence = v * (w - 1.0)
 
-        systems = np.empty((n_cols, k, k))
-        buf = np.empty_like(v)
-        for row in range(k):
-            np.multiply(confidence, v[row], out=buf)
-            systems[:, row, :] = _segment_sums(buf, seg).T
+        vt = v.transpose(0, 2, 1)
+        systems = np.matmul(vt * (w - 1.0)[:, None, :], v)
         systems += base
-        systems[:, eye, eye] += lam[c0:c1, None]
-        np.multiply(v, w, out=buf)
-        rhs = _segment_sums(buf, seg).T
-
+        systems[:, eye, eye] += lam[block, None]
+        rhs = np.matmul(vt, w[:, :, None])
         try:
-            solution = _cho_solve_stacked(systems, rhs)
-        except np.linalg.LinAlgError:
-            solution = np.empty_like(rhs)
-            for j in range(n_cols):
-                solution[j] = solve_ridge(
-                    systems[j] - lam[c0 + j] * np.eye(k), rhs[j], lam[c0 + j]
-                )
-        matrix[:, c0:c1] = solution.T
+            solution = np.linalg.solve(systems, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                "singular normal equations; use a regularization value > 0"
+            ) from exc
+        matrix[:, block] = solution[:, :, 0].T
 
     model.grams[axis] = matrix @ matrix.T
 

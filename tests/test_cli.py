@@ -164,6 +164,20 @@ class TestTrain:
         ) == 0
         assert json.loads(capsys.readouterr().out)["n_nonzero"] == 2
 
+    def test_sequence_context_with_split_ts(self, workdir, capsys):
+        # i3 occurs only after the split, so the training log has no category for it
+        src = workdir / "ev.tsv"
+        src.write_text("u1\ti1\t100\tc1\nu1\ti2\t200\tc2\nu2\ti1\t300\tc1\nu2\ti3\t900\tc2\n")
+        model = workdir / "m.itals"
+        assert run(
+            "train", "--input", src, "--output", model, "--context", "sequence:2",
+            "--k", 2, "--epochs", 1, "--lambda", 0.1, "--split-ts", 500,
+        ) == 0
+        assert run(
+            "eval", "--model", model, "--input", src, "--split-ts", 500,
+            "--context", "sequence:2", "--topn", 2,
+        ) == 0
+
 
 class TestEvalCommand:
     def _train(self, workdir, src, context, algo="itals"):
@@ -209,6 +223,18 @@ class TestEvalCommand:
         )
         assert code == 0
         assert "recall@5" in json.loads(capsys.readouterr().out)
+
+    def test_eval_rejects_mismatched_context(self, workdir, capsys):
+        src = write_events(workdir / "ev.tsv")
+        model = self._train(workdir, src, "timeband:uniform:6")
+        assert run(
+            "eval", "--model", model, "--input", src, "--split-ts", 27 * DAY,
+            "--context", "timeband:uniform:4",
+        ) == 1
+        assert run(
+            "recommend", "--model", model, "--user", "user1",
+            "--at", 13 * 3600, "--context", "timeband:uniform:4",
+        ) == 1
 
     def test_eval_plain_needs_no_context(self, workdir, capsys):
         src = write_events(workdir / "ev.tsv")

@@ -14,6 +14,7 @@ from itals import (
     sequential_context,
     time_band_states,
 )
+from itals.context import _window_states
 
 from conftest import make_event_log
 
@@ -151,6 +152,37 @@ class TestSequentialContext:
         assert states[0] == [(cold, 1.0)]
         assert states[1] == [(cold, 1.0)]  # ties are not history
         assert states[2] == [(1, 1.0), (0, 1.0)]
+
+    def test_tied_baskets_match_brute_force(self):
+        rng = np.random.default_rng(5)
+        users, items, stamps = [], [], []
+        for user in range(4):
+            ts = 0
+            for _ in range(12):
+                ts += int(rng.integers(0, 3))  # repeated timestamps join baskets
+                for _ in range(int(rng.integers(1, 5))):
+                    users.append(user)
+                    items.append(int(rng.integers(0, 9)))
+                    stamps.append(ts)
+        log = make_event_log(users, items, stamps, n_users=4, n_items=9)
+        mapping = {i: i % 4 for i in range(9)}
+        for depth in (1, 2, 4):
+            spec = self.spec(depth=depth, decay=0.5)
+            states = sequential_context(log, mapping, spec)
+            for e in range(len(log)):
+                earlier = [
+                    mapping[items[p]]
+                    for p in range(e)
+                    if users[p] == users[e] and stamps[p] < stamps[e]
+                ]
+                assert states[e] == _window_states(earlier[::-1][:depth], spec)
+
+    def test_many_tied_events_are_all_cold(self):
+        n = 20_000
+        log = make_event_log(np.zeros(n), np.arange(n) % 7, np.full(n, 42), n_items=7)
+        spec = self.spec(depth=3)
+        states = sequential_context(log, {i: i % 4 for i in range(7)}, spec)
+        assert all(pairs == [(spec.cold_state, 1.0)] for pairs in states)
 
     def test_window_size_bounds(self):
         rng = np.random.default_rng(3)

@@ -17,6 +17,7 @@ from itals import (
     solve_axis,
     synthetic_tensor,
 )
+from itals import solver
 from itals.solver import init_factors
 
 from conftest import random_observation
@@ -125,6 +126,14 @@ class TestSolveAxis:
         solve_axis(model, obs, 0, 0.0)
         assert model.factors[0][0, 1] == 0.0
 
+    def test_axis_without_cells_is_zero_even_when_singular(self):
+        # zero minimizes m^T (G + lam I) m even when G + lam I is singular
+        shape = TensorShape((2, 2), ("user", "item"))
+        obs = ObservationTensor(shape, np.empty((0, 2), dtype=np.int64), [])
+        model = make_model([np.ones((2, 2)), np.zeros((2, 2))])
+        solve_axis(model, obs, 0, 0.0)
+        assert np.array_equal(model.factors[0], np.zeros((2, 2)))
+
     def test_gram_refreshed(self):
         obs = synthetic_tensor((4, 5, 3), 20, seed=0)
         config = TrainConfig(features=2, epochs=1, reg=0.1, seed=1)
@@ -141,7 +150,13 @@ class TestSolveAxis:
         with pytest.raises(SolverError, match="regularization"):
             solve_axis(model, obs, 0, 0.0)
 
-    def test_matches_dense_normal_equations(self):
+    @staticmethod
+    def check_against_dense_solves():
+        """solve_axis against dense_solve_column on 25 random instances.
+
+        Returns the stored-cell counts of every solved column.
+        """
+        all_counts = []
         rng = np.random.default_rng(42)
         for _ in range(25):
             obs = random_observation(rng)
@@ -167,6 +182,21 @@ class TestSolveAxis:
             )
             solve_axis(model, obs, axis, lams)
             np.testing.assert_allclose(model.factors[axis], expected, rtol=1e-8, atol=1e-10)
+            all_counts.extend(np.diff(obs.axis_groups(axis)[1]))
+        return np.array(all_counts)
+
+    def test_matches_dense_normal_equations(self):
+        counts = self.check_against_dense_solves()
+        assert (counts == 0).any()
+
+    def test_matches_dense_normal_equations_in_tiny_blocks(self, monkeypatch):
+        # many blocks per axis, and columns wider than CELL_BLOCK in blocks
+        # of their own
+        monkeypatch.setattr(solver, "CELL_BLOCK", 5)
+        monkeypatch.setattr(solver, "SOLVE_BLOCK", 3)
+        counts = self.check_against_dense_solves()
+        assert (counts == 0).any()
+        assert (counts > 5).any()
 
 
 class TestGramIdentity:
