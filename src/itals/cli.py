@@ -161,11 +161,20 @@ def parse_context_arg(text: str, season_length: int, utc_offset: int) -> dict:
     raise ValueError(f"unknown context kind: {text!r}")
 
 
-def _category_mapping(opts: Options, events: EventLog):
-    """(item -> category index, category names); reserves no state yet.
+def _context_arg(opts: Options) -> dict:
+    return parse_context_arg(
+        opts.get("context", str, "none"),
+        opts.get("season_length", int, 86_400),
+        opts.get("utc_offset", int, 0),
+    )
 
-    Only items that occur in ``events`` need a category: a vocabulary
-    item seen only outside a date split is never looked up.
+
+def _sequence_spec(ctx: dict, opts: Options, events: EventLog):
+    """(SequenceSpec, item -> category index, category names).
+
+    The categories are states 0..C-1 and the cold state is C.  Only items
+    that occur in ``events`` need a category: a vocabulary item seen only
+    outside a date split is never looked up.
     """
     map_path = opts.path("category_map")
     if map_path is not None:
@@ -182,11 +191,17 @@ def _category_mapping(opts: Options, events: EventLog):
     if missing:
         item = events.item_ids[min(missing)]
         raise ContextError(f"no category for item {item!r} ({len(missing)} total)")
-    return mapping, names
+    spec = SequenceSpec(
+        history_depth=ctx["depth"],
+        decay=ctx["decay"],
+        category_count=len(names) + 1,
+        cold_state=len(names),
+    )
+    return spec, mapping, names
 
 
 def _build_training_tensor(events: EventLog, ctx: dict, opts: Options):
-    """Tensor plus the per-axis id maps and the evaluation context pieces."""
+    """Tensor plus the per-axis id maps."""
     scheme = WeightingScheme(
         base=opts.get("weight_base", float, 1.0), alpha=opts.get("alpha", float, 100.0)
     )
@@ -194,7 +209,7 @@ def _build_training_tensor(events: EventLog, ctx: dict, opts: Options):
     if ctx["kind"] == "none":
         shape = TensorShape((n_users, n_items), ("user", "item"))
         obs = build_tensor(events, None, shape, scheme)
-        return obs, [events.user_ids, events.item_ids], {}
+        return obs, [events.user_ids, events.item_ids]
 
     if ctx["kind"] == "timeband":
         spec = ctx["season"]
@@ -202,15 +217,9 @@ def _build_training_tensor(events: EventLog, ctx: dict, opts: Options):
         shape = TensorShape((n_users, n_items, spec.n_bands), ("user", "item", "timeband"))
         obs = build_tensor(events, states, shape, scheme)
         band_names = [f"band-{i}" for i in range(spec.n_bands)]
-        return obs, [events.user_ids, events.item_ids, band_names], {"season": spec}
+        return obs, [events.user_ids, events.item_ids, band_names]
 
-    mapping, names = _category_mapping(opts, events)
-    spec = SequenceSpec(
-        history_depth=ctx["depth"],
-        decay=ctx["decay"],
-        category_count=len(names) + 1,
-        cold_state=len(names),
-    )
+    spec, mapping, names = _sequence_spec(ctx, opts, events)
     ordered = events.sorted_by_user_time()
     states = sequential_context(ordered, mapping, spec)
     shape = TensorShape(
@@ -218,8 +227,7 @@ def _build_training_tensor(events: EventLog, ctx: dict, opts: Options):
     )
     obs = build_tensor(ordered, states, shape, scheme)
     ctx_names = list(names) + ["__no_prior__"]
-    maps = [events.user_ids, events.item_ids, ctx_names]
-    return obs, maps, {"sequence": spec, "mapping": mapping}
+    return obs, [events.user_ids, events.item_ids, ctx_names]
 
 
 def _train_config(opts: Options) -> TrainConfig:
@@ -284,13 +292,8 @@ def cmd_train(opts: Options) -> int:
     events = _load_train_events(opts)
     if len(events) == 0:
         raise SolverError("no training events (check --split-ts)")
-    ctx = parse_context_arg(
-        opts.get("context", str, "none"),
-        opts.get("season_length", int, 86_400),
-        opts.get("utc_offset", int, 0),
-    )
     algo = opts.get("algo", str, "itals")
-    obs, id_maps, _ = _build_training_tensor(events, ctx, opts)
+    obs, id_maps = _build_training_tensor(events, _context_arg(opts), opts)
     config = _train_config(opts)
     log.info(
         "training %s: %d cells, dims %s, K=%d, E=%d",
@@ -338,32 +341,25 @@ def _check_state_count(model, n_states: int) -> None:
         )
 
 
-def _request_state_fn(model, ctx: dict, opts: Options, train: EventLog, test: EventLog):
-    """Per-user request context at evaluation time."""
-    is_composite = isinstance(model, CompositeModel)
-    ndim = model.shape.ndim
-    if ndim == 2 and not is_composite:
+def _request_states(model, ctx: dict, opts: Options, train: EventLog, test: EventLog):
+    """{test user: request-time context pairs}, or None for a 2-D model."""
+    if model.shape.ndim == 2 and not isinstance(model, CompositeModel):
         return None
     if ctx["kind"] == "timeband":
         spec = ctx["season"]
         _check_state_count(model, spec.n_bands)
-        first_ts: dict = {}
+        # each user's request context is the band of their first test event
         order = np.lexsort((test.timestamps, test.users))
-        for idx in order[::-1]:
-            first_ts[int(test.users[idx])] = int(test.timestamps[idx])
-        return lambda user: [(int(assign_time_band(first_ts[user], spec)), 1.0)]
+        users = test.users[order]
+        first = order[np.r_[True, users[1:] != users[:-1]]]
+        bands = assign_time_band(test.timestamps[first], spec)
+        return {u: [(b, 1.0)] for u, b in zip(test.users[first].tolist(), bands.tolist())}
     if ctx["kind"] == "sequence":
-        mapping, names = _category_mapping(opts, train)
-        spec = SequenceSpec(
-            history_depth=ctx["depth"],
-            decay=ctx["decay"],
-            category_count=len(names) + 1,
-            cold_state=len(names),
-        )
+        spec, mapping, _ = _sequence_spec(ctx, opts, train)
         _check_state_count(model, spec.category_count)
         per_user = last_category_states(train, mapping, spec)
         cold = [(spec.cold_state, 1.0)]
-        return lambda user: per_user.get(user, cold)
+        return {u: per_user.get(u, cold) for u in np.unique(test.users).tolist()}
     raise EvalError("the model has a context axis; pass --context to describe it")
 
 
@@ -374,18 +370,13 @@ def cmd_eval(opts: Options) -> int:
     train, test = split_by_date(events, split)
     if len(test) == 0:
         raise EvalError("empty test set; nothing to evaluate")
-    ctx = parse_context_arg(
-        opts.get("context", str, "none"),
-        opts.get("season_length", int, 86_400),
-        opts.get("utc_offset", int, 0),
-    )
     n_max = opts.get("topn", int, 50)
     started = time.perf_counter()
     report = recall_precision_at(
         model,
         test,
         n_max,
-        request_states=_request_state_fn(model, ctx, opts, train, test),
+        request_states=_request_states(model, _context_arg(opts), opts, train, test),
         seen=train if opts.get("exclude_seen", bool, False) else None,
         skip_unknown_users=opts.get("skip_unknown_users", bool, False),
         average=opts.get("average", str, "macro"),
@@ -457,11 +448,7 @@ def cmd_recommend(opts: Options) -> int:
         if state is not None:
             states = int(state)
         elif at_ts is not None:
-            ctx = parse_context_arg(
-                opts.require("context"),
-                opts.get("season_length", int, 86_400),
-                opts.get("utc_offset", int, 0),
-            )
+            ctx = _context_arg(opts)
             if ctx["kind"] != "timeband":
                 raise EvalError("--at needs a timeband --context")
             _check_state_count(model, ctx["season"].n_bands)

@@ -8,7 +8,7 @@ prior purchases with geometrically decayed relative weights.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -139,6 +139,18 @@ def _window_states(recent_categories: Sequence[int], spec: SequenceSpec) -> list
     return [(cat, merged[cat]) for cat in order]
 
 
+def _category_of(item: int, item_to_category: Mapping[int, int], spec: SequenceSpec, item_ids) -> int:
+    """The item's category state; ContextError when it is unmapped or reserved."""
+    cat = item_to_category.get(item)
+    if cat is None:
+        name = item_ids[item] if item < len(item_ids) else item
+        raise ContextError(f"no category mapping for item {name!r}")
+    cat = int(cat)
+    if not (0 <= cat < spec.category_count) or cat == spec.cold_state:
+        raise ContextError(f"category {cat} of item {item} collides with reserved states")
+    return cat
+
+
 def sequential_context(
     events: EventLog,
     item_to_category: Mapping[int, int],
@@ -177,17 +189,7 @@ def sequential_context(
             entry[1].extend(entry[2])
             entry[2].clear()
         out[e] = _window_states(list(reversed(entry[1])), spec)
-
-        cat = item_to_category.get(item)
-        if cat is None:
-            name = events.item_ids[item] if item < len(events.item_ids) else item
-            raise ContextError(f"no category mapping for item {name!r}")
-        cat = int(cat)
-        if not (0 <= cat < spec.category_count) or cat == spec.cold_state:
-            raise ContextError(
-                f"category {cat} of item {item} collides with reserved states"
-            )
-        entry[2].append(cat)
+        entry[2].append(_category_of(item, item_to_category, spec, events.item_ids))
 
     return out
 
@@ -204,19 +206,10 @@ def last_category_states(
     cold state implicitly (they are simply missing from the dict).
     """
     ordered = train.sorted_by_user_time()
-    latest: dict = {}
-    for e in range(len(ordered)):
-        user = int(ordered.users[e])
-        item = int(ordered.items[e])
-        cat = item_to_category.get(item)
-        if cat is None:
-            name = ordered.item_ids[item] if item < len(ordered.item_ids) else item
-            raise ContextError(f"no category mapping for item {name!r}")
-        latest.setdefault(user, []).append(int(cat))
-    return {
-        user: _window_states(list(reversed(cats))[: spec.history_depth], spec)
-        for user, cats in latest.items()
-    }
+    latest: dict = defaultdict(lambda: deque(maxlen=spec.history_depth))
+    for user, item in zip(ordered.users.tolist(), ordered.items.tolist()):
+        latest[user].append(_category_of(item, item_to_category, spec, ordered.item_ids))
+    return {user: _window_states(list(reversed(cats)), spec) for user, cats in latest.items()}
 
 
 def time_band_states(timestamps, spec: SeasonSpec) -> list:

@@ -1,5 +1,12 @@
 """Date splits, implicitization and top-N ranking metrics.
 
+Evaluation and serving rank through one path.  ``score_items`` scores
+every item for one user in one request context (for a composite model
+the heaviest context state picks the sub-model); ``recommend_topn``
+drops the excluded items and keeps the top N, ties broken by ascending
+item id; ``recall_precision_at`` groups the test and seen logs by user
+once and calls ``recommend_topn`` for each test user.
+
 Recall@N and precision@N follow the per-user convention: relevant items
 are the distinct items the user touched in the test period, one ranking
 is produced per user from their request-time context, and metrics are
@@ -12,14 +19,13 @@ import io
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .baseline import CompositeModel
-from .context import resolve_context_vector
+from .context import ContextError, resolve_context_vector
 from .events import EventLog, RatingLog
-from .solver import Model
 
 __all__ = [
     "SplitSpec",
@@ -99,35 +105,30 @@ class RankedList:
 StateInput = Union[int, Sequence, Mapping, None]
 
 
-def _states_per_axis(model: Model, states: StateInput) -> dict:
-    """Normalize context-state input to {axis: [(state, weight), ...]}."""
+def _states_per_axis(model, states: StateInput) -> dict:
+    """Normalize context-state input to {axis: [(state, weight), ...]}.
+
+    Every context axis of the model, and no other axis, gets a non-empty
+    list; a bare state or list applies to the single context axis.
+    """
     ctx_axes = model.shape.context_axes
     if not ctx_axes:
         return {}
     if states is None:
         raise EvalError("model has a context axis; context states are required")
     if isinstance(states, Mapping):
-        return {axis: list(pairs) for axis, pairs in states.items()}
-    if len(ctx_axes) != 1:
+        if set(states) != set(ctx_axes):
+            raise EvalError(f"context states must be keyed by the context axes {ctx_axes}")
+        per_axis = {axis: list(pairs) for axis, pairs in states.items()}
+    elif len(ctx_axes) != 1:
         raise EvalError("pass a {axis: states} mapping for multi-context models")
-    if isinstance(states, (int, np.integer)):
-        return {ctx_axes[0]: [(int(states), 1.0)]}
-    return {ctx_axes[0]: list(states)}
-
-
-def _dominant_state(states: StateInput) -> int:
-    if states is None:
-        raise EvalError("the composite baseline needs a context state")
-    if isinstance(states, (int, np.integer)):
-        return int(states)
-    if isinstance(states, Mapping):
-        if len(states) != 1:
-            raise EvalError("composite models have exactly one context axis")
-        states = next(iter(states.values()))
-    pairs = list(states)
-    if not pairs:
+    elif isinstance(states, (int, np.integer)):
+        per_axis = {ctx_axes[0]: [(int(states), 1.0)]}
+    else:
+        per_axis = {ctx_axes[0]: list(states)}
+    if not all(per_axis.values()):
         raise EvalError("empty context state list")
-    return int(max(pairs, key=lambda sw: sw[1])[0])
+    return per_axis
 
 
 def score_items(model, user: int, states: StateInput = None, allow_unknown: bool = False) -> np.ndarray:
@@ -135,29 +136,27 @@ def score_items(model, user: int, states: StateInput = None, allow_unknown: bool
 
     For a tensor model this is the item factor matrix contracted with the
     elementwise product of the user column and the resolved context
-    vectors.  For a composite model the context state selects the
-    sub-model (null sub-models score everything 0).  An out-of-vocabulary
-    user raises unless ``allow_unknown``, which scores from a zero vector.
+    vectors.  For a composite model the heaviest context state selects
+    the sub-model (null sub-models score everything 0).  An
+    out-of-vocabulary user raises unless ``allow_unknown``, which scores
+    from a zero vector.
     """
-    if isinstance(model, CompositeModel):
-        n_users = model.shape.dims[model.shape.user_axis]
-        n_items = model.shape.dims[model.shape.item_axis]
-        if not (0 <= user < n_users):
-            if allow_unknown:
-                return np.zeros(n_items)
-            raise EvalError(f"unknown user {user} (model has {n_users})")
-        sub = model.submodels[_dominant_state(states)]
-        if sub is None:
-            return np.zeros(n_items)
-        return score_items(sub, user)
-
     n_users = model.shape.dims[model.shape.user_axis]
+    n_items = model.shape.dims[model.shape.item_axis]
     if not (0 <= user < n_users):
         if allow_unknown:
-            return np.zeros(model.shape.dims[model.shape.item_axis])
+            return np.zeros(n_items)
         raise EvalError(f"unknown user {user} (model has {n_users})")
+    per_axis = _states_per_axis(model, states)
+    if isinstance(model, CompositeModel):
+        (pairs,) = per_axis.values()
+        state = int(max(pairs, key=lambda sw: sw[1])[0])
+        if not (0 <= state < model.n_states):
+            raise ContextError(f"context state {state} out of bounds (size {model.n_states})")
+        sub = model.submodels[state]
+        return np.zeros(n_items) if sub is None else score_items(sub, user)
     weights = model.factors[model.shape.user_axis][:, user].copy()
-    for axis, pairs in _states_per_axis(model, states).items():
+    for axis, pairs in per_axis.items():
         weights *= resolve_context_vector(model, pairs, axis)
     return weights @ model.factors[model.shape.item_axis]
 
@@ -173,24 +172,29 @@ def recommend_topn(
     """Rank the top n items for a user, ties broken by ascending item id.
 
     ``exclude_items`` drops the given item ids (typically the user's
-    training items) from the candidate set.
+    training items, repeats allowed) from the candidate set, so the list
+    is shorter than n when fewer candidates remain.
     """
     if n < 1:
         raise EvalError("n must be >= 1")
     scores = score_items(model, user, states, allow_unknown=allow_unknown)
-    candidates = np.arange(scores.shape[0])
-    if exclude_items is not None and len(exclude_items):
-        keep = np.ones(scores.shape[0], dtype=bool)
-        keep[np.asarray(exclude_items, dtype=np.int64)] = False
-        candidates = candidates[keep]
-        scores = scores[keep]
-    order = np.lexsort((candidates, -scores))[:n]
+    # rank by ascending key; excluded items sort after every candidate
+    key = -scores
+    if exclude_items is not None:
+        key[np.asarray(exclude_items, dtype=np.int64)] = np.inf
+    n = min(n, key.size)
+    # the candidates with keys at or below the n-th; "not above" also
+    # keeps NaN keys, which then sort last as in a full sort
+    top = np.flatnonzero(~(key > np.partition(key, n - 1)[n - 1]))
+    top = top[key[top] != np.inf]
+    # a stable sort of ascending ids keeps the ascending-id tie-break
+    top = top[np.argsort(key[top], kind="stable")[:n]]
     ctx = None
     if states is not None and not isinstance(states, (int, np.integer)):
         ctx = list(states) if not isinstance(states, Mapping) else dict(states)
     elif states is not None:
         ctx = [(int(states), 1.0)]
-    return RankedList(user=user, context=ctx, items=candidates[order], scores=scores[order])
+    return RankedList(user=user, context=ctx, items=top, scores=scores[top])
 
 
 @dataclass
@@ -208,11 +212,20 @@ class RankingReport:
         return float(self.recall[n - 1]), float(self.precision[n - 1])
 
 
+def _items_by_user(log: EventLog, users: np.ndarray):
+    """(items, lo, hi): ``items[lo[j]:hi[j]]`` are the items of ``users[j]``."""
+    order = np.lexsort((log.items, log.users))
+    grouped = log.users[order]
+    lo = np.searchsorted(grouped, users, side="left")
+    hi = np.searchsorted(grouped, users, side="right")
+    return log.items[order], lo, hi
+
+
 def recall_precision_at(
     model,
     test: EventLog,
     n_max: int,
-    request_states: Union[Callable, Mapping, None] = None,
+    request_states: Optional[Mapping] = None,
     seen: Optional[EventLog] = None,
     skip_unknown_users: bool = False,
     average: str = "macro",
@@ -220,12 +233,11 @@ def recall_precision_at(
     """Ranking metrics over all users with at least one test event.
 
     Per user, relevant items are the distinct test items; hits@N counts
-    the relevant items in that user's top N.  ``request_states`` resolves
-    each user's recommendation-request context (callable or mapping from
-    user id); ``seen`` excludes that log's per-user items from rankings.
-    Users outside the model vocabulary score zero hits unless
-    ``skip_unknown_users``.  ``average`` is macro (mean of per-user
-    ratios) or micro (ratio of summed counts).
+    the relevant items in that user's top N.  ``request_states`` maps each
+    user id to their recommendation-request context; ``seen`` excludes
+    that log's per-user items from rankings.  Users outside the model
+    vocabulary score zero hits unless ``skip_unknown_users``.  ``average``
+    is macro (mean of per-user ratios) or micro (ratio of summed counts).
     """
     if n_max < 1:
         raise EvalError("n_max must be >= 1")
@@ -235,21 +247,10 @@ def recall_precision_at(
         raise EvalError("average must be 'macro' or 'micro'")
 
     n_users_model = model.shape.dims[model.shape.user_axis]
-
-    exclude: dict = {}
+    users = np.unique(test.users)
+    test_items, test_lo, test_hi = _items_by_user(test, users)
     if seen is not None:
-        for u, i in zip(seen.users, seen.items):
-            exclude.setdefault(int(u), []).append(int(i))
-
-    def states_for(user: int):
-        if request_states is None:
-            return None
-        if callable(request_states):
-            return request_states(user)
-        try:
-            return request_states[user]
-        except KeyError:
-            raise EvalError(f"no request context for user {user}") from None
+        seen_items, seen_lo, seen_hi = _items_by_user(seen, users)
 
     steps = np.arange(1, n_max + 1, dtype=np.float64)
     recall_sum = np.zeros(n_max)
@@ -259,27 +260,24 @@ def recall_precision_at(
     n_eval = 0
     n_skipped = 0
 
-    for user in np.unique(test.users):
-        user = int(user)
-        relevant = np.unique(test.items[test.users == user])
+    for j, user in enumerate(users.tolist()):
+        relevant = np.unique(test_items[test_lo[j] : test_hi[j]])
+        flags = np.zeros(n_max)
         if user >= n_users_model:
             if skip_unknown_users:
                 n_skipped += 1
                 continue
-            hits = np.zeros(n_max)
         else:
-            ranked = recommend_topn(
-                model,
-                user,
-                states_for(user),
-                n_max,
-                exclude_items=np.asarray(exclude.get(user, []), dtype=np.int64),
-            )
-            flags = np.isin(ranked.items, relevant).astype(np.float64)
-            hits = np.zeros(n_max)
-            hits[: len(flags)] = np.cumsum(flags)
-            if len(flags) < n_max:
-                hits[len(flags) :] = hits[len(flags) - 1] if len(flags) else 0.0
+            states = None
+            if request_states is not None:
+                try:
+                    states = request_states[user]
+                except KeyError:
+                    raise EvalError(f"no request context for user {user}") from None
+            exclude = None if seen is None else seen_items[seen_lo[j] : seen_hi[j]]
+            ranked = recommend_topn(model, user, states, n_max, exclude_items=exclude)
+            flags[: len(ranked.items)] = np.isin(ranked.items, relevant)
+        hits = np.cumsum(flags)
         n_eval += 1
         total_relevant += len(relevant)
         hits_sum += hits

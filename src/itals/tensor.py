@@ -9,6 +9,7 @@ instead of touching the full tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -189,22 +190,18 @@ def build_tensor(
     else:
         if context_states is None or len(context_states) != n_events:
             raise TensorBuildError("context_states must provide one entry per event")
-        ctx_axis = shape.context_axes[0]
-        rows, contrib = [], []
-        for e in range(n_events):
-            for state, rel in context_states[e]:
-                if not (0 < rel <= 1.0):
-                    raise TensorBuildError(
-                        f"relative weight must be in (0, 1], got {rel} for event {e}"
-                    )
-                row = [0, 0, 0]
-                row[shape.user_axis] = int(events.users[e])
-                row[shape.item_axis] = int(events.items[e])
-                row[ctx_axis] = int(state)
-                rows.append(row)
-                contrib.append(float(rel))
-        keys = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-        contributions = np.asarray(contrib, dtype=np.float64)
+        counts = np.fromiter(map(len, context_states), dtype=np.int64, count=n_events)
+        pairs = np.array(list(chain.from_iterable(context_states)), dtype=np.float64).reshape(-1, 2)
+        contributions = pairs[:, 1]
+        bad = np.flatnonzero(~((contributions > 0) & (contributions <= 1.0)))
+        if bad.size:
+            e = int(np.searchsorted(np.cumsum(counts), bad[0], side="right"))
+            rel = next(r for _, r in context_states[e] if not (0 < r <= 1.0))
+            raise TensorBuildError(f"relative weight must be in (0, 1], got {rel} for event {e}")
+        keys = np.empty((pairs.shape[0], 3), dtype=np.int64)
+        keys[:, shape.user_axis] = np.repeat(events.users, counts)
+        keys[:, shape.item_axis] = np.repeat(events.items, counts)
+        keys[:, shape.context_axes[0]] = pairs[:, 0]
 
     for axis in range(d):
         size = shape.dims[axis]

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -96,13 +93,3 @@ def seasonal_dataset(
     log = make_event_log(users, items, stamps, n_users=n_users, n_items=n_items)
     return log, train_days * DAY
 
-
-def ml100k_path():
-    """Locate MovieLens 100K ratings if the environment provides them."""
-    env = os.environ.get("ITALS_ML100K")
-    candidates = [Path(env)] if env else []
-    candidates.append(Path(__file__).parent / "data" / "ml-100k" / "u.data")
-    for path in candidates:
-        if path.is_file():
-            return path
-    return None

@@ -225,6 +225,12 @@ class TestLastCategoryStates:
         assert per_user[1] == [(0, 1.0)]
         assert 2 not in per_user
 
+    def test_category_colliding_with_cold_state(self):
+        log = make_event_log([0], [0], [1])
+        spec = SequenceSpec(history_depth=1, category_count=3, cold_state=2)
+        with pytest.raises(ContextError, match="reserved"):
+            last_category_states(log, {0: 2}, spec)
+
 
 def context_model(matrix):
     """Wrap a context factor matrix in a minimal model."""

@@ -5,22 +5,31 @@ import numpy as np
 import pytest
 
 from itals import (
+    CompositeModel,
+    ContextError,
     EvalError,
     Model,
     RankingReport,
+    SeasonSpec,
     SplitSpec,
     TensorShape,
     TrainConfig,
+    assign_time_band,
+    build_tensor,
     emit_pr_curve,
+    fit,
+    fit_ials,
+    fit_ica,
     implicitize,
     ingest_ratings,
     recall_precision_at,
     recommend_topn,
     split_by_date,
+    time_band_states,
 )
 from itals.evaluation import score_items
 
-from conftest import make_event_log
+from conftest import DAY, make_event_log, seasonal_dataset
 
 
 def scoring_model(user_matrix, item_matrix, context_matrix=None):
@@ -32,6 +41,40 @@ def scoring_model(user_matrix, item_matrix, context_matrix=None):
     shape = TensorShape(tuple(m.shape[1] for m in factors), tuple(roles))
     config = TrainConfig(features=factors[0].shape[0], epochs=1)
     return Model(shape, factors, [m @ m.T for m in factors], config)
+
+
+def composite_model(user_matrices, item_matrices, n_users, n_items):
+    """Composite of per-state scoring models; a None pair makes a null state."""
+    subs = [
+        None if u is None else scoring_model(u, i) for u, i in zip(user_matrices, item_matrices)
+    ]
+    shape = TensorShape((n_users, n_items, len(subs)), ("user", "item", "context-1"))
+    return CompositeModel(2, shape, subs, TrainConfig(features=2, epochs=1))
+
+
+def brute_force_report(model, test, n_max, request_states=None, seen=None, average="macro"):
+    """Per-user reference: lexsort on (id, -score) after exclusion, then count hits."""
+    n_users = model.shape.dims[model.shape.user_axis]
+    hits, n_relevant = [], []
+    for user in sorted(set(test.users.tolist())):
+        relevant = set(test.items[test.users == user].tolist())
+        flags = np.zeros(n_max)
+        if user < n_users:
+            states = None if request_states is None else request_states[user]
+            scores = score_items(model, user, states)
+            ids = np.arange(scores.size)
+            if seen is not None:
+                keep = ~np.isin(ids, seen.items[seen.users == user])
+                ids, scores = ids[keep], scores[keep]
+            top = ids[np.lexsort((ids, -scores))][:n_max]
+            flags[: top.size] = [i in relevant for i in top.tolist()]
+        hits.append(np.cumsum(flags))
+        n_relevant.append(len(relevant))
+    hits, n_relevant = np.array(hits), np.array(n_relevant, dtype=np.float64)
+    steps = np.arange(1, n_max + 1)
+    if average == "macro":
+        return (hits / n_relevant[:, None]).mean(axis=0), (hits / steps).mean(axis=0)
+    return hits.sum(axis=0) / n_relevant.sum(), hits.sum(axis=0) / (steps * len(hits))
 
 
 def identity_scorer(score_rows):
@@ -128,6 +171,27 @@ class TestRecommendTopn:
             ranked = recommend_topn(model, user, None, 20)
             assert ranked.items.tolist() == expected
 
+    def test_duplicate_exclusions(self):
+        model = identity_scorer([[5.0, 4.0, 3.0, 2.0, 1.0]])
+        ranked = recommend_topn(model, 0, None, 2, exclude_items=np.array([0, 2, 0, 2, 2]))
+        assert ranked.items.tolist() == [1, 3]
+        assert ranked.scores.tolist() == [4.0, 2.0]
+
+    def test_n_beyond_remaining_candidates(self):
+        model = identity_scorer([[1.0, 3.0, 3.0, 0.0, 3.0]])
+        ranked = recommend_topn(model, 0, None, 10, exclude_items=np.array([2, 3, 3]))
+        assert ranked.items.tolist() == [1, 4, 0]
+        assert ranked.scores.tolist() == [3.0, 3.0, 1.0]
+        ranked = recommend_topn(model, 0, None, 10, exclude_items=np.arange(5))
+        assert ranked.items.tolist() == []
+
+    def test_nan_scores_rank_last(self):
+        model = scoring_model([[1.0]], [[1.0, np.nan, 3.0, 2.0, np.nan]])
+        assert recommend_topn(model, 0, None, 4).items.tolist() == [2, 3, 0, 1]
+        assert recommend_topn(model, 0, None, 2).items.tolist() == [2, 3]
+        ranked = recommend_topn(model, 0, None, 3, exclude_items=np.array([2, 3]))
+        assert ranked.items.tolist() == [0, 1, 4]
+
     def test_unknown_user(self):
         model = identity_scorer([[1.0, 2.0]])
         with pytest.raises(EvalError, match="unknown user"):
@@ -148,6 +212,39 @@ class TestRecommendTopn:
         assert score_items(model, 0, 0).tolist() == [2.0, 0.0]
         assert score_items(model, 0, 1).tolist() == [0.0, 3.0]
         assert score_items(model, 0, [(0, 1.0), (1, 1.0)]).tolist() == [1.0, 1.5]
+
+    def test_empty_or_misplaced_states_rejected(self):
+        tensor = scoring_model(np.ones((1, 1)), np.ones((1, 2)), np.ones((1, 2)))
+        composite = composite_model([np.ones((2, 1))], [np.ones((2, 2))], 1, 2)
+        for model in (tensor, composite):
+            for states in ([], {2: []}):
+                with pytest.raises(EvalError, match="empty"):
+                    score_items(model, 0, states)
+            with pytest.raises(EvalError, match="context axes"):
+                score_items(model, 0, {0: [(0, 1.0)]})
+
+
+class TestCompositeScoring:
+    def model(self):
+        # state 0 scores [2, 1], state 1 is null, state 2 scores [1, 3]
+        items = [np.array([[2.0, 1.0], [0.0, 0.0]]), None, np.array([[1.0, 3.0], [0.0, 0.0]])]
+        users = [None if i is None else np.array([[1.0], [0.0]]) for i in items]
+        return composite_model(users, items, 1, 2)
+
+    def test_heaviest_state_selects_the_submodel(self):
+        model = self.model()
+        assert score_items(model, 0, 2).tolist() == [1.0, 3.0]
+        assert score_items(model, 0, [(0, 0.4), (2, 0.9)]).tolist() == [1.0, 3.0]
+        assert score_items(model, 0, {2: [(2, 0.4), (0, 0.9)]}).tolist() == [2.0, 1.0]
+        # equal weights: the first heaviest pair wins
+        assert score_items(model, 0, [(2, 0.5), (0, 0.5)]).tolist() == [1.0, 3.0]
+        assert score_items(model, 0, [(1, 1.0)]).tolist() == [0.0, 0.0]
+
+    def test_state_out_of_bounds(self):
+        model = self.model()
+        for state in (-1, 3):
+            with pytest.raises(ContextError, match="out of bounds"):
+                score_items(model, 0, state)
 
 
 class TestRecallPrecision:
@@ -233,11 +330,77 @@ class TestRecallPrecision:
         with pytest.raises(EvalError, match="no request context"):
             recall_precision_at(model, test, 2, request_states={0: 0})
 
+    @pytest.mark.parametrize("composite", [False, True])
+    @pytest.mark.parametrize("average", ["macro", "micro"])
+    def test_matches_brute_force(self, composite, average):
+        # integer factors make score ties; the test log has an unknown user
+        # (id 7), the seen log repeats events and can leave fewer candidates
+        # than n_max
+        rng = np.random.default_rng(41)
+        n_users, n_items, n_states = 7, 12, 3
+        for _ in range(15):
+            if composite:
+                model = composite_model(
+                    [rng.integers(-2, 3, (2, n_users)) for _ in range(n_states - 1)] + [None],
+                    [rng.integers(-2, 3, (2, n_items)) for _ in range(n_states)],
+                    n_users, n_items,
+                )
+            else:
+                model = scoring_model(
+                    rng.integers(-2, 3, (2, n_users)),
+                    rng.integers(-2, 3, (2, n_items)),
+                    rng.integers(-2, 3, (2, n_states)),
+                )
+            n_test, n_seen = int(rng.integers(1, 30)), int(rng.integers(0, 60))
+            test = make_event_log(
+                rng.integers(0, n_users + 1, n_test), rng.integers(0, n_items, n_test),
+                np.arange(n_test), n_users=n_users + 1, n_items=n_items,
+            )
+            seen = make_event_log(
+                rng.integers(0, n_users, n_seen), rng.integers(0, n_items, n_seen),
+                np.arange(n_seen), n_users=n_users, n_items=n_items,
+            )
+            requests = {
+                user: [(int(rng.integers(0, n_states)), float(rng.choice([0.5, 1.0])))
+                       for _ in range(int(rng.integers(1, 3)))]
+                for user in range(n_users + 1)
+            }
+            report = recall_precision_at(
+                model, test, n_items, requests, seen=seen, average=average
+            )
+            recall, precision = brute_force_report(model, test, n_items, requests, seen, average)
+            np.testing.assert_allclose(report.recall, recall, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(report.precision, precision, rtol=1e-12, atol=1e-15)
+
     def test_empty_test_rejected(self):
         model = identity_scorer([[1.0]])
         empty = make_event_log([], [], [], n_users=1, n_items=1)
         with pytest.raises(EvalError, match="empty"):
             recall_precision_at(model, empty, 1)
+
+
+class TestQualityGate:
+    def test_itals_beats_both_baselines_on_seasonal_log(self):
+        # the paper's seasonality result: pooling all sessions and
+        # reweighting by time band beats a bandless model and per-band models
+        log, split_ts = seasonal_dataset(seed=0)
+        train, test = split_by_date(log, SplitSpec(split_ts))
+        season = SeasonSpec.uniform(DAY, 6)
+        shape3 = TensorShape((log.n_users, log.n_items, 6), ("user", "item", "timeband"))
+        obs3 = build_tensor(train, time_band_states(train.timestamps, season), shape3)
+        obs2 = build_tensor(train, None, TensorShape(shape3.dims[:2], ("user", "item")))
+        order = np.lexsort((test.timestamps, test.users))
+        first = {}
+        for idx in order[::-1].tolist():
+            first[int(test.users[idx])] = [(assign_time_band(test.timestamps[idx], season), 1.0)]
+        config = TrainConfig(features=20, epochs=10, reg=0.1)
+
+        def recall_at_20(model, requests):
+            return recall_precision_at(model, test, 20, requests, seen=train).at(20)[0]
+
+        itals = recall_at_20(fit(obs3, config), first)
+        assert itals > recall_at_20(fit_ials(obs2, config), None)
+        assert itals > recall_at_20(fit_ica(obs3, config), first)
 
 
 class TestPrCurve:

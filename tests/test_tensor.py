@@ -97,6 +97,34 @@ class TestBuildTensor:
         with pytest.raises(TensorBuildError, match="relative weight"):
             build_tensor(log, [[(0, 0.0)]], ctx_shape(1, 1, 1))
 
+    def test_relative_weight_error_names_first_bad_event(self):
+        log = make_event_log([0, 0, 0, 0], [0, 1, 0, 1], [1, 2, 3, 4])
+        states = [[(0, 1.0), (1, 0.5)], [], [(1, 1.0), (0, 2)], [(0, -1.0)]]
+        with pytest.raises(TensorBuildError, match=r"got 2 for event 2$"):
+            build_tensor(log, states, ctx_shape(1, 2, 2))
+
+    def test_multi_pair_states_match_per_event_sums(self):
+        rng = np.random.default_rng(8)
+        n = 60
+        log = make_event_log(
+            rng.integers(0, 5, n), rng.integers(0, 6, n), np.arange(n), n_users=5, n_items=6
+        )
+        states = [
+            [(int(rng.integers(0, 4)), float(rng.choice([0.25, 0.5, 1.0])))
+             for _ in range(int(rng.integers(0, 4)))]
+            for _ in range(n)
+        ]
+        # the context axis first, so keys are not in (user, item, state) order
+        shape = TensorShape((4, 5, 6), ("context-1", "user", "item"))
+        obs = build_tensor(log, states, shape, WeightingScheme(base=1, alpha=10))
+        totals: dict = {}
+        for user, item, pairs in zip(log.users.tolist(), log.items.tolist(), states):
+            for state, rel in pairs:
+                totals[(state, user, item)] = totals.get((state, user, item), 0.0) + rel
+        cells = sorted(totals)
+        assert obs.coords.tolist() == [list(c) for c in cells]
+        assert obs.weights.tolist() == [1 + 10 * totals[c] for c in cells]
+
     def test_alpha_zero_requires_bigger_base(self):
         log = make_event_log([0], [0], [1])
         obs = build_tensor(log, None, pair_shape(1, 1), WeightingScheme(base=2, alpha=0))
