@@ -18,7 +18,8 @@ the sub-model's D/K/dims/roles/factors (sub-models share the id-maps and
 config stored once at the end).
 
 Reload reproduces predictions bit-exactly: float64 bytes round-trip
-unchanged.
+unchanged.  Loading rejects factors that hold NaN or infinity, which no
+trained model has.
 """
 
 from __future__ import annotations
@@ -63,12 +64,23 @@ def _read_exact(fh: IO[bytes], count: int) -> bytes:
     return data
 
 
-def _write_core(fh: IO[bytes], shape: TensorShape, k: int, factors: list) -> None:
+def _write_shape(fh: IO[bytes], shape: TensorShape, k: int) -> None:
     fh.write(struct.pack("<II", shape.ndim, k))
     for s in shape.dims:
         fh.write(struct.pack("<Q", s))
     for role in shape.axis_roles:
         _write_str(fh, role)
+
+
+def _read_shape(fh: IO[bytes]):
+    d, k = struct.unpack("<II", _read_exact(fh, 8))
+    dims = [struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(d)]
+    roles = [_read_str(fh) for _ in range(d)]
+    return TensorShape(dims, roles), k
+
+
+def _write_core(fh: IO[bytes], shape: TensorShape, k: int, factors: list) -> None:
+    _write_shape(fh, shape, k)
     for axis, matrix in enumerate(factors):
         if matrix.shape != (k, shape.dims[axis]):
             raise PersistenceError(f"factor matrix {axis} has shape {matrix.shape}")
@@ -76,14 +88,14 @@ def _write_core(fh: IO[bytes], shape: TensorShape, k: int, factors: list) -> Non
 
 
 def _read_core(fh: IO[bytes]):
-    d, k = struct.unpack("<II", _read_exact(fh, 8))
-    dims = [struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(d)]
-    roles = [_read_str(fh) for _ in range(d)]
-    shape = TensorShape(dims, roles)
+    shape, k = _read_shape(fh)
     factors = []
-    for s in dims:
+    for axis, s in enumerate(shape.dims):
         raw = _read_exact(fh, 8 * k * s)
-        factors.append(np.frombuffer(raw, dtype="<f8").reshape(k, s).copy())
+        matrix = np.frombuffer(raw, dtype="<f8").reshape(k, s).copy()
+        if not np.isfinite(matrix).all():
+            raise PersistenceError(f"factor matrix {axis} holds non-finite values")
+        factors.append(matrix)
     return shape, k, factors
 
 
@@ -144,11 +156,7 @@ def save_model(model, path: Union[str, Path]) -> None:
         if isinstance(model, CompositeModel):
             fh.write(struct.pack("<II", FORMAT_VERSION, KIND_COMPOSITE))
             fh.write(struct.pack("<I", model.context_axis))
-            fh.write(struct.pack("<II", model.shape.ndim, model.features))
-            for s in model.shape.dims:
-                fh.write(struct.pack("<Q", s))
-            for role in model.shape.axis_roles:
-                _write_str(fh, role)
+            _write_shape(fh, model.shape, model.features)
             fh.write(struct.pack("<Q", model.n_states))
             for sub in model.submodels:
                 if sub is None:
@@ -184,17 +192,14 @@ def load_model(path: Union[str, Path]):
 
         if kind == KIND_COMPOSITE:
             (ctx_axis,) = struct.unpack("<I", _read_exact(fh, 4))
-            d, k = struct.unpack("<II", _read_exact(fh, 8))
-            dims = [struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(d)]
-            roles = [_read_str(fh) for _ in range(d)]
-            shape = TensorShape(dims, roles)
+            shape, _ = _read_shape(fh)
             (n_states,) = struct.unpack("<Q", _read_exact(fh, 8))
             submodels = []
             sub_cores = []
             for _ in range(n_states):
                 (present,) = struct.unpack("<B", _read_exact(fh, 1))
                 sub_cores.append(_read_core(fh) if present else None)
-            id_maps = _read_id_maps(fh, d)
+            id_maps = _read_id_maps(fh, shape.ndim)
             config = _read_config(fh)
             pair_maps = None
             if id_maps is not None:

@@ -15,9 +15,17 @@ tensor sweep: zero cells are covered entirely by the Gram product, so an
 epoch costs O(K^2 N+ + K^3 sum S_i) instead of touching all cells.
 
 ``solve_axis`` is the only ALS kernel: it trains iTALS, and the iALS and
-iCA baselines as its D = 2 case.  It forms each block of columns'
-systems with batched matrix products and solves them with one batched
-LU factorization.
+iCA baselines as its D = 2 case.  It solves a column with n stored cells
+on one of two exact paths, chosen by flop count:
+
+- thick columns (3 n^2 K + n^3 >= K^3): form the K x K system with
+  batched matrix products and solve it by batched LU, about
+  2 n K^2 + 2 K^3 / 3 flop per column;
+- thin columns (3 n^2 K + n^3 < K^3, roughly n < 0.53 K): the stored
+  cells add a rank-n term to J + lambda I, and J is shared by the whole
+  axis, so with one eigendecomposition J = Q L Q^T per axis the
+  push-through (Woodbury) identity needs only an n x n solve, about
+  2 n K^2 + 2 n^2 K + 2 n^3 / 3 flop per column.
 """
 
 from __future__ import annotations
@@ -157,19 +165,27 @@ CELL_BLOCK = 8192
 SOLVE_BLOCK = 1024
 
 
-def _column_blocks(counts: np.ndarray, max_cells: int, max_cols: int) -> list:
-    """Split ascending per-column cell counts into [b0, b1) blocks.
+def _column_blocks(counts: np.ndarray, n_thin: int, max_cells: int, max_cols: int) -> list:
+    """Split per-column cell counts into [b0, b1) blocks.
 
-    A block pads every column to its widest (last) one, so it holds at
-    most max_cells padded cells and max_cols columns; a single column
-    wider than max_cells becomes its own block.
+    The first n_thin columns are thin and the rest thick; counts ascend
+    within each part, and no block straddles the cut.  A block pads every
+    column to its widest (last) one, so it holds at most max_cells padded
+    cells and max_cols columns; a single column wider than max_cells
+    becomes its own block.  A thin block also ends before the first
+    column more than twice as wide as its own first, which bounds the
+    padding of its n x n systems.
     """
     blocks = []
     b0 = 0
     while b0 < len(counts):
-        widths = counts[b0 : b0 + max_cols]
+        end = n_thin if b0 < n_thin else len(counts)
+        widths = counts[b0 : min(b0 + max_cols, end)]
         padded = np.arange(1, len(widths) + 1) * widths
-        b1 = b0 + max(1, int(np.searchsorted(padded, max_cells, side="right")))
+        take = int(np.searchsorted(padded, max_cells, side="right"))
+        if b0 < n_thin:
+            take = min(take, int(np.searchsorted(widths, 2 * widths[0], side="right")))
+        b1 = b0 + max(1, take)
         blocks.append((b0, b1))
         b0 = b1
     return blocks
@@ -188,11 +204,16 @@ def solve_axis(
     when called; ``fit`` maintains that invariant.
 
     Columns without stored cells are set to 0, the exact minimizer of
-    their ridge problem.  The others are sorted by stored-cell count and
-    cut into blocks; each block's Hadamard cell vectors are gathered into
-    a zero-padded (cols, width, K) stack, its systems and right-hand
-    sides come from batched matrix products, and one batched LU solve
-    finishes the block.
+    their ridge problem.  The others are split into thin and thick ones
+    (module docstring; a column with lambda <= 0 is always thick, so a
+    singular system raises ``SolverError``), sorted by stored-cell count
+    and cut into blocks, each gathered into a zero-padded (cols, width,
+    K) stack of Hadamard cell vectors.  A thick block forms its K x K
+    systems by batched matrix products and solves them by one batched
+    LU, O(n K^2 + K^3) per column.  A thin block solves one batched
+    n x n system against the eigendecomposition of the Gram product,
+    made once per call and only when a thin column exists,
+    O(n K^2 + n^2 K + n^3) per column.
     """
     d = model.ndim
     size = obs.shape.dims[axis]
@@ -209,12 +230,21 @@ def solve_axis(
     matrix = model.factors[axis]
     matrix[:, counts == 0] = 0.0
     cols = np.flatnonzero(counts)
-    cols = cols[np.argsort(counts[cols], kind="stable")]
+    # flop crossover of the two paths (in float: n^3 overflows int64)
+    sizes = counts[cols].astype(np.float64)
+    thin = (3.0 * sizes**2 * k + sizes**3 < float(k) ** 3) & (lam[cols] > 0)
+    cols = cols[np.lexsort((sizes, ~thin))]
+    n_thin = int(thin.sum())
+    if n_thin:
+        spectrum, basis = np.linalg.eigh(base)
+        # the Gram product is PSD (Schur product theorem): clip roundoff
+        # below 0 so every thin column's L + lambda is positive
+        np.maximum(spectrum, 0.0, out=spectrum)
     # row-major (S_a, K) copies so a gather yields contiguous K-vectors
     rows = [np.ascontiguousarray(model.factors[a].T) for a in others]
     eye = np.arange(k)
 
-    for b0, b1 in _column_blocks(counts[cols], CELL_BLOCK, SOLVE_BLOCK):
+    for b0, b1 in _column_blocks(counts[cols], n_thin, CELL_BLOCK, SOLVE_BLOCK):
         block = cols[b0:b1]
         n = counts[block]
         offsets = np.arange(n[-1])
@@ -231,6 +261,9 @@ def solve_axis(
         v[pad] = 0.0
         w = obs.weights[cells]
 
+        if b0 < n_thin:
+            matrix[:, block] = _solve_thin(v, w, spectrum + lam[block, None], basis)
+            continue
         vt = v.transpose(0, 2, 1)
         systems = np.matmul(vt * (w - 1.0)[:, None, :], v)
         systems += base
@@ -240,11 +273,35 @@ def solve_axis(
             solution = np.linalg.solve(systems, rhs)
         except np.linalg.LinAlgError as exc:
             raise SolverError(
-                "singular normal equations; use a regularization value > 0"
+                "singular normal equations; use a regularization value > 0 "
+                "that the cell weights do not dwarf"
             ) from exc
         matrix[:, block] = solution[:, :, 0].T
 
     model.grams[axis] = matrix @ matrix.T
+
+
+def _solve_thin(v: np.ndarray, w: np.ndarray, delta: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Solve a block of thin columns by the push-through identity.
+
+    With the Gram product J = Q L Q^T, each column's system is
+    Q (D + E^T E) Q^T m = V^T w, where D = L + lambda > 0 (``delta``, one
+    row per column), U = V Q and E = diag(sqrt(w - 1)) U.  With g = U^T w,
+    its solution is m = Q D^-1 (g - E^T z), where z solves the n x n SPD
+    system (I + E D^-1 E^T) z = E D^-1 g.  Padding cells have U = 0, so
+    they add identity rows with z = 0.  Returns the (K, cols) solutions.
+    """
+    e = np.matmul(v, basis)  # U, scaled into E once g is formed
+    g = np.matmul(w[:, None, :], e)[:, 0, :]
+    e *= np.sqrt(w - 1.0)[:, :, None]
+    inv = 1.0 / delta
+    scaled = e * inv[:, None, :]
+    small = np.matmul(scaled, e.transpose(0, 2, 1))
+    diag = np.arange(small.shape[1])
+    small[:, diag, diag] += 1.0
+    z = np.linalg.solve(small, np.matmul(scaled, g[:, :, None]))
+    y = inv * (g - np.matmul(e.transpose(0, 2, 1), z)[:, :, 0])
+    return basis @ y.T
 
 
 def fit(
@@ -258,7 +315,9 @@ def fit(
     Factors start from a seeded uniform init, Grams are precomputed, and
     each epoch sweeps axes in order.  Deterministic given seed, data and
     config.  ``after_axis(model, epoch, axis)`` is invoked after every
-    axis update when provided (used for loss tracing).
+    axis update when provided (used for loss tracing).  Raises
+    ``SolverError`` naming the epoch and axis as soon as an axis update
+    leaves non-finite factors.
     """
     if obs.n_nonzero == 0:
         raise SolverError("cannot fit an empty observation tensor")
@@ -271,7 +330,14 @@ def fit(
     for epoch in range(config.epochs):
         started = time.perf_counter()
         for axis in range(d):
-            solve_axis(model, obs, axis, lams[axis])
+            # overflow shows as a non-finite Gram, checked in O(K^2)
+            with np.errstate(over="ignore", invalid="ignore"):
+                solve_axis(model, obs, axis, lams[axis])
+            if not np.isfinite(model.grams[axis]).all():
+                raise SolverError(
+                    f"non-finite factors in epoch {epoch + 1}, axis {axis} "
+                    f"({obs.shape.axis_roles[axis]}): the normal equations overflowed"
+                )
             if after_axis is not None:
                 after_axis(model, epoch, axis)
         log.info(

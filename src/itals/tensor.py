@@ -92,9 +92,9 @@ class ObservationTensor:
     """Immutable sparse record of the observed cells and their weights.
 
     ``coords`` is an (N+, D) int64 array in lexicographic order and
-    ``weights`` the matching float64 confidences, all strictly greater
-    than 1.  ``support[i][j]`` counts stored cells whose i-th coordinate
-    is j.
+    ``weights`` the matching float64 confidences, all finite and
+    strictly greater than 1.  ``support[i][j]`` counts stored cells whose
+    i-th coordinate is j.
     """
 
     def __init__(self, shape: TensorShape, coords: np.ndarray, weights: np.ndarray):
@@ -113,8 +113,8 @@ class ObservationTensor:
                 raise TensorBuildError(
                     f"coordinate out of bounds on axis {axis} ({role}, size {size})"
                 )
-        if not np.all(weights > 1.0):
-            raise TensorBuildError("every stored cell weight must be > 1")
+        if not np.all((weights > 1.0) & np.isfinite(weights)):
+            raise TensorBuildError("every stored cell weight must be finite and > 1")
 
         # canonical lexicographic order: deterministic and duplicate-checkable
         if coords.shape[0]:

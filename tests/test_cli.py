@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from itals import load_model, save_model
 from itals.cli import main
 
 DAY = 86_400
@@ -297,6 +298,22 @@ class TestRecommendCommand:
         assert run(
             "recommend", "--model", model, "--user", "999", "--allow-cold-user"
         ) == 0
+
+
+    def test_non_finite_model_fails(self, workdir, capsys, caplog):
+        src = write_events(workdir / "ev.tsv")
+        model = workdir / "m.itals"
+        run(
+            "train", "--input", src, "--output", model,
+            "--context", "none", "--k", 2, "--epochs", 1, "--lambda", 0.1,
+        )
+        trained = load_model(model)
+        trained.factors[1][0, 3] = np.nan
+        save_model(trained, model)
+        capsys.readouterr()
+        assert run("recommend", "--model", model, "--user", "user3") == 1
+        assert capsys.readouterr().out == ""
+        assert "factor matrix 1 holds non-finite values" in caplog.text
 
 
 class TestBenchCommand:

@@ -116,3 +116,20 @@ class TestErrors:
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(PersistenceError, match="truncated"):
             load_model(path)
+
+    def test_non_finite_factors_rejected(self, tmp_path):
+        _, model = random_trained(10)
+        model.factors[1][0, 2] = np.nan
+        path = tmp_path / "m"
+        save_model(model, path)
+        with pytest.raises(PersistenceError, match="factor matrix 1 holds non-finite"):
+            load_model(path)
+
+    def test_non_finite_submodel_rejected(self, tmp_path):
+        obs = band_tensor(3, seed=11)
+        model = fit_ica(obs, TrainConfig(features=2, epochs=1, reg=0.1, seed=1))
+        model.submodels[1].factors[0][1, 0] = np.inf
+        path = tmp_path / "c"
+        save_model(model, path)
+        with pytest.raises(PersistenceError, match="non-finite"):
+            load_model(path)

@@ -145,29 +145,35 @@ class TestSolveAxis:
     def test_singular_without_regularization(self):
         shape = TensorShape((2, 2), ("user", "item"))
         obs = ObservationTensor(shape, [[0, 0]], [3.0])
-        # rank-deficient item Gram (K=2 from one effective direction of zeros)
-        model = make_model([np.zeros((2, 2)), np.zeros((2, 2))])
-        with pytest.raises(SolverError, match="regularization"):
-            solve_axis(model, obs, 0, 0.0)
+        # rank-deficient item Gram (K=2 from one effective direction of zeros);
+        # n = 1 is thin-sized at K = 2 and 4, but lambda = 0 keeps the LU
+        # path, which reports the singular system
+        for k in (2, 4):
+            model = make_model([np.zeros((k, 2)), np.zeros((k, 2))])
+            with pytest.raises(SolverError, match="regularization"):
+                solve_axis(model, obs, 0, 0.0)
 
     @staticmethod
     def check_against_dense_solves():
-        """solve_axis against dense_solve_column on 25 random instances.
+        """solve_axis against dense_solve_column on random instances.
 
-        Returns the stored-cell counts of every solved column.
+        25 instances draw K from 1..3, 30 more K from 4..12 in both
+        reg modes.  Returns (K, per-column cell counts, per-column
+        lambdas) of every instance, in solve order.
         """
-        all_counts = []
+        instances = []
         rng = np.random.default_rng(42)
-        for _ in range(25):
+        draws = [(1, 4, None)] * 25 + [(4, 13, mode) for mode in ("constant", "support")] * 15
+        for low, high, mode in draws:
             obs = random_observation(rng)
             d = obs.ndim
             axis = int(rng.integers(0, d))
-            k = int(rng.integers(1, 4))
+            k = int(rng.integers(low, high))
             min_other = min(s for a, s in enumerate(obs.shape.dims) if a != axis)
             reg = float(rng.choice([0.01, 0.1, 1.0] + ([0.0] if k <= min_other else [])))
             config = TrainConfig(
                 features=k, epochs=1, reg=reg,
-                reg_mode=str(rng.choice(["constant", "support"])),
+                reg_mode=mode or str(rng.choice(["constant", "support"])),
                 seed=int(rng.integers(2**31)),
             )
             factors = init_factors(config, obs.shape.dims)
@@ -182,21 +188,56 @@ class TestSolveAxis:
             )
             solve_axis(model, obs, axis, lams)
             np.testing.assert_allclose(model.factors[axis], expected, rtol=1e-8, atol=1e-10)
-            all_counts.extend(np.diff(obs.axis_groups(axis)[1]))
-        return np.array(all_counts)
+            instances.append((k, np.diff(obs.axis_groups(axis)[1]), lams))
+        return instances
+
+    @staticmethod
+    def thin_columns(k, counts, lams):
+        """Columns the thin path solves: stored cells, below the flop
+        crossover 3 n^2 K + n^3 < K^3, and lambda > 0."""
+        n = counts.astype(np.float64)
+        return (n > 0) & (3 * n * n * k + n**3 < k**3) & (lams > 0)
+
+    def check_both_paths_ran(self, instances):
+        thin = np.concatenate([self.thin_columns(*inst) for inst in instances])
+        counts = np.concatenate([c for _, c, _ in instances])
+        assert (counts == 0).any()
+        assert thin.any()
+        assert ((counts > 0) & ~thin).any()
+        return counts
 
     def test_matches_dense_normal_equations(self):
-        counts = self.check_against_dense_solves()
-        assert (counts == 0).any()
+        self.check_both_paths_ran(self.check_against_dense_solves())
 
     def test_matches_dense_normal_equations_in_tiny_blocks(self, monkeypatch):
         # many blocks per axis, and columns wider than CELL_BLOCK in blocks
         # of their own
         monkeypatch.setattr(solver, "CELL_BLOCK", 5)
         monkeypatch.setattr(solver, "SOLVE_BLOCK", 3)
-        counts = self.check_against_dense_solves()
-        assert (counts == 0).any()
+        calls = []
+        column_blocks = solver._column_blocks
+
+        def recorded(counts, n_thin, max_cells, max_cols):
+            blocks = column_blocks(counts, n_thin, max_cells, max_cols)
+            calls.append((counts, n_thin, blocks))
+            return blocks
+
+        monkeypatch.setattr(solver, "_column_blocks", recorded)
+        instances = self.check_against_dense_solves()
+        counts = self.check_both_paths_ran(instances)
         assert (counts > 5).any()
+        assert len(calls) == len(instances)
+        for (widths, n_thin, blocks), inst in zip(calls, instances):
+            assert n_thin == self.thin_columns(*inst).sum()
+            bounds = [0] + [b1 for _, b1 in blocks]
+            assert [b0 for b0, _ in blocks] == bounds[:-1]
+            assert bounds[-1] == len(widths)
+            for b0, b1 in blocks:
+                # no block straddles the thin/thick cut, and a thin block
+                # at most doubles its width
+                assert b1 <= n_thin or b0 >= n_thin
+                if b0 < n_thin:
+                    assert widths[b1 - 1] <= 2 * widths[b0]
 
 
 class TestGramIdentity:
@@ -252,6 +293,13 @@ class TestFit:
         ))
         for prev, cur in zip(losses, losses[1:]):
             assert cur <= prev * (1 + 1e-9)
+
+    def test_overflow_names_epoch_and_axis(self):
+        # weights this large used to raise "use a regularization value > 0"
+        obs = synthetic_tensor((5, 6, 3), 20, seed=1)
+        huge = ObservationTensor(obs.shape, obs.coords, np.full(obs.n_nonzero, 1e300))
+        with pytest.raises(SolverError, match=r"non-finite factors in epoch 1, axis 0 \(user\)"):
+            fit(huge, TrainConfig(features=3, epochs=2, reg=0.1))
 
     def test_id_maps_attached(self):
         obs = synthetic_tensor((3, 3), 4, seed=2)

@@ -183,6 +183,11 @@ class TestObservationTensor:
         with pytest.raises(TensorBuildError, match="> 1"):
             ObservationTensor(pair_shape(2, 2), [[0, 1]], [1.0])
 
+    def test_rejects_infinite_weights(self):
+        # one inf weight used to train all-NaN factors without an error
+        with pytest.raises(TensorBuildError, match="finite"):
+            ObservationTensor(pair_shape(2, 2), [[0, 0], [0, 1]], [2.0, np.inf])
+
     def test_rejects_out_of_bounds(self):
         with pytest.raises(TensorBuildError, match="axis 0"):
             ObservationTensor(pair_shape(2, 2), [[2, 0]], [2.0])
