@@ -14,8 +14,7 @@ composite baseline, a dense brute-force oracle for verification, a
 ranking evaluation harness and an `itals` command-line front end.
 """
 
-from .baseline import CompositeModel, fit_ials, fit_ica, predict_ica
-from .bench import run_benchmark, synthetic_tensor
+from .baseline import CompositeModel, fit_ials, fit_ica
 from .context import (
     ContextError,
     SeasonSpec,
@@ -60,10 +59,8 @@ from .solver import (
     Model,
     SolverError,
     TrainConfig,
-    effective_lambda,
     effective_lambdas,
     fit,
-    predict_cell,
     solve_axis,
 )
 from .tensor import (
@@ -104,7 +101,6 @@ __all__ = [
     "dense_predictions",
     "dense_regularized_loss",
     "dense_solve_column",
-    "effective_lambda",
     "effective_lambdas",
     "emit_pr_curve",
     "fit",
@@ -116,19 +112,15 @@ __all__ = [
     "ingest_ratings",
     "last_category_states",
     "load_model",
-    "predict_cell",
-    "predict_ica",
     "read_category_map",
     "recall_precision_at",
     "recommend_topn",
     "resolve_context_vector",
-    "run_benchmark",
     "save_model",
     "score_items",
     "sequential_context",
     "solve_axis",
     "split_by_date",
-    "synthetic_tensor",
     "time_band_states",
     "__version__",
 ]

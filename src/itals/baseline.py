@@ -16,10 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .solver import Model, SolverError, TrainConfig, fit, predict_cell
+from .solver import Model, SolverError, TrainConfig, fit
 from .tensor import ObservationTensor, TensorShape
 
-__all__ = ["CompositeModel", "fit_ials", "fit_ica", "predict_ica"]
+__all__ = ["CompositeModel", "fit_ials", "fit_ica"]
 
 log = logging.getLogger("itals")
 
@@ -108,12 +108,3 @@ def fit_ica(
         submodels.append(fit_ials(part, config, pair_maps))
     return CompositeModel(ctx_axis, obs.shape, submodels, config, id_maps)
 
-
-def predict_ica(model: CompositeModel, user: int, item: int, state: int) -> float:
-    """Score from the state's sub-model; null states score 0."""
-    if not (0 <= state < model.n_states):
-        raise IndexError(f"context state {state} out of bounds ({model.n_states} states)")
-    sub = model.submodels[state]
-    if sub is None:
-        return 0.0
-    return predict_cell(sub, (user, item))

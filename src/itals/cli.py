@@ -1,4 +1,4 @@
-"""Command-line front end: prepare, train, eval, recommend, bench.
+"""Command-line front end: prepare, train, eval, recommend.
 
 Logs go to stderr (level from ITALS_LOG), machine-readable output goes
 to stdout or to files, and the exit code is 0 exactly when no error
@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench as bench_mod
 from .baseline import CompositeModel, fit_ica
 from .context import (
     ContextError,
@@ -71,17 +70,6 @@ def _setup_logging() -> None:
         level=getattr(logging, level, logging.INFO),
         format="%(levelname)s %(name)s: %(message)s",
     )
-
-
-def _limit_threads(n) -> None:
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=int(n))
-    except ImportError:
-        log.warning("threadpoolctl not installed; --threads ignored")
 
 
 def load_config_file(path) -> dict:
@@ -476,39 +464,6 @@ def cmd_recommend(opts: Options) -> int:
     return 0
 
 
-def cmd_bench(opts: Options) -> int:
-    result = bench_mod.run_benchmark(
-        k_grid=opts.get("k_grid", _int_list, list(bench_mod.DEFAULT_K_GRID)),
-        nplus_grid=opts.get("nplus_grid", _int_list, list(bench_mod.DEFAULT_NPLUS_GRID)),
-        dims=tuple(opts.get("dims", _int_list, list(bench_mod.DEFAULT_DIMS))),
-        k_fixed=opts.get("k_fixed", int, 20),
-        nplus_fixed=opts.get("nplus_fixed", int, 50_000),
-        repeats=opts.get("repeats", int, 3),
-        reg=opts.get("reg", float, 0.1),
-        seed=opts.get("seed", int, 0),
-    )
-    if result.nplus_fit:
-        log.info(
-            "epoch time vs cells: slope %.3g s/cell, intercept %.3g s, R2 %.4f",
-            result.nplus_fit["slope"],
-            result.nplus_fit["intercept"],
-            result.nplus_fit["r2"],
-        )
-    if result.k_fit:
-        log.info(
-            "epoch time vs K: exponent %.2f (log-log R2 %.4f)",
-            result.k_fit["exponent"],
-            result.k_fit["r2"],
-        )
-    csv_text = bench_mod.benchmark_csv(result)
-    output = opts.get("output")
-    if output:
-        Path(output).write_text(csv_text, encoding="utf-8")
-    else:
-        sys.stdout.write(csv_text)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Context-aware implicit-feedback tensor factorization",
     )
     parser.add_argument("--config", help="key = value config file; flags override it")
-    parser.add_argument("--threads", type=int, help="cap BLAS worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common_train = argparse.ArgumentParser(add_help=False)
@@ -582,18 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-cold-user", action="store_const", const=True, default=None)
     p.set_defaults(func=cmd_recommend)
 
-    p = sub.add_parser("bench", help="epoch-time scaling benchmark on synthetic tensors")
-    p.add_argument("--k-grid", help="comma list of feature counts")
-    p.add_argument("--nplus-grid", help="comma list of stored-cell counts")
-    p.add_argument("--dims", help="tensor sizes, e.g. 500,500,10")
-    p.add_argument("--k-fixed", type=int, help="K for the cell sweep (default 20)")
-    p.add_argument("--nplus-fixed", type=int, help="cells for the K sweep (default 50000)")
-    p.add_argument("--repeats", type=int, help="timed epochs per point (default 3)")
-    p.add_argument("--lambda", dest="reg", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output", help="CSV path (default stdout)")
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -604,7 +546,6 @@ def main(argv=None) -> int:
     try:
         config = load_config_file(args.config) if args.config else {}
         opts = Options(args, config)
-        _limit_threads(opts.get("threads", int))
         return args.func(opts)
     except CliError as exc:
         log.error("%s", exc)

@@ -97,7 +97,6 @@ class RankedList:
     """Top-N recommendation for one user: item ids with descending scores."""
 
     user: int
-    context: Optional[list]
     items: np.ndarray
     scores: np.ndarray
 
@@ -189,12 +188,7 @@ def recommend_topn(
     top = top[key[top] != np.inf]
     # a stable sort of ascending ids keeps the ascending-id tie-break
     top = top[np.argsort(key[top], kind="stable")[:n]]
-    ctx = None
-    if states is not None and not isinstance(states, (int, np.integer)):
-        ctx = list(states) if not isinstance(states, Mapping) else dict(states)
-    elif states is not None:
-        ctx = [(int(states), 1.0)]
-    return RankedList(user=user, context=ctx, items=top, scores=scores[top])
+    return RankedList(user=user, items=top, scores=scores[top])
 
 
 @dataclass

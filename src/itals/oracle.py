@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .solver import Model, TrainConfig, effective_lambda
+from .solver import Model, TrainConfig, effective_lambdas
 from .tensor import ObservationTensor
 
 __all__ = [
@@ -77,9 +77,9 @@ def dense_regularized_loss(
     total = dense_loss(model, obs, cap)
     for axis in range(model.ndim):
         matrix = model.factors[axis]
+        lams = effective_lambdas(config, obs, axis)
         for j in range(obs.shape.dims[axis]):
-            lam = effective_lambda(config, obs, axis, j)
-            total += lam * float(matrix[:, j] @ matrix[:, j])
+            total += lams[j] * float(matrix[:, j] @ matrix[:, j])
     return total
 
 

@@ -18,8 +18,8 @@ the sub-model's D/K/dims/roles/factors (sub-models share the id-maps and
 config stored once at the end).
 
 Reload reproduces predictions bit-exactly: float64 bytes round-trip
-unchanged.  Loading rejects factors that hold NaN or infinity, which no
-trained model has.
+unchanged.  Saving and loading reject factors that hold NaN or infinity,
+which no trained model has, and id maps of the wrong length.
 """
 
 from __future__ import annotations
@@ -79,23 +79,39 @@ def _read_shape(fh: IO[bytes]):
     return TensorShape(dims, roles), k
 
 
-def _write_core(fh: IO[bytes], shape: TensorShape, k: int, factors: list) -> None:
-    _write_shape(fh, shape, k)
+def _check_factors(shape: TensorShape, k: int, factors: list) -> None:
     for axis, matrix in enumerate(factors):
         if matrix.shape != (k, shape.dims[axis]):
             raise PersistenceError(f"factor matrix {axis} has shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise PersistenceError(f"factor matrix {axis} holds non-finite values")
+
+
+def _check_id_maps(shape: TensorShape, id_maps) -> None:
+    if id_maps is None:
+        return
+    if len(id_maps) != shape.ndim:
+        raise PersistenceError(f"{len(id_maps)} id maps for {shape.ndim} axes")
+    for axis, ids in enumerate(id_maps):
+        if ids is not None and len(ids) != shape.dims[axis]:
+            raise PersistenceError(
+                f"id map of axis {axis} holds {len(ids)} ids, the axis has {shape.dims[axis]}"
+            )
+
+
+def _write_core(fh: IO[bytes], shape: TensorShape, k: int, factors: list) -> None:
+    _write_shape(fh, shape, k)
+    for matrix in factors:
         fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
 
 
 def _read_core(fh: IO[bytes]):
     shape, k = _read_shape(fh)
-    factors = []
-    for axis, s in enumerate(shape.dims):
-        raw = _read_exact(fh, 8 * k * s)
-        matrix = np.frombuffer(raw, dtype="<f8").reshape(k, s).copy()
-        if not np.isfinite(matrix).all():
-            raise PersistenceError(f"factor matrix {axis} holds non-finite values")
-        factors.append(matrix)
+    factors = [
+        np.frombuffer(_read_exact(fh, 8 * k * s), dtype="<f8").reshape(k, s).copy()
+        for s in shape.dims
+    ]
+    _check_factors(shape, k, factors)
     return shape, k, factors
 
 
@@ -111,10 +127,10 @@ def _write_id_maps(fh: IO[bytes], ndim: int, id_maps) -> None:
             _write_str(fh, str(original))
 
 
-def _read_id_maps(fh: IO[bytes], ndim: int):
+def _read_id_maps(fh: IO[bytes], shape: TensorShape):
     maps = []
     any_present = False
-    for _ in range(ndim):
+    for _ in range(shape.ndim):
         (present,) = struct.unpack("<B", _read_exact(fh, 1))
         if not present:
             maps.append(None)
@@ -122,7 +138,10 @@ def _read_id_maps(fh: IO[bytes], ndim: int):
         any_present = True
         (count,) = struct.unpack("<Q", _read_exact(fh, 8))
         maps.append([_read_str(fh) for _ in range(count)])
-    return maps if any_present else None
+    if not any_present:
+        return None
+    _check_id_maps(shape, maps)
+    return maps
 
 
 def _write_config(fh: IO[bytes], config: TrainConfig) -> None:
@@ -150,10 +169,19 @@ def _read_config(fh: IO[bytes]) -> TrainConfig:
 
 
 def save_model(model, path: Union[str, Path]) -> None:
-    """Write a trained model (single or composite) to a binary file."""
+    """Write a trained model (single or composite) to a binary file.
+
+    A model that ``load_model`` would reject raises ``PersistenceError``
+    before the file is opened, so an existing file is left as it was.
+    """
+    composite = isinstance(model, CompositeModel)
+    cores = [sub for sub in model.submodels if sub is not None] if composite else [model]
+    for core in cores:
+        _check_factors(core.shape, core.features, core.factors)
+    _check_id_maps(model.shape, model.id_maps)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        if isinstance(model, CompositeModel):
+        if composite:
             fh.write(struct.pack("<II", FORMAT_VERSION, KIND_COMPOSITE))
             fh.write(struct.pack("<I", model.context_axis))
             _write_shape(fh, model.shape, model.features)
@@ -164,13 +192,11 @@ def save_model(model, path: Union[str, Path]) -> None:
                     continue
                 fh.write(struct.pack("<B", 1))
                 _write_core(fh, sub.shape, sub.features, sub.factors)
-            _write_id_maps(fh, model.shape.ndim, model.id_maps)
-            _write_config(fh, model.config)
         else:
             fh.write(struct.pack("<II", FORMAT_VERSION, KIND_SINGLE))
             _write_core(fh, model.shape, model.features, model.factors)
-            _write_id_maps(fh, model.shape.ndim, model.id_maps)
-            _write_config(fh, model.config)
+        _write_id_maps(fh, model.shape.ndim, model.id_maps)
+        _write_config(fh, model.config)
 
 
 def load_model(path: Union[str, Path]):
@@ -185,7 +211,7 @@ def load_model(path: Union[str, Path]):
 
         if kind == KIND_SINGLE:
             shape, k, factors = _read_core(fh)
-            id_maps = _read_id_maps(fh, shape.ndim)
+            id_maps = _read_id_maps(fh, shape)
             config = _read_config(fh)
             grams = [m @ m.T for m in factors]
             return Model(shape, factors, grams, config, id_maps)
@@ -199,7 +225,7 @@ def load_model(path: Union[str, Path]):
             for _ in range(n_states):
                 (present,) = struct.unpack("<B", _read_exact(fh, 1))
                 sub_cores.append(_read_core(fh) if present else None)
-            id_maps = _read_id_maps(fh, shape.ndim)
+            id_maps = _read_id_maps(fh, shape)
             config = _read_config(fh)
             pair_maps = None
             if id_maps is not None:

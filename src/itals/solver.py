@@ -43,9 +43,7 @@ __all__ = [
     "TrainConfig",
     "Model",
     "SolverError",
-    "effective_lambda",
     "effective_lambdas",
-    "predict_cell",
     "solve_axis",
     "fit",
     "init_factors",
@@ -125,37 +123,12 @@ def init_factors(config: TrainConfig, dims: Sequence[int]) -> list:
     ]
 
 
-def effective_lambda(
-    config: TrainConfig, obs: ObservationTensor, axis: int, column: int
-) -> float:
-    """Per-column regularization; support mode floors empty columns at reg * 1."""
-    if config.reg_mode == "constant":
-        return config.reg
-    return config.reg * max(int(obs.support[axis][column]), 1)
-
-
 def effective_lambdas(config: TrainConfig, obs: ObservationTensor, axis: int) -> np.ndarray:
-    """Vectorized effective_lambda over all columns of one axis."""
+    """Per-column regularization of one axis; support mode floors empty columns at reg * 1."""
     size = obs.shape.dims[axis]
     if config.reg_mode == "constant":
         return np.full(size, config.reg, dtype=np.float64)
     return config.reg * np.maximum(obs.support[axis], 1).astype(np.float64)
-
-
-def predict_cell(model: Model, coord: Sequence[int]) -> float:
-    """Score one cell: sum over features of the product of factor entries."""
-    coord = tuple(int(c) for c in coord)
-    if len(coord) != model.ndim:
-        raise IndexError(f"coordinate must have {model.ndim} entries")
-    v = np.ones(model.features, dtype=np.float64)
-    for axis, c in enumerate(coord):
-        if not (0 <= c < model.shape.dims[axis]):
-            raise IndexError(
-                f"coordinate {c} out of bounds on axis {axis} "
-                f"(size {model.shape.dims[axis]})"
-            )
-        v = v * model.factors[axis][:, c]
-    return float(v.sum())
 
 
 # block limits for the batched axis solve: padded cells per block keep the

@@ -5,7 +5,33 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from itals import EventLog, ObservationTensor, TensorShape, synthetic_tensor
+from itals import EventLog, ObservationTensor, TensorShape
+
+
+def synthetic_tensor(dims, n_plus, seed=0):
+    """Random tensor with exactly n_plus distinct uniform cells."""
+    dims = tuple(int(s) for s in dims)
+    n_cells = int(np.prod(dims))
+    if n_plus > n_cells:
+        raise ValueError(f"cannot place {n_plus} distinct cells in {n_cells}")
+    rng = np.random.default_rng(seed)
+    chosen = np.empty(0, dtype=np.int64)
+    while chosen.shape[0] < n_plus:
+        draw = rng.integers(0, n_cells, size=int(1.2 * (n_plus - chosen.shape[0])) + 16)
+        chosen = np.unique(np.concatenate([chosen, draw]))
+    chosen = rng.permutation(chosen)[:n_plus]
+    coords = np.stack(np.unravel_index(chosen, dims), axis=1)
+    weights = rng.uniform(2.0, 101.0, size=n_plus)
+    roles = ["user", "item"] + [f"context-{i + 1}" for i in range(len(dims) - 2)]
+    return ObservationTensor(TensorShape(dims, roles), coords, weights)
+
+
+def overwrite_float64(path, value, replacement):
+    """Replace the one little-endian float64 equal to value in a file."""
+    raw = path.read_bytes()
+    old = np.array([value], dtype="<f8").tobytes()
+    assert raw.count(old) == 1
+    path.write_bytes(raw.replace(old, np.array([replacement], dtype="<f8").tobytes()))
 
 
 def random_observation(rng, d_choices=(2, 3, 4), max_size=6, min_cells=1):

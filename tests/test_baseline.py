@@ -2,21 +2,22 @@ import numpy as np
 import pytest
 
 from itals import (
+    ContextError,
     Model,
     ObservationTensor,
     SolverError,
     TensorShape,
     TrainConfig,
     dense_solve_column,
-    effective_lambda,
+    effective_lambdas,
     fit_ials,
     fit_ica,
-    predict_cell,
-    predict_ica,
-    synthetic_tensor,
+    score_items,
 )
 from itals.baseline import slice_by_state
 from itals.solver import init_factors
+
+from conftest import synthetic_tensor
 
 
 def band_tensor(n_states, seed=0, n_users=6, n_items=7, n_cells=40, skip_states=()):
@@ -40,9 +41,10 @@ def dense_als(obs, config):
     model = Model(obs.shape, factors, [m @ m.T for m in factors], config)
     for _ in range(config.epochs):
         for axis in range(obs.ndim):
+            lams = effective_lambdas(config, obs, axis)
             model.factors[axis] = np.stack(
                 [
-                    dense_solve_column(model, obs, axis, j, effective_lambda(config, obs, axis, j))
+                    dense_solve_column(model, obs, axis, j, lams[j])
                     for j in range(obs.shape.dims[axis])
                 ],
                 axis=1,
@@ -148,13 +150,13 @@ class TestPredictIca:
     def test_null_state_scores_zero(self):
         obs = band_tensor(3, seed=10, skip_states=(2,))
         model = fit_ica(obs, TrainConfig(features=2, epochs=1, reg=0.1, seed=0))
-        assert predict_ica(model, 0, 0, 2) == 0.0
+        assert np.array_equal(score_items(model, 0, 2), np.zeros(7))
 
     def test_state_bounds(self):
         obs = band_tensor(3, seed=10)
         model = fit_ica(obs, TrainConfig(features=2, epochs=1, reg=0.1, seed=0))
-        with pytest.raises(IndexError):
-            predict_ica(model, 0, 0, 3)
+        with pytest.raises(ContextError, match="out of bounds"):
+            score_items(model, 0, 3)
 
     def test_single_state_composite_equals_plain_ials(self):
         rng = np.random.default_rng(12)
@@ -176,15 +178,12 @@ class TestPredictIca:
         plain = fit_ials(flat, config)
         composite = fit_ica(cube, config)
         for u in range(5):
-            for i in range(6):
-                assert predict_ica(composite, u, i, 0) == predict_cell(plain, (u, i))
+            assert np.array_equal(score_items(composite, u, 0), score_items(plain, u))
 
     def test_states_with_different_slices_score_differently(self):
         obs = band_tensor(2, seed=14, n_cells=30)
         model = fit_ica(obs, TrainConfig(features=2, epochs=2, reg=0.1, seed=15))
         diffs = [
-            abs(predict_ica(model, u, i, 0) - predict_ica(model, u, i, 1))
-            for u in range(6)
-            for i in range(7)
+            np.abs(score_items(model, u, 0) - score_items(model, u, 1)).max() for u in range(6)
         ]
         assert max(diffs) > 1e-6

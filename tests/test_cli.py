@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from itals import load_model, save_model
+from itals import TrainConfig, fit, load_model, save_model
+from itals import persistence
 from itals.cli import main
+
+from conftest import overwrite_float64, synthetic_tensor
 
 DAY = 86_400
 
@@ -307,40 +310,23 @@ class TestRecommendCommand:
             "train", "--input", src, "--output", model,
             "--context", "none", "--k", 2, "--epochs", 1, "--lambda", 0.1,
         )
-        trained = load_model(model)
-        trained.factors[1][0, 3] = np.nan
-        save_model(trained, model)
+        overwrite_float64(model, load_model(model).factors[1][0, 3], np.nan)
         capsys.readouterr()
         assert run("recommend", "--model", model, "--user", "user3") == 1
         assert capsys.readouterr().out == ""
         assert "factor matrix 1 holds non-finite values" in caplog.text
 
-
-class TestBenchCommand:
-    def test_single_grid_point(self, workdir, capsys):
-        out = workdir / "bench.csv"
-        code = run(
-            "bench", "--k-grid", "4", "--nplus-grid", "500",
-            "--dims", "40,40,4", "--k-fixed", 4, "--nplus-fixed", 500,
-            "--repeats", 1, "--output", out,
-        )
-        assert code == 0
-        lines = out.read_text().strip().split("\n")
-        assert len(lines) == 3  # header + one row per sweep
-        assert lines[0].startswith("sweep,")
-
-    def test_fits_reported(self, workdir, capsys):
-        code = run(
-            "bench", "--k-grid", "2,4", "--nplus-grid", "200,400",
-            "--dims", "30,30,4", "--k-fixed", 2, "--nplus-fixed", 400,
-            "--repeats", 1,
-        )
-        assert code == 0
-        csv_text = capsys.readouterr().out
-        rows = csv_text.strip().split("\n")[1:]
-        assert len(rows) == 4
-        k_rows = [r for r in rows if r.startswith("k,")]
-        assert k_rows and k_rows[0].split(",")[9] != ""
+    def test_id_map_of_wrong_length_fails(self, workdir, capsys, caplog, monkeypatch):
+        obs = synthetic_tensor((3, 4), 6, seed=0)
+        maps = [["a", "b", "c"], ["x", "y"]]
+        trained = fit(obs, TrainConfig(features=2, epochs=1, reg=0.1), id_maps=maps)
+        model = workdir / "m.itals"
+        with monkeypatch.context() as patch:
+            patch.setattr(persistence, "_check_id_maps", lambda shape, id_maps: None)
+            save_model(trained, model)
+        assert run("recommend", "--model", model, "--user", "a", "--topn", 4) == 1
+        assert capsys.readouterr().out == ""
+        assert "id map of axis 1 holds 2 ids, the axis has 4" in caplog.text
 
 
 class TestConfigFile:
@@ -359,11 +345,30 @@ class TestConfigFile:
         out2 = json.loads(capsys.readouterr().out)
         assert out2["features"] == 3
 
-    def test_bad_config_line(self, workdir):
+    def test_bad_config_line(self, workdir, capsys, caplog):
+        src = write_events(workdir / "ev.tsv")
         cfg = workdir / "run.cfg"
         cfg.write_text("this is not a pair\n")
-        assert run("--config", cfg, "bench", "--k-grid", "2") == 1
+        out = workdir / "out"
+        assert run("--config", cfg, "prepare", "--input", src, "--out-dir", out) == 1
+        assert capsys.readouterr().out == ""
+        assert "expected key = value" in caplog.text
+        assert not out.exists()
 
     def test_missing_required_option(self, workdir):
         src = write_events(workdir / "ev.tsv")
         assert run("train", "--input", src) == 1  # no --output
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bench", "--k-grid", "4"),
+            ("--threads", "2", "train", "--input", "ev.tsv", "--output", "m.itals"),
+        ],
+    )
+    def test_retired_command_and_flag_are_usage_errors(self, workdir, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2

@@ -12,10 +12,11 @@ from itals import (
     dense_loss,
     dense_predictions,
     dense_regularized_loss,
-    predict_cell,
-    synthetic_tensor,
+    score_items,
 )
 from itals.solver import init_factors
+
+from conftest import synthetic_tensor
 
 
 def make_model(factors):
@@ -25,6 +26,13 @@ def make_model(factors):
     shape = TensorShape(dims, roles)
     config = TrainConfig(features=factors[0].shape[0], epochs=1)
     return Model(shape, factors, [m @ m.T for m in factors], config)
+
+
+def item_scores(model, user, states):
+    """score_items with one unit-weight state per context axis, in axis order."""
+    return score_items(
+        model, user, {axis: [(state, 1.0)] for axis, state in zip(model.shape.context_axes, states)}
+    )
 
 
 def test_zero_model_loss_is_sum_of_weights():
@@ -64,8 +72,13 @@ def test_dense_predictions_match_cellwise():
         model = make_model(factors)
         pred = dense_predictions(model)
         assert pred.shape == tuple(dims)
-        for coord in itertools.product(*(range(s) for s in dims)):
-            assert pred[coord] == pytest.approx(predict_cell(model, coord), abs=1e-12)
+        for user, *states in itertools.product(range(dims[0]), *(range(s) for s in dims[2:])):
+            np.testing.assert_allclose(
+                pred[(user, slice(None), *states)],
+                item_scores(model, user, states),
+                rtol=0,
+                atol=1e-12,
+            )
 
 
 def test_dense_loss_matches_manual_enumeration():
@@ -78,7 +91,8 @@ def test_dense_loss_matches_manual_enumeration():
     for coord in itertools.product(*(range(s) for s in obs.shape.dims)):
         w = stored.get(coord, 1.0)
         t = 1.0 if coord in stored else 0.0
-        total += w * (t - predict_cell(model, coord)) ** 2
+        user, item, *states = coord
+        total += w * (t - item_scores(model, user, states)[item]) ** 2
     assert dense_loss(model, obs) == pytest.approx(total, rel=1e-12)
 
 

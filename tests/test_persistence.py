@@ -7,12 +7,12 @@ from itals import (
     fit,
     fit_ica,
     load_model,
-    predict_cell,
-    predict_ica,
     save_model,
-    synthetic_tensor,
+    score_items,
 )
+from itals import persistence
 
+from conftest import overwrite_float64, synthetic_tensor
 from test_baseline import band_tensor
 
 
@@ -40,14 +40,16 @@ class TestSingleRoundtrip:
             assert a.tobytes() == b.tobytes()
 
     def test_predictions_bit_identical(self, tmp_path):
-        rng = np.random.default_rng(0)
         obs, model = random_trained(2)
         path = tmp_path / "m.itals"
         save_model(model, path)
         loaded = load_model(path)
-        for _ in range(50):
-            coord = tuple(int(rng.integers(0, s)) for s in model.shape.dims)
-            assert predict_cell(loaded, coord) == predict_cell(model, coord)
+        for user in range(model.shape.dims[0]):
+            for state in range(model.shape.dims[2]):
+                states = {2: [(state, 1.0)]}
+                assert np.array_equal(
+                    score_items(loaded, user, states), score_items(model, user, states)
+                )
 
     def test_no_id_maps(self, tmp_path):
         obs = synthetic_tensor((4, 4), 6, seed=3)
@@ -86,9 +88,8 @@ class TestCompositeRoundtrip:
         assert loaded.id_maps == maps
         assert loaded.submodels[2] is None
         for u in range(6):
-            for i in range(7):
-                for s in range(4):
-                    assert predict_ica(loaded, u, i, s) == predict_ica(model, u, i, s)
+            for s in range(4):
+                assert np.array_equal(score_items(loaded, u, s), score_items(model, u, s))
         assert loaded.submodels[0].id_maps == [maps[0], maps[1]]
 
 
@@ -119,17 +120,52 @@ class TestErrors:
 
     def test_non_finite_factors_rejected(self, tmp_path):
         _, model = random_trained(10)
-        model.factors[1][0, 2] = np.nan
         path = tmp_path / "m"
         save_model(model, path)
+        overwrite_float64(path, model.factors[1][0, 2], np.nan)
         with pytest.raises(PersistenceError, match="factor matrix 1 holds non-finite"):
             load_model(path)
 
     def test_non_finite_submodel_rejected(self, tmp_path):
         obs = band_tensor(3, seed=11)
         model = fit_ica(obs, TrainConfig(features=2, epochs=1, reg=0.1, seed=1))
-        model.submodels[1].factors[0][1, 0] = np.inf
         path = tmp_path / "c"
         save_model(model, path)
+        overwrite_float64(path, model.submodels[1].factors[0][1, 0], np.inf)
         with pytest.raises(PersistenceError, match="non-finite"):
+            load_model(path)
+
+    def test_save_refuses_non_finite_factors(self, tmp_path):
+        _, model = random_trained(12)
+        composite = fit_ica(band_tensor(3, seed=13), TrainConfig(features=2, epochs=1, reg=0.1))
+        path = tmp_path / "m"
+        cases = ((model, model.factors[1]), (composite, composite.submodels[1].factors[0]))
+        for trained, factor in cases:
+            save_model(trained, path)
+            saved = path.read_bytes()
+            factor[0, 1] = np.nan
+            with pytest.raises(PersistenceError, match="holds non-finite"):
+                save_model(trained, path)
+            assert path.read_bytes() == saved
+
+    def test_save_refuses_id_map_of_wrong_length(self, tmp_path):
+        obs = synthetic_tensor((3, 4), 6, seed=14)
+        maps = [["a", "b", "c"], ["x", "y"]]
+        model = fit(obs, TrainConfig(features=2, epochs=1, reg=0.1), id_maps=maps)
+        path = tmp_path / "m"
+        with pytest.raises(PersistenceError, match="id map of axis 1 holds 2 ids, the axis has 4"):
+            save_model(model, path)
+        model.id_maps = [["a", "b", "c"]]
+        with pytest.raises(PersistenceError, match="1 id maps for 2 axes"):
+            save_model(model, path)
+        assert not path.exists()
+
+    def test_load_rejects_id_map_of_wrong_length(self, tmp_path, monkeypatch):
+        obs = synthetic_tensor((3, 4), 6, seed=14)
+        model = fit(obs, TrainConfig(features=2, epochs=1, reg=0.1), id_maps=[["a", "b"], None])
+        path = tmp_path / "m"
+        with monkeypatch.context() as patch:
+            patch.setattr(persistence, "_check_id_maps", lambda shape, id_maps: None)
+            save_model(model, path)
+        with pytest.raises(PersistenceError, match="id map of axis 0 holds 2 ids, the axis has 3"):
             load_model(path)

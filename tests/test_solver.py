@@ -9,18 +9,15 @@ from itals import (
     TrainConfig,
     dense_regularized_loss,
     dense_solve_column,
-    effective_lambda,
     effective_lambdas,
     fit,
     gram_product_bruteforce,
-    predict_cell,
     solve_axis,
-    synthetic_tensor,
 )
 from itals import solver
 from itals.solver import init_factors
 
-from conftest import random_observation
+from conftest import random_observation, synthetic_tensor
 
 
 def make_model(factors, config=None):
@@ -57,56 +54,25 @@ class TestEffectiveLambda:
     def test_constant(self):
         config = TrainConfig(reg=0.1)
         obs = self.obs()
-        assert effective_lambda(config, obs, 0, 0) == pytest.approx(0.1)
-        assert effective_lambda(config, obs, 1, 2) == pytest.approx(0.1)
+        assert effective_lambdas(config, obs, 0) == pytest.approx([0.1, 0.1])
+        assert effective_lambdas(config, obs, 1) == pytest.approx([0.1, 0.1, 0.1])
 
     def test_support_proportional(self):
         config = TrainConfig(reg=0.01, reg_mode="support")
         obs = self.obs()
-        assert effective_lambda(config, obs, 0, 0) == pytest.approx(0.02)
-        assert effective_lambda(config, obs, 1, 0) == pytest.approx(0.02)
+        assert effective_lambdas(config, obs, 0)[0] == pytest.approx(0.02)
+        assert effective_lambdas(config, obs, 1)[0] == pytest.approx(0.02)
 
     def test_zero_support_floor(self):
         config = TrainConfig(reg=0.01, reg_mode="support")
-        assert effective_lambda(config, self.obs(), 1, 2) == pytest.approx(0.01)
+        assert effective_lambdas(config, self.obs(), 1)[2] == pytest.approx(0.01)
 
     def test_big_support(self):
         shape = TensorShape((1, 250), ("user", "item"))
         coords = np.stack([np.zeros(250, dtype=np.int64), np.arange(250)], axis=1)
         obs = ObservationTensor(shape, coords, np.full(250, 2.0))
         config = TrainConfig(reg=0.01, reg_mode="support")
-        assert effective_lambda(config, obs, 0, 0) == pytest.approx(2.5)
-
-    def test_vectorized_matches_scalar(self):
-        config = TrainConfig(reg=0.01, reg_mode="support")
-        obs = self.obs()
-        for axis in range(2):
-            lams = effective_lambdas(config, obs, axis)
-            for j in range(obs.shape.dims[axis]):
-                assert lams[j] == effective_lambda(config, obs, axis, j)
-
-
-class TestPredictCell:
-    def test_rank_one_product(self):
-        model = make_model([[[2.0]], [[3.0]], [[0.5]]])
-        assert predict_cell(model, (0, 0, 0)) == pytest.approx(3.0)
-
-    def test_zero_column_annihilates(self):
-        model = make_model([[[0.0, 2.0]], [[3.0, 4.0]]])
-        assert predict_cell(model, (0, 0)) == 0.0
-        assert predict_cell(model, (0, 1)) == 0.0
-        assert predict_cell(model, (1, 1)) == pytest.approx(8.0)
-
-    def test_two_features(self):
-        model = make_model([np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])])
-        assert predict_cell(model, (0, 0)) == pytest.approx(11.0)
-
-    def test_bounds(self):
-        model = make_model([[[1.0]], [[1.0]]])
-        with pytest.raises(IndexError):
-            predict_cell(model, (0, 5))
-        with pytest.raises(IndexError):
-            predict_cell(model, (0,))
+        assert effective_lambdas(config, obs, 0)[0] == pytest.approx(2.5)
 
 
 class TestSolveAxis:

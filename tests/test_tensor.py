@@ -3,7 +3,7 @@ import pytest
 
 from itals import ObservationTensor, TensorBuildError, TensorShape, WeightingScheme, build_tensor
 
-from conftest import make_event_log
+from conftest import make_event_log, synthetic_tensor
 
 
 def pair_shape(n_users, n_items):
@@ -206,8 +206,6 @@ class TestObservationTensor:
 
     def test_axis_groups_cover_cells(self):
         rng = np.random.default_rng(8)
-        from itals import synthetic_tensor
-
         obs = synthetic_tensor((5, 4, 3), 30, seed=3)
         for axis in range(3):
             order, starts = obs.axis_groups(axis)
