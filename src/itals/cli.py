@@ -1,8 +1,16 @@
 """Command-line front end: prepare, train, eval, recommend.
 
-Logs go to stderr (level from ITALS_LOG), machine-readable output goes
-to stdout or to files, and the exit code is 0 exactly when no error
-occurred.  Options may come from a key=value config file; flags win.
+Logs go to stderr (level from ITALS_LOG), machine-readable output to
+stdout or to files.  Exit code 1 is an error while running (a missing
+required option or file, a bad config line or key among them), 2 a usage
+error (an unknown flag, a bad flag or config value).
+
+``build_parser`` is the one option table.  A ``--config`` file's
+``key = value`` line acts as the long flag ``--key`` (``-`` and ``_``
+alike) given before the command-line flags, so flags win and the flag's
+type, choices and dest apply; a switch takes yes or no.  A key that only
+other subcommands take is ignored, so one file serves ``train`` and
+``eval``; a key no subcommand takes is an error.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +38,6 @@ from .context import (
 )
 from .events import (
     EventLog,
-    ParseError,
     ingest_events,
     ingest_ratings,
     read_category_map,
@@ -45,22 +53,14 @@ from .evaluation import (
     recommend_topn,
     split_by_date,
 )
-from .persistence import PersistenceError, load_model, save_model
-from .solver import SolverError, TrainConfig, fit
-from .tensor import TensorBuildError, TensorShape, WeightingScheme, build_tensor
+from .persistence import load_model, save_model
+from .solver import REG_MODES, SolverError, TrainConfig, fit
+from .tensor import TensorShape, WeightingScheme, build_tensor
 
 log = logging.getLogger("itals")
 
-CliError = (
-    ParseError,
-    ContextError,
-    TensorBuildError,
-    SolverError,
-    EvalError,
-    PersistenceError,
-    ValueError,
-    OSError,
-)
+# the package's input and state errors: all but SolverError are ValueErrors
+CliError = (ValueError, OSError, SolverError)
 
 
 def _setup_logging() -> None:
@@ -72,9 +72,12 @@ def _setup_logging() -> None:
     )
 
 
-def load_config_file(path) -> dict:
-    """Flat key = value config; '#' comments and blank lines skipped."""
-    values: dict = {}
+_YES, _NO = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _config_flags(path, command: argparse.ArgumentParser, known: set) -> list:
+    """The config lines as ``command``'s flags; ``known`` holds every subcommand's flags."""
+    flags = []
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -82,45 +85,34 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip().strip('"')
-    return values
+        key, value = key.strip(), value.strip().strip('"')
+        flag = "--" + key.replace("_", "-")
+        action = command._option_string_actions.get(flag)
+        if action is None:
+            if flag not in known:
+                raise ValueError(f"{path}:{line_no}: unknown option {key!r}")
+        elif action.nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif value.lower() in _YES:
+            flags.append(flag)
+        elif value.lower() not in _NO:
+            command.error(f"argument {flag}: expected yes or no, got {value!r}")
+    return flags
 
 
-class Options:
-    """Flag values backed by the config file: flags win, then config, then default."""
+class _Commands(argparse._SubParsersAction):
+    """Subcommands whose help shows the defaults and that parse --config ahead of the flags."""
 
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self._args = vars(args)
-        self._config = config
+    def add_parser(self, name, **kwargs):
+        kwargs["formatter_class"] = argparse.ArgumentDefaultsHelpFormatter
+        return super().add_parser(name, **kwargs)
 
-    def get(self, key: str, cast=str, default=None):
-        value = self._args.get(key)
-        if value is None:
-            value = self._config.get(key)
-        if value is None:
-            return default
-        if cast is bool and isinstance(value, str):
-            return value.lower() in ("1", "true", "yes", "on")
-        return cast(value)
-
-    def require(self, key: str, cast=str):
-        value = self.get(key, cast)
-        if value is None:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
-        return value
-
-    def path(self, key: str, required: bool = False):
-        value = self.require(key) if required else self.get(key)
-        if value is None:
-            return None
-        p = Path(value)
-        if not p.exists():
-            raise FileNotFoundError(f"--{key.replace('_', '-')}: no such file: {p}")
-        return p
-
-
-def _int_list(text: str) -> list:
-    return [int(x) for x in str(text).split(",") if x != ""]
+    def __call__(self, parser, namespace, values, option_string=None):
+        if namespace.config:
+            command = self.choices[values[0]]
+            known = {flag for p in self.choices.values() for flag in p._option_string_actions}
+            values = [values[0], *_config_flags(namespace.config, command, known), *values[1:]]
+        super().__call__(parser, namespace, values, option_string)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +128,7 @@ def parse_context_arg(text: str, season_length: int, utc_offset: int) -> dict:
         if len(parts) == 3 and parts[1] == "uniform":
             spec = SeasonSpec.uniform(season_length, int(parts[2]), utc_offset)
         elif len(parts) == 2:
-            spec = SeasonSpec(season_length, _int_list(parts[1]), utc_offset)
+            spec = SeasonSpec(season_length, [int(b) for b in parts[1].split(",") if b], utc_offset)
         else:
             raise ValueError(f"bad timeband context: {text!r}")
         return {"kind": "timeband", "season": spec}
@@ -149,24 +141,19 @@ def parse_context_arg(text: str, season_length: int, utc_offset: int) -> dict:
     raise ValueError(f"unknown context kind: {text!r}")
 
 
-def _context_arg(opts: Options) -> dict:
-    return parse_context_arg(
-        opts.get("context", str, "none"),
-        opts.get("season_length", int, 86_400),
-        opts.get("utc_offset", int, 0),
-    )
+def _context_arg(args) -> dict:
+    return parse_context_arg(args.context, args.season_length, args.utc_offset)
 
 
-def _sequence_spec(ctx: dict, opts: Options, events: EventLog):
+def _sequence_spec(ctx: dict, args, events: EventLog):
     """(SequenceSpec, item -> category index, category names).
 
     The categories are states 0..C-1 and the cold state is C.  Only items
     that occur in ``events`` need a category: a vocabulary item seen only
     outside a date split is never looked up.
     """
-    map_path = opts.path("category_map")
-    if map_path is not None:
-        mapping, names = read_category_map(map_path, events.item_ids)
+    if args.category_map is not None:
+        mapping, names = read_category_map(args.category_map, events.item_ids)
     elif events.categories is not None:
         mapping = {}
         for item, cat in zip(events.items, events.categories):
@@ -188,11 +175,14 @@ def _sequence_spec(ctx: dict, opts: Options, events: EventLog):
     return spec, mapping, names
 
 
-def _build_training_tensor(events: EventLog, ctx: dict, opts: Options):
+def _from_args(cls, args):
+    """A TrainConfig or WeightingScheme from the values parsed under its field names."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
+def _build_training_tensor(events: EventLog, ctx: dict, args):
     """Tensor plus the per-axis id maps."""
-    scheme = WeightingScheme(
-        base=opts.get("weight_base", float, 1.0), alpha=opts.get("alpha", float, 100.0)
-    )
+    scheme = _from_args(WeightingScheme, args)
     n_users, n_items = len(events.user_ids), len(events.item_ids)
     if ctx["kind"] == "none":
         shape = TensorShape((n_users, n_items), ("user", "item"))
@@ -207,7 +197,7 @@ def _build_training_tensor(events: EventLog, ctx: dict, opts: Options):
         band_names = [f"band-{i}" for i in range(spec.n_bands)]
         return obs, [events.user_ids, events.item_ids, band_names]
 
-    spec, mapping, names = _sequence_spec(ctx, opts, events)
+    spec, mapping, names = _sequence_spec(ctx, args, events)
     ordered = events.sorted_by_user_time()
     states = sequential_context(ordered, mapping, spec)
     shape = TensorShape(
@@ -218,43 +208,51 @@ def _build_training_tensor(events: EventLog, ctx: dict, opts: Options):
     return obs, [events.user_ids, events.item_ids, ctx_names]
 
 
-def _train_config(opts: Options) -> TrainConfig:
-    return TrainConfig(
-        features=opts.get("k", int, 20),
-        epochs=opts.get("epochs", int, 10),
-        reg=opts.get("reg", float, 0.0),
-        reg_mode=opts.get("reg_mode", str, "constant"),
-        seed=opts.get("seed", int, 0),
-        init_scale=opts.get("init_scale", float),
-    )
-
-
-def _load_train_events(opts: Options) -> EventLog:
-    events = ingest_events(opts.path("input", required=True))
-    split_ts = opts.get("split_ts", int)
-    if split_ts is not None:
-        events = events.select(events.timestamps < split_ts)
+def _load_train_events(args) -> EventLog:
+    events = ingest_events(args.input)
+    if args.split_ts is not None:
+        events = events.select(events.timestamps < args.split_ts)
     return events
+
+
+def _id_map(model, axis: int):
+    return model.id_maps[axis] if model.id_maps else None
+
+
+def _check_log_ids(model, events: EventLog) -> None:
+    """The model's user and item id maps must be prefixes of the log's.
+
+    Ids are numbered in first-seen order, so a log with lines appended
+    after the training log keeps every model index; a reordered one does not.
+    """
+    shape = model.shape
+    for name, axis, log_ids in (
+        ("user", shape.user_axis, events.user_ids), ("item", shape.item_axis, events.item_ids)
+    ):
+        ids = _id_map(model, axis)
+        if ids is None or log_ids[: len(ids)] == ids:
+            continue
+        j = next((j for j, (a, b) in enumerate(zip(ids, log_ids)) if a != b), len(log_ids))
+        found = repr(log_ids[j]) if j < len(log_ids) else "nothing"
+        raise EvalError(
+            f"the log numbers {name}s unlike the model: {name} {j} is {ids[j]!r} "
+            f"in the model, {found} in the log"
+        )
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_prepare(opts: Options) -> int:
-    source = opts.path("input", required=True)
-    out_dir = Path(opts.require("out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = opts.get("format", str, "events")
-    if fmt == "ratings":
-        ratings = ingest_ratings(source)
-        threshold = opts.get("threshold", float, 4.5)
-        events = implicitize(ratings, threshold)
-        log.info("kept %d of %d ratings at threshold %g", len(events), len(ratings), threshold)
-    elif fmt == "events":
-        events = ingest_events(source)
+def cmd_prepare(args) -> int:
+    if args.format == "ratings":
+        ratings = ingest_ratings(args.input)
+        events = implicitize(ratings, args.threshold)
+        log.info("kept %d of %d ratings at threshold %g", len(events), len(ratings), args.threshold)
     else:
-        raise ValueError(f"unknown --format {fmt!r}")
+        events = ingest_events(args.input)
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     events_path = out_dir / "events.tsv"
     write_events_tsv(events, events_path)
     write_id_map(events.user_ids, out_dir / "users.tsv")
@@ -276,39 +274,35 @@ def cmd_prepare(opts: Options) -> int:
     return 0
 
 
-def cmd_train(opts: Options) -> int:
-    events = _load_train_events(opts)
+def cmd_train(args) -> int:
+    events = _load_train_events(args)
     if len(events) == 0:
         raise SolverError("no training events (check --split-ts)")
-    algo = opts.get("algo", str, "itals")
-    obs, id_maps = _build_training_tensor(events, _context_arg(opts), opts)
-    config = _train_config(opts)
+    obs, id_maps = _build_training_tensor(events, _context_arg(args), args)
+    config = _from_args(TrainConfig, args)
     log.info(
         "training %s: %d cells, dims %s, K=%d, E=%d",
-        algo,
+        args.algo,
         obs.n_nonzero,
         obs.shape.dims,
         config.features,
         config.epochs,
     )
     started = time.perf_counter()
-    if algo == "ica":
+    if args.algo == "ica":
         if obs.ndim != 3:
             raise SolverError("--algo ica needs a context (3-dimensional tensor)")
         model = fit_ica(obs, config, id_maps)
-    elif algo == "itals":
-        model = fit(obs, config, id_maps)
     else:
-        raise ValueError(f"unknown --algo {algo!r}")
+        model = fit(obs, config, id_maps)
     elapsed = time.perf_counter() - started
 
-    out_path = Path(opts.require("output"))
-    save_model(model, out_path)
+    save_model(model, args.output)
     print(
         json.dumps(
             {
-                "model": str(out_path),
-                "algo": algo,
+                "model": str(Path(args.output)),
+                "algo": args.algo,
                 "dims": list(obs.shape.dims),
                 "n_nonzero": obs.n_nonzero,
                 "features": config.features,
@@ -329,7 +323,7 @@ def _check_state_count(model, n_states: int) -> None:
         )
 
 
-def _request_states(model, ctx: dict, opts: Options, train: EventLog, test: EventLog):
+def _request_states(model, ctx: dict, args, train: EventLog, test: EventLog):
     """{test user: request-time context pairs}, or None for a 2-D model."""
     if model.shape.ndim == 2 and not isinstance(model, CompositeModel):
         return None
@@ -343,7 +337,7 @@ def _request_states(model, ctx: dict, opts: Options, train: EventLog, test: Even
         bands = assign_time_band(test.timestamps[first], spec)
         return {u: [(b, 1.0)] for u, b in zip(test.users[first].tolist(), bands.tolist())}
     if ctx["kind"] == "sequence":
-        spec, mapping, _ = _sequence_spec(ctx, opts, train)
+        spec, mapping, _ = _sequence_spec(ctx, args, train)
         _check_state_count(model, spec.category_count)
         per_user = last_category_states(train, mapping, spec)
         cold = [(spec.cold_state, 1.0)]
@@ -351,49 +345,41 @@ def _request_states(model, ctx: dict, opts: Options, train: EventLog, test: Even
     raise EvalError("the model has a context axis; pass --context to describe it")
 
 
-def cmd_eval(opts: Options) -> int:
-    model = load_model(opts.path("model", required=True))
-    events = ingest_events(opts.path("input", required=True))
-    split = SplitSpec(opts.require("split_ts", int), opts.get("horizon", int))
-    train, test = split_by_date(events, split)
+def cmd_eval(args) -> int:
+    model = load_model(args.model)
+    events = ingest_events(args.input)
+    _check_log_ids(model, events)
+    train, test = split_by_date(events, SplitSpec(args.split_ts, args.horizon))
     if len(test) == 0:
         raise EvalError("empty test set; nothing to evaluate")
-    n_max = opts.get("topn", int, 50)
+    n_max, n_items = args.topn, model.shape.dims[model.shape.item_axis]
     started = time.perf_counter()
     report = recall_precision_at(
         model,
         test,
         n_max,
-        request_states=_request_states(model, _context_arg(opts), opts, train, test),
-        seen=train if opts.get("exclude_seen", bool, False) else None,
-        skip_unknown_users=opts.get("skip_unknown_users", bool, False),
-        average=opts.get("average", str, "macro"),
+        request_states=_request_states(model, _context_arg(args), args, train, test),
+        # an item only the log knows has no score to exclude
+        seen=train.select(train.items < n_items) if args.exclude_seen else None,
+        skip_unknown_users=args.skip_unknown_users,
+        average=args.average,
     )
     wall = time.perf_counter() - started
 
-    dataset = opts.get("dataset", str, Path(opts.require("input")).stem)
-    model_name = opts.get("model_name", str, Path(opts.require("model")).name)
-    features = model.config.features
-    prefix = opts.get("out_prefix")
+    # the fields that label both the per-N records and the summary
+    label = {
+        "dataset": args.dataset or Path(args.input).stem,
+        "model": Path(args.model).name,
+        "K": model.config.features,
+    }
+    prefix = args.out_prefix
     if prefix:
         emit_pr_curve(report, f"{prefix}.pr.csv")
         with open(f"{prefix}.metrics.jsonl", "w", encoding="utf-8") as fh:
             for n in range(1, n_max + 1):
                 r, p = report.at(n)
-                fh.write(
-                    json.dumps(
-                        {
-                            "dataset": dataset,
-                            "model": model_name,
-                            "K": features,
-                            "N": n,
-                            "recall": r,
-                            "precision": p,
-                            "wall_time": round(wall, 3),
-                        }
-                    )
-                    + "\n"
-                )
+                record = {**label, "N": n, "recall": r, "precision": p, "wall_time": round(wall, 3)}
+                fh.write(json.dumps(record) + "\n")
         log.info("wrote %s.pr.csv and %s.metrics.jsonl", prefix, prefix)
 
     headline_n = min(20, n_max)
@@ -401,9 +387,7 @@ def cmd_eval(opts: Options) -> int:
     print(
         json.dumps(
             {
-                "dataset": dataset,
-                "model": model_name,
-                "K": features,
+                **label,
                 "users": report.n_users,
                 "skipped_users": report.n_skipped,
                 f"recall@{headline_n}": r20,
@@ -416,50 +400,53 @@ def cmd_eval(opts: Options) -> int:
     return 0
 
 
-def cmd_recommend(opts: Options) -> int:
-    model = load_model(opts.path("model", required=True))
-    user_arg = opts.require("user")
-    user_axis = model.shape.user_axis
-    user_map = model.id_maps[user_axis] if model.id_maps else None
-    if user_map and user_arg in user_map:
-        user = user_map.index(user_arg)
-    else:
+def cmd_recommend(args) -> int:
+    model = load_model(args.model)
+    # a model with a user id map is asked by id, one without by dense index
+    user_ids = _id_map(model, model.shape.user_axis)
+    if user_ids is None:
         try:
-            user = int(user_arg)
+            user = int(args.user)
         except ValueError:
-            raise EvalError(f"unknown user id {user_arg!r}") from None
+            raise EvalError(f"unknown user id {args.user!r}") from None
+    elif args.user in user_ids:
+        user = user_ids.index(args.user)
+    elif args.allow_cold_user:
+        user = -1  # scored from a zero vector
+    else:
+        raise EvalError(f"unknown user id {args.user!r}")
 
     states = None
     if model.shape.ndim >= 3 or isinstance(model, CompositeModel):
-        state = opts.get("state", int)
-        at_ts = opts.get("at", int)
-        if state is not None:
-            states = int(state)
-        elif at_ts is not None:
-            ctx = _context_arg(opts)
+        if args.state is not None:
+            states = args.state
+        elif args.at is not None:
+            ctx = _context_arg(args)
             if ctx["kind"] != "timeband":
                 raise EvalError("--at needs a timeband --context")
             _check_state_count(model, ctx["season"].n_bands)
-            states = int(assign_time_band(at_ts, ctx["season"]))
+            states = int(assign_time_band(args.at, ctx["season"]))
         else:
             raise EvalError("context model: pass --state or --at with --context")
 
     exclude = None
-    if opts.get("exclude_seen", bool, False):
-        seen_log = _load_train_events(opts)
-        exclude = np.unique(seen_log.items[seen_log.users == user])
+    if args.exclude_seen:
+        if args.input is None:
+            raise ValueError("--exclude-seen needs --input")
+        seen = _load_train_events(args)
+        _check_log_ids(model, seen)
+        if user_ids is not None:
+            # the log's ids extend the model's, so it may number a cold user too
+            user = seen.user_ids.index(args.user) if args.user in seen.user_ids else -1
+        exclude = seen.items[seen.users == user]
+        exclude = exclude[exclude < model.shape.dims[model.shape.item_axis]]  # see cmd_eval
 
     ranked = recommend_topn(
-        model,
-        user,
-        states,
-        opts.get("topn", int, 10),
-        exclude_items=exclude,
-        allow_unknown=opts.get("allow_cold_user", bool, False),
+        model, user, states, args.topn, exclude_items=exclude, allow_unknown=args.allow_cold_user
     )
-    item_map = model.id_maps[model.shape.item_axis] if model.id_maps else None
+    item_ids = _id_map(model, model.shape.item_axis)
     for rank, (item, score) in enumerate(zip(ranked.items, ranked.scores), 1):
-        name = item_map[item] if item_map else str(item)
+        name = item_ids[item] if item_ids else str(item)
         print(f"{rank}\t{name}\t{score:.10g}")
     return 0
 
@@ -467,86 +454,97 @@ def cmd_recommend(opts: Options) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one option table: each flag's name, type, default and choices."""
     parser = argparse.ArgumentParser(
-        prog="itals",
-        description="Context-aware implicit-feedback tensor factorization",
+        prog="itals", description="Context-aware implicit-feedback tensor factorization"
     )
-    parser.add_argument("--config", help="key = value config file; flags override it")
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument(
+        "--config",
+        help="key = value lines; a key is a long flag name and acts as that flag given "
+        "first, a key of another subcommand is ignored and an unknown key is an error",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, action=_Commands)
 
-    common_train = argparse.ArgumentParser(add_help=False)
-    common_train.add_argument("--k", type=int, help="feature count (default 20)")
-    common_train.add_argument("--epochs", type=int, help="training epochs (default 10)")
-    common_train.add_argument(
-        "--lambda", dest="reg", type=float, help="regularization base (default 0)"
+    # flags stored to TrainConfig and WeightingScheme fields take the fields' defaults
+    train_opts = argparse.ArgumentParser(add_help=False)
+    train_opts.set_defaults(
+        **{f.name: f.default for cls in (TrainConfig, WeightingScheme) for f in fields(cls)}
     )
-    common_train.add_argument(
-        "--reg-mode", choices=("constant", "support"), help="regularization scaling"
-    )
-    common_train.add_argument("--alpha", type=float, help="per-event weight increment (default 100)")
-    common_train.add_argument("--weight-base", type=float, help="weight offset (default 1)")
-    common_train.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    common_train.add_argument("--init-scale", type=float, help="init range (default 1/sqrt(K))")
+    add = train_opts.add_argument
+    add("--k", dest="features", type=int, help="feature count")
+    add("--epochs", type=int, help="training epochs")
+    add("--lambda", dest="reg", type=float, help="regularization base")
+    add("--reg-mode", choices=REG_MODES, help="regularization scaling")
+    add("--alpha", type=float, help="per-event weight increment")
+    add("--weight-base", dest="base", type=float, help="weight offset")
+    add("--seed", type=int, help="RNG seed")
+    add("--init-scale", type=float, help="init range; None: 1/sqrt(K)")
 
-    common_ctx = argparse.ArgumentParser(add_help=False)
-    common_ctx.add_argument(
-        "--context",
+    ctx_opts = argparse.ArgumentParser(add_help=False)
+    add = ctx_opts.add_argument
+    add(
+        "--context", default="none",
         help="none | timeband:uniform:B | timeband:b0,b1,... | sequence:C[:decay]",
     )
-    common_ctx.add_argument("--season-length", type=int, help="season in seconds (default 86400)")
-    common_ctx.add_argument("--utc-offset", type=int, help="fixed timestamp shift in seconds")
-    common_ctx.add_argument("--category-map", help="TSV of item<TAB>category for sequence context")
+    add("--season-length", type=int, default=86_400, help="season in seconds")
+    add("--utc-offset", type=int, default=0, help="fixed timestamp shift in seconds")
+    add("--category-map", help="TSV of item<TAB>category for sequence context")
 
     p = sub.add_parser("prepare", help="canonicalize events or implicitize ratings")
     p.add_argument("--input", help="raw TSV file")
-    p.add_argument("--format", choices=("events", "ratings"))
-    p.add_argument("--threshold", type=float, help="min rating kept (default 4.5)")
+    p.add_argument("--format", choices=("events", "ratings"), default="events", help="input layout")
+    p.add_argument("--threshold", type=float, default=4.5, help="min rating kept")
     p.add_argument("--out-dir", help="output directory")
-    p.set_defaults(func=cmd_prepare)
+    p.set_defaults(func=cmd_prepare, required=("input", "out_dir"))
 
-    p = sub.add_parser("train", parents=[common_train, common_ctx], help="fit and save a model")
+    p = sub.add_parser("train", parents=[train_opts, ctx_opts], help="fit and save a model")
     p.add_argument("--input", help="event TSV")
     p.add_argument("--output", help="model file to write")
-    p.add_argument("--algo", choices=("itals", "ica"), help="factorization or composite baseline")
+    p.add_argument(
+        "--algo", choices=("itals", "ica"), default="itals",
+        help="factorization or composite baseline",
+    )
     p.add_argument("--split-ts", type=int, help="train only on events before this timestamp")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, required=("input", "output"))
 
-    p = sub.add_parser("eval", parents=[common_ctx], help="ranking metrics on a date split")
+    p = sub.add_parser("eval", parents=[ctx_opts], help="ranking metrics on a date split")
     p.add_argument("--model", help="model file")
     p.add_argument("--input", help="event TSV (full log; split decides train/test)")
     p.add_argument("--split-ts", type=int, help="test events start here")
     p.add_argument("--horizon", type=int, help="test window length in seconds")
-    p.add_argument("--topn", type=int, help="evaluate N = 1..topn (default 50)")
-    p.add_argument("--exclude-seen", action="store_const", const=True, default=None)
-    p.add_argument("--skip-unknown-users", action="store_const", const=True, default=None)
-    p.add_argument("--average", choices=("macro", "micro"))
+    p.add_argument("--topn", type=int, default=50, help="evaluate N = 1..topn")
+    p.add_argument("--exclude-seen", action="store_true")
+    p.add_argument("--skip-unknown-users", action="store_true")
+    p.add_argument(
+        "--average", choices=("macro", "micro"), default="macro", help="mean over users or pooled"
+    )
     p.add_argument("--out-prefix", help="write <prefix>.pr.csv and <prefix>.metrics.jsonl")
     p.add_argument("--dataset", help="dataset label for the metric records")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, required=("model", "input", "split_ts"))
 
-    p = sub.add_parser("recommend", parents=[common_ctx], help="top-N items for one user")
+    p = sub.add_parser("recommend", parents=[ctx_opts], help="top-N items for one user")
     p.add_argument("--model", help="model file")
-    p.add_argument("--user", help="original user id (or dense index)")
+    p.add_argument("--user", help="user id (dense index for a model without id maps)")
     p.add_argument("--state", type=int, help="context state id")
     p.add_argument("--at", type=int, help="request timestamp (timeband context)")
-    p.add_argument("--topn", type=int, help="list length (default 10)")
-    p.add_argument("--exclude-seen", action="store_const", const=True, default=None)
+    p.add_argument("--topn", type=int, default=10, help="list length")
+    p.add_argument("--exclude-seen", action="store_true")
     p.add_argument("--input", help="event TSV for --exclude-seen")
     p.add_argument("--split-ts", type=int, help="seen items come from events before this")
-    p.add_argument("--allow-cold-user", action="store_const", const=True, default=None)
-    p.set_defaults(func=cmd_recommend)
+    p.add_argument("--allow-cold-user", action="store_true")
+    p.set_defaults(func=cmd_recommend, required=("model", "user"))
 
     return parser
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = load_config_file(args.config) if args.config else {}
-        opts = Options(args, config)
-        return args.func(opts)
+        args = build_parser().parse_args(argv)
+        for dest in args.required:
+            if getattr(args, dest) is None:
+                raise ValueError(f"missing required option --{dest.replace('_', '-')}")
+        return args.func(args)
     except CliError as exc:
         log.error("%s", exc)
         return 1

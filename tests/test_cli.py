@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from itals import TrainConfig, fit, load_model, save_model
-from itals import persistence
-from itals.cli import main
+from itals import TrainConfig, WeightingScheme, fit, load_model, save_model
+from itals import cli, persistence
+from itals.cli import build_parser, main
 
 from conftest import overwrite_float64, synthetic_tensor
 
@@ -75,7 +75,13 @@ class TestPrepare:
         assert (out1 / "events.tsv").read_text() == (out2 / "events.tsv").read_text()
 
     def test_missing_input_fails(self, workdir):
-        assert run("prepare", "--input", workdir / "nope.tsv", "--out-dir", workdir) == 1
+        out = workdir / "prep"
+        assert run("prepare", "--input", workdir / "nope.tsv", "--out-dir", out) == 1
+        assert not out.exists()
+        src = workdir / "bad.tsv"
+        src.write_text("u1\ta\t10\nu2\tb\n")
+        assert run("prepare", "--input", src, "--out-dir", out) == 1
+        assert not out.exists()
 
 
 class TestTrain:
@@ -248,6 +254,41 @@ class TestEvalCommand:
             "eval", "--model", model, "--input", src, "--split-ts", 27 * DAY,
         ) == 0
 
+    def test_eval_rejects_a_log_numbered_otherwise(self, workdir, capsys, caplog):
+        src = write_events(workdir / "ev.tsv")
+        model = self._train(workdir, src, "timeband:uniform:6")
+        reversed_log = workdir / "reversed.tsv"
+        lines = src.read_text().splitlines()
+        reversed_log.write_text("\n".join(reversed(lines)) + "\n")
+        capsys.readouterr()
+        assert run(
+            "eval", "--model", model, "--input", reversed_log, "--split-ts", 27 * DAY,
+            "--context", "timeband:uniform:6",
+        ) == 1
+        assert capsys.readouterr().out == ""
+        assert "the log numbers users unlike the model: user 0" in caplog.text
+
+    def test_eval_on_an_appended_log(self, workdir, capsys):
+        src = write_events(workdir / "ev.tsv")
+        model = self._train(workdir, src, "timeband:uniform:6")
+        # a new user and a new item before the split land in the seen log
+        longer = workdir / "longer.tsv"
+        longer.write_text(
+            src.read_text() + f"newcomer\tnew-item\t{20 * DAY}\nuser1\tnew-item\t{21 * DAY}\n"
+            f"newcomer\titem2\t{28 * DAY}\n"
+        )
+        capsys.readouterr()
+        assert run(
+            "eval", "--model", model, "--input", longer, "--split-ts", 27 * DAY,
+            "--context", "timeband:uniform:6", "--exclude-seen",
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["users"] > 0
+        assert run(
+            "recommend", "--model", model, "--user", "user1", "--state", 2,
+            "--exclude-seen", "--input", longer, "--split-ts", 27 * DAY,
+        ) == 0
+        assert "new-item" not in capsys.readouterr().out
+
     def test_eval_empty_test_fails(self, workdir):
         src = write_events(workdir / "ev.tsv")
         model = self._train(workdir, src, "none")
@@ -302,6 +343,29 @@ class TestRecommendCommand:
             "recommend", "--model", model, "--user", "999", "--allow-cold-user"
         ) == 0
 
+    def test_user_resolves_through_the_id_map_only(self, workdir, capsys, caplog):
+        src = write_events(workdir / "ev.tsv")
+        model = workdir / "m.itals"
+        run(
+            "train", "--input", src, "--output", model,
+            "--context", "none", "--k", 2, "--epochs", 1, "--lambda", 0.1,
+        )
+        capsys.readouterr()
+        # "3" is a dense index but no user id of this model
+        assert run("recommend", "--model", model, "--user", 3) == 1
+        assert capsys.readouterr().out == ""
+        assert "unknown user id '3'" in caplog.text
+        assert run("recommend", "--model", model, "--user", "stranger", "--allow-cold-user") == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.split("\t")[2] for line in lines] == ["0"] * 10
+
+    def test_dense_index_for_a_model_without_id_maps(self, workdir, capsys):
+        obs = synthetic_tensor((3, 4), 6, seed=0)
+        model = workdir / "m.itals"
+        save_model(fit(obs, TrainConfig(features=2, epochs=1, reg=0.1)), model)
+        assert run("recommend", "--model", model, "--user", 1, "--topn", 2) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 2
+        assert run("recommend", "--model", model, "--user", "user1") == 1
 
     def test_non_finite_model_fails(self, workdir, capsys, caplog):
         src = write_events(workdir / "ev.tsv")
@@ -340,6 +404,7 @@ class TestConfigFile:
         assert run("--config", cfg, "train", "--output", m1) == 0
         out1 = json.loads(capsys.readouterr().out)
         assert out1["features"] == 2
+        assert load_model(m1).config.reg == 0.1
         m2 = workdir / "m2.itals"
         assert run("--config", cfg, "train", "--output", m2, "--k", 3) == 0
         out2 = json.loads(capsys.readouterr().out)
@@ -358,6 +423,74 @@ class TestConfigFile:
     def test_missing_required_option(self, workdir):
         src = write_events(workdir / "ev.tsv")
         assert run("train", "--input", src) == 1  # no --output
+
+    @pytest.mark.parametrize("line", ["lamda = 5", "threads = 2"])
+    def test_unknown_key_fails(self, workdir, capsys, caplog, line):
+        src = write_events(workdir / "ev.tsv")
+        cfg = workdir / "run.cfg"
+        cfg.write_text(f"k = 2\n{line}\n")
+        model = workdir / "m.itals"
+        assert run("--config", cfg, "train", "--input", src, "--output", model) == 1
+        assert f"run.cfg:2: unknown option {line.split()[0]!r}" in caplog.text
+        assert not model.exists()
+
+    def test_keys_of_other_subcommands_are_ignored(self, workdir, capsys):
+        src = write_events(workdir / "ev.tsv")
+        cfg = workdir / "run.cfg"
+        cfg.write_text(
+            f"input = {src}\ncontext = timeband:uniform:6\nk = 2\nepochs = 1\n"
+            f"lambda = 0.1\nalgo = ica\nsplit_ts = {27 * DAY}\ntopn = 5\n"
+        )
+        model = workdir / "m.itals"
+        assert run("--config", cfg, "train", "--output", model) == 0
+        capsys.readouterr()
+        assert run("--config", cfg, "eval", "--model", model) == 0
+        assert "recall@5" in json.loads(capsys.readouterr().out)
+
+    def test_bad_value_fails_as_the_flag_does(self, workdir, capsys):
+        src = write_events(workdir / "ev.tsv")
+        cfg = workdir / "run.cfg"
+        cfg.write_text("reg_mode = bogus\n")
+        with pytest.raises(SystemExit) as from_config:
+            run("--config", cfg, "train", "--input", src, "--output", workdir / "m")
+        config_err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as from_flag:
+            run("train", "--input", src, "--output", workdir / "m", "--reg-mode", "bogus")
+        assert from_config.value.code == from_flag.value.code == 2
+        assert config_err == capsys.readouterr().err
+        assert "argument --reg-mode: invalid choice: 'bogus'" in config_err
+
+    def test_switch_acts_as_the_flag(self, workdir, capsys):
+        src = write_events(workdir / "ev.tsv")
+        model = workdir / "m.itals"
+        run(
+            "train", "--input", src, "--output", model,
+            "--context", "none", "--k", 3, "--epochs", 2, "--lambda", 0.1,
+        )
+        cfg = workdir / "run.cfg"
+        cfg.write_text("exclude_seen = yes\n")
+        command = ("eval", "--model", model, "--input", src, "--split-ts", 27 * DAY)
+        summaries = []
+        for argv in (("--config", cfg, *command), (*command, "--exclude-seen"), command):
+            capsys.readouterr()
+            assert run(*argv) == 0
+            summary = json.loads(capsys.readouterr().out)
+            summary.pop("wall_time")
+            summaries.append(summary)
+        assert summaries[0] == summaries[1] != summaries[2]
+
+
+class TestDefaults:
+    def test_parser_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["train"])
+        assert cli._from_args(TrainConfig, args) == TrainConfig()
+        assert cli._from_args(WeightingScheme, args) == WeightingScheme()
+
+    def test_help_shows_the_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--help")
+        assert exc.value.code == 0
+        assert "feature count (default: 20)" in " ".join(capsys.readouterr().out.split())
 
 
 class TestUsage:
