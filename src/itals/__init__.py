@@ -27,7 +27,6 @@ from .context import (
 )
 from .events import (
     EventLog,
-    EventRecord,
     ParseError,
     RatingLog,
     ingest_events,
@@ -79,7 +78,6 @@ __all__ = [
     "DenseCapError",
     "EvalError",
     "EventLog",
-    "EventRecord",
     "Model",
     "ObservationTensor",
     "ParseError",

@@ -11,6 +11,12 @@ alike) given before the command-line flags, so flags win and the flag's
 type, choices and dest apply; a switch takes yes or no.  A key that only
 other subcommands take is ignored, so one file serves ``train`` and
 ``eval``; a key no subcommand takes is an error.
+
+``eval`` and ``recommend --at`` check ``--context`` the way they check the
+log's user and item ids: on the training log it must give the model's
+context axis role and state names (``band-i``, or the categories and then
+``__no_prior__``) in order, else they exit 1.  Model files do not store
+band boundaries, UTC offset, season length, depth or decay: those go unchecked.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ import sys
 import time
 from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .baseline import CompositeModel, fit_ica
+from .baseline import fit_ica
 from .context import (
     ContextError,
     SeasonSpec,
@@ -116,49 +123,32 @@ class _Commands(argparse._SubParsersAction):
 
 
 # ---------------------------------------------------------------------------
-# context argument grammar: none | timeband:uniform:B | timeband:b0,b1,...
-# | sequence:C[:decay]
+# the context axis: none | timeband:uniform:B | timeband:b0,b1,... | sequence:C[:decay]
 
-def parse_context_arg(text: str, season_length: int, utc_offset: int) -> dict:
-    parts = str(text).split(":")
-    kind = parts[0]
-    if kind == "none":
-        return {"kind": "none"}
-    if kind == "timeband":
-        if len(parts) == 3 and parts[1] == "uniform":
-            spec = SeasonSpec.uniform(season_length, int(parts[2]), utc_offset)
-        elif len(parts) == 2:
-            spec = SeasonSpec(season_length, [int(b) for b in parts[1].split(",") if b], utc_offset)
-        else:
-            raise ValueError(f"bad timeband context: {text!r}")
-        return {"kind": "timeband", "season": spec}
-    if kind == "sequence":
-        if len(parts) not in (2, 3):
-            raise ValueError(f"bad sequence context: {text!r}")
-        depth = int(parts[1])
-        decay = float(parts[2]) if len(parts) == 3 else 1.0
-        return {"kind": "sequence", "depth": depth, "decay": decay}
-    raise ValueError(f"unknown context kind: {text!r}")
+class _Context(NamedTuple):
+    """A --context on a training log: a model trained on it has this axis role and id map.
+
+    ``training()`` gives the training events in tensor order and their
+    (state, weight) pairs, ``requests(test)`` each test user's pairs.
+    """
+
+    role: str
+    names: list
+    training: Callable
+    requests: Callable
 
 
-def _context_arg(args) -> dict:
-    return parse_context_arg(args.context, args.season_length, args.utc_offset)
+def _categories(args, events: EventLog):
+    """({item index: category state}, category names) from --category-map or the log.
 
-
-def _sequence_spec(ctx: dict, args, events: EventLog):
-    """(SequenceSpec, item -> category index, category names).
-
-    The categories are states 0..C-1 and the cold state is C.  Only items
-    that occur in ``events`` need a category: a vocabulary item seen only
-    outside a date split is never looked up.
+    Only items that occur in ``events`` need a category: a vocabulary item
+    seen only outside a date split is never looked up.
     """
     if args.category_map is not None:
         mapping, names = read_category_map(args.category_map, events.item_ids)
     elif events.categories is not None:
-        mapping = {}
-        for item, cat in zip(events.items, events.categories):
-            if cat >= 0:
-                mapping[int(item)] = int(cat)
+        known = events.categories >= 0
+        mapping = dict(zip(events.items[known].tolist(), events.categories[known].tolist()))
         names = list(events.category_ids)
     else:
         raise ContextError("sequence context needs --category-map or a category column")
@@ -166,46 +156,59 @@ def _sequence_spec(ctx: dict, args, events: EventLog):
     if missing:
         item = events.item_ids[min(missing)]
         raise ContextError(f"no category for item {item!r} ({len(missing)} total)")
-    spec = SequenceSpec(
-        history_depth=ctx["depth"],
-        decay=ctx["decay"],
-        category_count=len(names) + 1,
-        cold_state=len(names),
-    )
-    return spec, mapping, names
+    return mapping, names
+
+
+def _resolve_context(args, train: EventLog) -> Optional[_Context]:
+    """The context the flags describe on the training log; None for --context none."""
+    kind, *parts = args.context.split(":")
+    if kind == "none":
+        return None
+    if kind == "timeband":
+        if len(parts) == 2 and parts[0] == "uniform":
+            season = SeasonSpec.uniform(args.season_length, int(parts[1]), args.utc_offset)
+        elif len(parts) == 1:
+            bounds = [int(b) for b in parts[0].split(",") if b]
+            season = SeasonSpec(args.season_length, bounds, args.utc_offset)
+        else:
+            raise ValueError(f"bad timeband context: {args.context!r}")
+
+        def requests(test: EventLog) -> dict:
+            # each user's request context is the band of their first test event
+            order = np.lexsort((test.timestamps, test.users))
+            users = test.users[order]
+            first = order[np.r_[True, users[1:] != users[:-1]]]
+            bands = assign_time_band(test.timestamps[first], season)
+            return {u: [(b, 1.0)] for u, b in zip(test.users[first].tolist(), bands.tolist())}
+
+        names = [f"band-{i}" for i in range(season.n_bands)]
+        return _Context(
+            "timeband", names, lambda: (train, time_band_states(train.timestamps, season)), requests
+        )
+    if kind == "sequence":
+        if len(parts) not in (1, 2):
+            raise ValueError(f"bad sequence context: {args.context!r}")
+        mapping, names = _categories(args, train)
+        decay = float(parts[1]) if len(parts) == 2 else 1.0
+        # the categories are states 0..C-1 and the cold state is C
+        spec = SequenceSpec(int(parts[0]), decay, len(names) + 1, len(names))
+
+        def training():
+            ordered = train.sorted_by_user_time()
+            return ordered, sequential_context(ordered, mapping, spec)
+
+        def requests(test: EventLog) -> dict:
+            per_user = last_category_states(train, mapping, spec)
+            cold = [(spec.cold_state, 1.0)]
+            return {u: per_user.get(u, cold) for u in np.unique(test.users).tolist()}
+
+        return _Context("category", [*names, "__no_prior__"], training, requests)
+    raise ValueError(f"unknown context kind: {args.context!r}")
 
 
 def _from_args(cls, args):
     """A TrainConfig or WeightingScheme from the values parsed under its field names."""
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
-
-
-def _build_training_tensor(events: EventLog, ctx: dict, args):
-    """Tensor plus the per-axis id maps."""
-    scheme = _from_args(WeightingScheme, args)
-    n_users, n_items = len(events.user_ids), len(events.item_ids)
-    if ctx["kind"] == "none":
-        shape = TensorShape((n_users, n_items), ("user", "item"))
-        obs = build_tensor(events, None, shape, scheme)
-        return obs, [events.user_ids, events.item_ids]
-
-    if ctx["kind"] == "timeband":
-        spec = ctx["season"]
-        states = time_band_states(events.timestamps, spec)
-        shape = TensorShape((n_users, n_items, spec.n_bands), ("user", "item", "timeband"))
-        obs = build_tensor(events, states, shape, scheme)
-        band_names = [f"band-{i}" for i in range(spec.n_bands)]
-        return obs, [events.user_ids, events.item_ids, band_names]
-
-    spec, mapping, names = _sequence_spec(ctx, args, events)
-    ordered = events.sorted_by_user_time()
-    states = sequential_context(ordered, mapping, spec)
-    shape = TensorShape(
-        (n_users, n_items, spec.category_count), ("user", "item", "category")
-    )
-    obs = build_tensor(ordered, states, shape, scheme)
-    ctx_names = list(names) + ["__no_prior__"]
-    return obs, [events.user_ids, events.item_ids, ctx_names]
 
 
 def _load_train_events(args) -> EventLog:
@@ -219,6 +222,18 @@ def _id_map(model, axis: int):
     return model.id_maps[axis] if model.id_maps else None
 
 
+def _unlike(what: str, model_ids: list, ids: list, source: str) -> EvalError:
+    """The error for ``source`` numbering ``what``s unlike the model, at the first difference."""
+    j = next(
+        (j for j, (a, b) in enumerate(zip(model_ids, ids)) if a != b), min(len(model_ids), len(ids))
+    )
+    ours, theirs = (repr(seq[j]) if j < len(seq) else "nothing" for seq in (model_ids, ids))
+    return EvalError(
+        f"{source} numbers {what}s unlike the model: {what} {j} is {ours} in the model, "
+        f"{theirs} in {source}"
+    )
+
+
 def _check_log_ids(model, events: EventLog) -> None:
     """The model's user and item id maps must be prefixes of the log's.
 
@@ -230,14 +245,27 @@ def _check_log_ids(model, events: EventLog) -> None:
         ("user", shape.user_axis, events.user_ids), ("item", shape.item_axis, events.item_ids)
     ):
         ids = _id_map(model, axis)
-        if ids is None or log_ids[: len(ids)] == ids:
-            continue
-        j = next((j for j, (a, b) in enumerate(zip(ids, log_ids)) if a != b), len(log_ids))
-        found = repr(log_ids[j]) if j < len(log_ids) else "nothing"
-        raise EvalError(
-            f"the log numbers {name}s unlike the model: {name} {j} is {ids[j]!r} "
-            f"in the model, {found} in the log"
-        )
+        if ids is not None and log_ids[: len(ids)] != ids:
+            raise _unlike(name, ids, log_ids, "the log")
+
+
+def _model_context(model, args, train: EventLog) -> _Context:
+    """The --context on ``train``, checked against the model's context axis.
+
+    A model saved without id maps names no states: only their count is compared.
+    """
+    ctx = _resolve_context(args, train)
+    if ctx is None:
+        raise EvalError("the model has a context axis; pass --context to describe it")
+    axis = model.shape.context_axes[0]
+    role, ids, names = model.shape.axis_roles[axis], _id_map(model, axis), ctx.names
+    if ids is None:
+        ids, names = list(range(model.shape.dims[axis])), list(range(len(names)))
+    if names != ids:
+        raise _unlike(f"{role} state", ids, names, "--context")
+    if ctx.role != role:
+        raise EvalError(f"--context describes a {ctx.role} axis, the model's is {role}")
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -278,23 +306,22 @@ def cmd_train(args) -> int:
     events = _load_train_events(args)
     if len(events) == 0:
         raise SolverError("no training events (check --split-ts)")
-    obs, id_maps = _build_training_tensor(events, _context_arg(args), args)
+    id_maps = [events.user_ids, events.item_ids]
+    ctx = _resolve_context(args, events)
+    if ctx is None:
+        ordered, states, roles = events, None, ("user", "item")
+    else:
+        (ordered, states), roles = ctx.training(), ("user", "item", ctx.role)
+        id_maps.append(ctx.names)
+    shape = TensorShape([len(ids) for ids in id_maps], roles)
+    obs = build_tensor(ordered, states, shape, _from_args(WeightingScheme, args))
     config = _from_args(TrainConfig, args)
     log.info(
         "training %s: %d cells, dims %s, K=%d, E=%d",
-        args.algo,
-        obs.n_nonzero,
-        obs.shape.dims,
-        config.features,
-        config.epochs,
+        args.algo, obs.n_nonzero, obs.shape.dims, config.features, config.epochs,
     )
     started = time.perf_counter()
-    if args.algo == "ica":
-        if obs.ndim != 3:
-            raise SolverError("--algo ica needs a context (3-dimensional tensor)")
-        model = fit_ica(obs, config, id_maps)
-    else:
-        model = fit(obs, config, id_maps)
+    model = (fit_ica if args.algo == "ica" else fit)(obs, config, id_maps)
     elapsed = time.perf_counter() - started
 
     save_model(model, args.output)
@@ -314,37 +341,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_state_count(model, n_states: int) -> None:
-    """The --context given must yield as many states as the model was trained on."""
-    size = model.shape.dims[model.shape.context_axes[0]]
-    if n_states != size:
-        raise EvalError(
-            f"--context describes {n_states} context states, the model has {size}"
-        )
-
-
-def _request_states(model, ctx: dict, args, train: EventLog, test: EventLog):
-    """{test user: request-time context pairs}, or None for a 2-D model."""
-    if model.shape.ndim == 2 and not isinstance(model, CompositeModel):
-        return None
-    if ctx["kind"] == "timeband":
-        spec = ctx["season"]
-        _check_state_count(model, spec.n_bands)
-        # each user's request context is the band of their first test event
-        order = np.lexsort((test.timestamps, test.users))
-        users = test.users[order]
-        first = order[np.r_[True, users[1:] != users[:-1]]]
-        bands = assign_time_band(test.timestamps[first], spec)
-        return {u: [(b, 1.0)] for u, b in zip(test.users[first].tolist(), bands.tolist())}
-    if ctx["kind"] == "sequence":
-        spec, mapping, _ = _sequence_spec(ctx, args, train)
-        _check_state_count(model, spec.category_count)
-        per_user = last_category_states(train, mapping, spec)
-        cold = [(spec.cold_state, 1.0)]
-        return {u: per_user.get(u, cold) for u in np.unique(test.users).tolist()}
-    raise EvalError("the model has a context axis; pass --context to describe it")
-
-
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     events = ingest_events(args.input)
@@ -354,11 +350,14 @@ def cmd_eval(args) -> int:
         raise EvalError("empty test set; nothing to evaluate")
     n_max, n_items = args.topn, model.shape.dims[model.shape.item_axis]
     started = time.perf_counter()
+    requests = None
+    if model.shape.context_axes:  # a model without one ignores --context
+        requests = _model_context(model, args, train).requests(test)
     report = recall_precision_at(
         model,
         test,
         n_max,
-        request_states=_request_states(model, _context_arg(args), args, train, test),
+        request_states=requests,
         # an item only the log knows has no score to exclude
         seen=train.select(train.items < n_items) if args.exclude_seen else None,
         skip_unknown_users=args.skip_unknown_users,
@@ -417,15 +416,15 @@ def cmd_recommend(args) -> int:
         raise EvalError(f"unknown user id {args.user!r}")
 
     states = None
-    if model.shape.ndim >= 3 or isinstance(model, CompositeModel):
+    if model.shape.context_axes:
         if args.state is not None:
             states = args.state
         elif args.at is not None:
-            ctx = _context_arg(args)
-            if ctx["kind"] != "timeband":
+            if not args.context.startswith("timeband"):
                 raise EvalError("--at needs a timeband --context")
-            _check_state_count(model, ctx["season"].n_bands)
-            states = int(assign_time_band(args.at, ctx["season"]))
+            # the request is one event at --at; time bands need no other log
+            request = EventLog(*(np.array([v], np.int64) for v in (0, 0, args.at)))
+            (states,) = _model_context(model, args, request).requests(request).values()
         else:
             raise EvalError("context model: pass --state or --at with --context")
 

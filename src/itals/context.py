@@ -27,10 +27,6 @@ __all__ = [
     "last_category_states",
 ]
 
-DAY_SECONDS = 86_400
-WEEK_SECONDS = 7 * DAY_SECONDS
-
-
 class ContextError(ValueError):
     pass
 

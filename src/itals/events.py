@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
@@ -10,7 +11,6 @@ from typing import IO, Iterable, Iterator, Optional, Union
 import numpy as np
 
 __all__ = [
-    "EventRecord",
     "EventLog",
     "RatingLog",
     "ParseError",
@@ -30,16 +30,6 @@ class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """A single (user, item, timestamp[, category]) interaction, dense-indexed."""
-
-    user: int
-    item: int
-    timestamp: int
-    category: Optional[int] = None
 
 
 @dataclass
@@ -62,17 +52,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.users)
-
-    def __getitem__(self, idx: int) -> EventRecord:
-        cat = None
-        if self.categories is not None and self.categories[idx] >= 0:
-            cat = int(self.categories[idx])
-        return EventRecord(
-            int(self.users[idx]), int(self.items[idx]), int(self.timestamps[idx]), cat
-        )
-
-    def __iter__(self) -> Iterator[EventRecord]:
-        return (self[i] for i in range(len(self)))
 
     @property
     def n_users(self) -> int:
@@ -125,6 +104,31 @@ def _open_lines(source: Source) -> Iterable[str]:
     return source
 
 
+def _rows(source: Source, counts: tuple) -> Iterator[tuple]:
+    """(line number, fields) of each line; blank lines and '#' lines are skipped.
+
+    A line with a field count not in ``counts`` raises ParseError.  A stream
+    opened here is closed here; callers wrap the call in ``closing`` so that
+    also happens when they stop early.
+    """
+    lines = _open_lines(source)
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.rstrip("\r\n")
+            if not line or line[0] == "#" or line.isspace():
+                continue
+            fields = line.split("\t")
+            if len(fields) not in counts:
+                expected = " or ".join(map(str, counts))
+                raise ParseError(
+                    line_no, f"expected {expected} tab-separated fields, got {len(fields)}"
+                )
+            yield line_no, fields
+    finally:
+        if lines is not source and hasattr(lines, "close"):
+            lines.close()
+
+
 def _parse_timestamp(text: str, line_no: int) -> int:
     try:
         value = int(text)
@@ -154,27 +158,18 @@ def ingest_events(source: Source) -> EventLog:
     users, items, stamps, cats = [], [], [], []
     saw_category = False
 
-    lines = _open_lines(source)
-    try:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (3, 4):
-                raise ParseError(line_no, f"expected 3 or 4 tab-separated fields, got {len(fields)}")
-            uid, iid, ts_text = fields[0], fields[1], fields[2]
+    with closing(_rows(source, (3, 4))) as rows:
+        for line_no, fields in rows:
+            uid, iid, ts = fields[0], fields[1], fields[2]
             users.append(user_index.setdefault(uid, len(user_index)))
             items.append(item_index.setdefault(iid, len(item_index)))
-            stamps.append(_parse_timestamp(ts_text, line_no))
+            # plain digits, the common case, need no call
+            stamps.append(int(ts) if ts.isdecimal() else _parse_timestamp(ts, line_no))
             if len(fields) == 4:
                 saw_category = True
                 cats.append(cat_index.setdefault(fields[3], len(cat_index)))
             else:
                 cats.append(-1)
-    finally:
-        if lines is not source and hasattr(lines, "close"):
-            lines.close()
 
     return EventLog(
         users=np.asarray(users, dtype=np.int64),
@@ -193,15 +188,8 @@ def ingest_ratings(source: Source) -> RatingLog:
     item_index: dict = {}
     users, items, ratings, stamps = [], [], [], []
 
-    lines = _open_lines(source)
-    try:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ParseError(line_no, f"expected 4 tab-separated fields, got {len(fields)}")
+    with closing(_rows(source, (4,))) as rows:
+        for line_no, fields in rows:
             try:
                 rating = float(fields[2])
             except ValueError:
@@ -212,9 +200,6 @@ def ingest_ratings(source: Source) -> RatingLog:
             items.append(item_index.setdefault(fields[1], len(item_index)))
             ratings.append(rating)
             stamps.append(_parse_timestamp(fields[3], line_no))
-    finally:
-        if lines is not source and hasattr(lines, "close"):
-            lines.close()
 
     return RatingLog(
         users=np.asarray(users, dtype=np.int64),
@@ -254,20 +239,9 @@ def read_category_map(source: Source, item_ids: list) -> tuple:
     item_lookup = {orig: idx for idx, orig in enumerate(item_ids)}
     cat_index: dict = {}
     mapping: dict = {}
-    lines = _open_lines(source)
-    try:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(line_no, f"expected 2 tab-separated fields, got {len(fields)}")
-            item_idx = item_lookup.get(fields[0])
-            if item_idx is None:
-                continue
-            mapping[item_idx] = cat_index.setdefault(fields[1], len(cat_index))
-    finally:
-        if lines is not source and hasattr(lines, "close"):
-            lines.close()
+    with closing(_rows(source, (2,))) as rows:
+        for _, (item, category) in rows:
+            item_idx = item_lookup.get(item)
+            if item_idx is not None:
+                mapping[item_idx] = cat_index.setdefault(category, len(cat_index))
     return mapping, list(cat_index)

@@ -88,6 +88,15 @@ class WeightingScheme:
             raise ValueError("base + alpha must exceed 1 so observed weights stay > 1")
 
 
+def _check_bounds(shape: TensorShape, coords: np.ndarray) -> None:
+    """Every coordinate must index its axis."""
+    for axis, size in enumerate(shape.dims):
+        col = coords[:, axis]
+        if col.size and (col.min() < 0 or col.max() >= size):
+            role = shape.axis_roles[axis]
+            raise TensorBuildError(f"coordinate out of bounds on axis {axis} ({role}, size {size})")
+
+
 class ObservationTensor:
     """Immutable sparse record of the observed cells and their weights.
 
@@ -106,13 +115,7 @@ class ObservationTensor:
             )
         if weights.shape != (coords.shape[0],):
             raise TensorBuildError("weights must align with coords rows")
-        for axis, size in enumerate(shape.dims):
-            col = coords[:, axis]
-            if col.size and (col.min() < 0 or col.max() >= size):
-                role = shape.axis_roles[axis]
-                raise TensorBuildError(
-                    f"coordinate out of bounds on axis {axis} ({role}, size {size})"
-                )
+        _check_bounds(shape, coords)
         if not np.all((weights > 1.0) & np.isfinite(weights)):
             raise TensorBuildError("every stored cell weight must be finite and > 1")
 
@@ -203,15 +206,7 @@ def build_tensor(
         keys[:, shape.item_axis] = np.repeat(events.items, counts)
         keys[:, shape.context_axes[0]] = pairs[:, 0]
 
-    for axis in range(d):
-        size = shape.dims[axis]
-        col = keys[:, axis]
-        if col.size and (col.min() < 0 or col.max() >= size):
-            role = shape.axis_roles[axis]
-            raise TensorBuildError(
-                f"coordinate out of bounds on axis {axis} ({role}, size {size})"
-            )
-
+    _check_bounds(shape, keys)
     if keys.shape[0] == 0:
         coords = np.empty((0, d), dtype=np.int64)
         weights = np.empty(0, dtype=np.float64)

@@ -62,6 +62,23 @@ def make_event_log(users, items, timestamps, categories=None, n_users=None, n_it
 DAY = 86_400
 
 
+def write_events(path, n_users=12, n_items=15, n_events=250, seed=0, with_category=False):
+    """A seeded event TSV over 30 days; the category column, if any, follows the item."""
+    rng = np.random.default_rng(seed)
+    cats = ["alpha", "beta", "gamma"]
+    lines = []
+    for _ in range(n_events):
+        u = rng.integers(0, n_users)
+        i = int(rng.integers(0, n_items))
+        ts = int(rng.integers(0, 30 * DAY))
+        row = f"user{u}\titem{i}\t{ts}"
+        if with_category:
+            row += f"\t{cats[i % 3]}"
+        lines.append(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def seasonal_dataset(
     seed=0,
     n_users=300,

@@ -3,35 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from itals import TrainConfig, WeightingScheme, fit, load_model, save_model
+from itals import (
+    ObservationTensor, TensorShape, TrainConfig, WeightingScheme, fit, load_model, save_model,
+)
 from itals import cli, persistence
 from itals.cli import build_parser, main
 
-from conftest import overwrite_float64, synthetic_tensor
-
-DAY = 86_400
+from conftest import DAY, overwrite_float64, synthetic_tensor, write_events
 
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.setenv("ITALS_LOG", "warning")
     return tmp_path
-
-
-def write_events(path, n_users=12, n_items=15, n_events=250, seed=0, with_category=False):
-    rng = np.random.default_rng(seed)
-    cats = ["alpha", "beta", "gamma"]
-    lines = []
-    for _ in range(n_events):
-        u = rng.integers(0, n_users)
-        i = int(rng.integers(0, n_items))
-        ts = int(rng.integers(0, 30 * DAY))
-        row = f"user{u}\titem{i}\t{ts}"
-        if with_category:
-            row += f"\t{cats[i % 3]}"
-        lines.append(row)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
 
 
 def run(*argv):
@@ -245,6 +229,68 @@ class TestEvalCommand:
             "recommend", "--model", model, "--user", "user1",
             "--at", 13 * 3600, "--context", "timeband:uniform:4",
         ) == 1
+
+    def test_eval_rejects_a_reordered_category_map(self, workdir, capsys, caplog):
+        src = write_events(workdir / "ev.tsv")
+        lines = [f"item{i}\tcat{i % 3}\n" for i in range(15)]
+        cmap, reordered = workdir / "cats.tsv", workdir / "reordered.tsv"
+        cmap.write_text("".join(lines))
+        # the same map, listed by category name in reverse
+        by_category = sorted(lines, key=lambda line: line.split("\t")[1], reverse=True)
+        reordered.write_text("".join(by_category))
+        model = workdir / "m.itals"
+        assert run(
+            "train", "--input", src, "--output", model, "--context", "sequence:2:0.5",
+            "--category-map", cmap, "--k", 4, "--epochs", 2, "--lambda", 0.1, "--seed", 3,
+        ) == 0
+        capsys.readouterr()
+        args = (
+            "eval", "--model", model, "--input", src, "--split-ts", 27 * DAY,
+            "--context", "sequence:2:0.5", "--exclude-seen", "--category-map",
+        )
+        assert run(*args, cmap) == 0
+        capsys.readouterr()
+        assert run(*args, reordered) == 1
+        assert capsys.readouterr().out == ""
+        assert (
+            "--context numbers category states unlike the model: "
+            "category state 0 is 'cat0' in the model, 'cat2' in --context"
+        ) in caplog.text
+
+    def test_sequence_model_rejects_a_timeband_of_equal_count(self, workdir, capsys, caplog):
+        src = write_events(workdir / "ev.tsv", with_category=True)
+        model = self._train(workdir, src, "sequence:2:0.5")
+        first = load_model(model).id_maps[2][0]
+        # 3 categories and the no-prior state: as many states as 4 bands
+        message = f"category state 0 is {first!r} in the model, 'band-0' in --context"
+        capsys.readouterr()
+        assert run(
+            "eval", "--model", model, "--input", src, "--split-ts", 27 * DAY,
+            "--context", "timeband:uniform:4", "--exclude-seen",
+        ) == 1
+        assert capsys.readouterr().out == ""
+        assert message in caplog.text
+        caplog.clear()
+        assert run(
+            "recommend", "--model", model, "--user", "user1",
+            "--at", 13 * 3600, "--context", "timeband:uniform:4",
+        ) == 1
+        assert capsys.readouterr().out == ""
+        assert message in caplog.text
+
+    def test_model_without_id_maps_is_checked_by_state_count(self, workdir, capsys, caplog):
+        src = write_events(workdir / "ev.tsv")
+        cells = synthetic_tensor((12, 15, 6), 60, seed=0)
+        shape = TensorShape(cells.shape.dims, ("user", "item", "timeband"))
+        obs = ObservationTensor(shape, cells.coords, cells.weights)
+        model = workdir / "m.itals"
+        save_model(fit(obs, TrainConfig(features=2, epochs=1, reg=0.1)), model)
+        args = ("eval", "--model", model, "--input", src, "--split-ts", 27 * DAY, "--context")
+        assert run(*args, "timeband:uniform:6") == 0
+        capsys.readouterr()
+        assert run(*args, "timeband:uniform:4") == 1
+        assert capsys.readouterr().out == ""
+        assert "timeband state 4 is 4 in the model, nothing in --context" in caplog.text
 
     def test_eval_plain_needs_no_context(self, workdir, capsys):
         src = write_events(workdir / "ev.tsv")

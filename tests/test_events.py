@@ -3,14 +3,15 @@ import io
 import numpy as np
 import pytest
 
-from itals import EventRecord, ParseError, ingest_events, ingest_ratings
+from itals import ParseError, ingest_events, ingest_ratings
 from itals.events import read_category_map, write_events_tsv, write_id_map
 
 
 def test_single_line_first_seen_indices():
     log = ingest_events(io.StringIO("u1\ti9\t1240000000\n"))
     assert len(log) == 1
-    assert log[0] == EventRecord(user=0, item=0, timestamp=1240000000)
+    assert (log.users.tolist(), log.items.tolist(), log.timestamps.tolist()) == ([0], [0], [1240000000])
+    assert log.categories is None
     assert log.user_ids == ["u1"]
     assert log.item_ids == ["i9"]
 
@@ -44,7 +45,7 @@ def test_category_column():
 def test_mixed_category_presence():
     log = ingest_events(io.StringIO("u\ti\t10\tbooks\nu\tj\t20\n"))
     assert log.categories.tolist() == [0, -1]
-    assert log[1].category is None
+    assert log.category_ids == ["books"]
 
 
 def test_malformed_line_reports_number():
