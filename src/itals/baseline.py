@@ -58,26 +58,18 @@ class CompositeModel:
         return self.config.features
 
 
-def _pair_shape(shape: TensorShape) -> TensorShape:
-    return TensorShape(
-        (shape.dims[shape.user_axis], shape.dims[shape.item_axis]), ("user", "item")
-    )
-
-
 def slice_by_state(obs: ObservationTensor, state: int) -> ObservationTensor:
-    """The (user, item) sub-tensor of cells whose context equals state."""
+    """The (user, item) sub-tensor of the cells in one context state, in tensor order."""
     if obs.ndim != 3:
         raise SolverError("state slicing requires a 3-dimensional tensor")
-    ctx_axis = obs.shape.context_axes[0]
-    mask = obs.coords[:, ctx_axis] == state
-    coords = np.stack(
-        [
-            obs.coords[mask, obs.shape.user_axis],
-            obs.coords[mask, obs.shape.item_axis],
-        ],
-        axis=1,
-    )
-    return ObservationTensor(_pair_shape(obs.shape), coords, obs.weights[mask])
+    ctx_axis, pair = obs.shape.context_axes[0], [obs.shape.user_axis, obs.shape.item_axis]
+    if not 0 <= state < obs.shape.dims[ctx_axis]:
+        raise SolverError(f"state {state} out of bounds (size {obs.shape.dims[ctx_axis]})")
+    # the state's cells are one range of the context axis grouping
+    order, starts = obs.axis_groups(ctx_axis)
+    cells = order[starts[state] : starts[state + 1]]
+    shape = TensorShape([obs.shape.dims[a] for a in pair], ("user", "item"))
+    return ObservationTensor(shape, obs.coords[cells][:, pair], obs.weights[cells])
 
 
 def fit_ica(

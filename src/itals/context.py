@@ -218,7 +218,7 @@ def resolve_context_vector(model, states: Sequence[tuple], axis: Optional[int] =
     """Weighted average of context feature vectors for a set of states.
 
     With a single state this is exactly that state's column of the
-    context factor matrix.
+    context factor matrix.  Every weight must be finite and > 0.
     """
     states = list(states)
     if not states:
@@ -235,6 +235,8 @@ def resolve_context_vector(model, states: Sequence[tuple], axis: Optional[int] =
     for state, weight in states:
         if not (0 <= state < size):
             raise ContextError(f"context state {state} out of bounds (size {size})")
+        if not 0 < weight < np.inf:
+            raise ContextError(f"context weight {weight} of state {state} must be finite and > 0")
         vec += weight * matrix[:, state]
         total += weight
     return vec / total

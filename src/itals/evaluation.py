@@ -149,6 +149,8 @@ def score_items(model, user: int, states: StateInput = None, allow_unknown: bool
     per_axis = _states_per_axis(model, states)
     if isinstance(model, CompositeModel):
         (pairs,) = per_axis.values()
+        if not all(0 < weight < np.inf for _, weight in pairs):
+            raise ContextError("context weights must be finite and > 0")
         state = int(max(pairs, key=lambda sw: sw[1])[0])
         if not (0 <= state < model.n_states):
             raise ContextError(f"context state {state} out of bounds (size {model.n_states})")
@@ -170,9 +172,9 @@ def recommend_topn(
 ) -> RankedList:
     """Rank the top n items for a user, ties broken by ascending item id.
 
-    ``exclude_items`` drops the given item ids (typically the user's
-    training items, repeats allowed) from the candidate set, so the list
-    is shorter than n when fewer candidates remain.
+    ``exclude_items`` drops the given item ids in [0, n_items) (typically
+    the user's training items, repeats allowed) from the candidate set, so
+    the list is shorter than n when fewer candidates remain.
     """
     if n < 1:
         raise EvalError("n must be >= 1")
@@ -180,7 +182,11 @@ def recommend_topn(
     # rank by ascending key; excluded items sort after every candidate
     key = -scores
     if exclude_items is not None:
-        key[np.asarray(exclude_items, dtype=np.int64)] = np.inf
+        exclude = np.asarray(exclude_items, dtype=np.int64)
+        try:  # the bounds check of ravel_multi_index costs a third of min and max
+            key[np.ravel_multi_index((exclude,), key.shape)] = np.inf
+        except ValueError:
+            raise EvalError(f"excluded item ids must lie in [0, {key.size})") from None
     n = min(n, key.size)
     # the candidates with keys at or below the n-th; "not above" also
     # keeps NaN keys, which then sort last as in a full sort

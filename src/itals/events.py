@@ -142,6 +142,8 @@ def _parse_timestamp(text: str, line_no: int) -> int:
         value = int(fval)
     if value < 0:
         raise ParseError(line_no, f"timestamp negative: {text!r}")
+    if value > np.iinfo(np.int64).max:
+        raise ParseError(line_no, f"timestamp too large for int64: {text!r}")
     return value
 
 
@@ -163,8 +165,9 @@ def ingest_events(source: Source) -> EventLog:
             uid, iid, ts = fields[0], fields[1], fields[2]
             users.append(user_index.setdefault(uid, len(user_index)))
             items.append(item_index.setdefault(iid, len(item_index)))
-            # plain digits, the common case, need no call
-            stamps.append(int(ts) if ts.isdecimal() else _parse_timestamp(ts, line_no))
+            # up to 18 plain digits, the common case, fit int64 and need no call
+            plain = ts.isdecimal() and len(ts) < 19
+            stamps.append(int(ts) if plain else _parse_timestamp(ts, line_no))
             if len(fields) == 4:
                 saw_category = True
                 cats.append(cat_index.setdefault(fields[3], len(cat_index)))

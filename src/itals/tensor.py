@@ -88,46 +88,48 @@ class WeightingScheme:
             raise ValueError("base + alpha must exceed 1 so observed weights stay > 1")
 
 
-def _check_bounds(shape: TensorShape, coords: np.ndarray) -> None:
-    """Every coordinate must index its axis."""
-    for axis, size in enumerate(shape.dims):
-        col = coords[:, axis]
+def _flat_index(shape: TensorShape, columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-major int64 cell index of each coordinate, given one column per axis.
+
+    Ascending cell index is the one cell order: the rows' lexicographic order.
+    """
+    if shape.n_cells() > np.iinfo(np.int64).max:
+        raise TensorBuildError(f"tensor of {shape.n_cells()} cells exceeds the limit, 2**63 - 1")
+    for axis, (size, col) in enumerate(zip(shape.dims, columns)):
         if col.size and (col.min() < 0 or col.max() >= size):
             role = shape.axis_roles[axis]
             raise TensorBuildError(f"coordinate out of bounds on axis {axis} ({role}, size {size})")
+    return np.ravel_multi_index(tuple(columns), shape.dims)
 
 
 class ObservationTensor:
     """Immutable sparse record of the observed cells and their weights.
 
-    ``coords`` is an (N+, D) int64 array in lexicographic order and
-    ``weights`` the matching float64 confidences, all finite and
-    strictly greater than 1.  ``support[i][j]`` counts stored cells whose
-    i-th coordinate is j.
+    ``coords`` is an (N+, D) int64 array in ascending row-major cell index
+    (lexicographic) order and ``weights`` the matching float64 confidences,
+    all finite and > 1.  ``support[i][j]`` counts stored cells whose i-th
+    coordinate is j.  The shape holds at most 2**63 - 1 cells.
     """
 
     def __init__(self, shape: TensorShape, coords: np.ndarray, weights: np.ndarray):
         coords = np.asarray(coords, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != shape.ndim:
-            raise TensorBuildError(
-                f"coords must be (n, {shape.ndim}), got {coords.shape}"
-            )
+            raise TensorBuildError(f"coords must be (n, {shape.ndim}), got {coords.shape}")
         if weights.shape != (coords.shape[0],):
             raise TensorBuildError("weights must align with coords rows")
-        _check_bounds(shape, coords)
+        flat = _flat_index(shape, coords.T)
         if not np.all((weights > 1.0) & np.isfinite(weights)):
             raise TensorBuildError("every stored cell weight must be finite and > 1")
 
-        # canonical lexicographic order: deterministic and duplicate-checkable
-        if coords.shape[0]:
-            order = np.lexsort(tuple(coords[:, a] for a in reversed(range(shape.ndim))))
-            coords = coords[order]
-            weights = weights[order]
-            dup = np.all(coords[1:] == coords[:-1], axis=1)
-            if np.any(dup):
-                where = coords[1:][dup][0]
-                raise TensorBuildError(f"duplicate coordinate {tuple(int(c) for c in where)}")
+        # a stable sort is linear on cells that arrive in order
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        coords = coords[order]
+        weights = weights[order]
+        dup = np.flatnonzero(flat[1:] == flat[:-1])
+        if dup.size:
+            raise TensorBuildError(f"duplicate coordinate {tuple(int(c) for c in coords[dup[0]])}")
 
         coords.setflags(write=False)
         weights.setflags(write=False)
@@ -177,7 +179,8 @@ def build_tensor(
     on the single context axis; relative weights must lie in (0, 1].  With
     a 2-dimensional shape the context input is ignored and cells are keyed
     (user, item).  Repeat events on one cell merge into its weight:
-    w = base + alpha * sum of contributing relative weights.
+    w = base + alpha * sum of contributing relative weights, summed in
+    event order.  The shape holds at most 2**63 - 1 cells.
     """
     d = shape.ndim
     if d not in (2, 3):
@@ -188,7 +191,7 @@ def build_tensor(
     n_events = len(events)
 
     if d == 2:
-        keys = np.stack([events.users, events.items], axis=1)
+        columns = [events.users, events.items]
         contributions = np.ones(n_events, dtype=np.float64)
     else:
         if context_states is None or len(context_states) != n_events:
@@ -201,25 +204,17 @@ def build_tensor(
             e = int(np.searchsorted(np.cumsum(counts), bad[0], side="right"))
             rel = next(r for _, r in context_states[e] if not (0 < r <= 1.0))
             raise TensorBuildError(f"relative weight must be in (0, 1], got {rel} for event {e}")
-        keys = np.empty((pairs.shape[0], 3), dtype=np.int64)
-        keys[:, shape.user_axis] = np.repeat(events.users, counts)
-        keys[:, shape.item_axis] = np.repeat(events.items, counts)
-        keys[:, shape.context_axes[0]] = pairs[:, 0]
+        columns = [None] * 3
+        columns[shape.user_axis] = np.repeat(events.users, counts)
+        columns[shape.item_axis] = np.repeat(events.items, counts)
+        columns[shape.context_axes[0]] = pairs[:, 0].astype(np.int64)
 
-    _check_bounds(shape, keys)
-    if keys.shape[0] == 0:
-        coords = np.empty((0, d), dtype=np.int64)
-        weights = np.empty(0, dtype=np.float64)
-        return ObservationTensor(shape, coords, weights)
-
-    flat = np.ravel_multi_index(tuple(keys[:, a] for a in range(d)), shape.dims)
-    unique_flat, inverse = np.unique(flat, return_inverse=True)
-    totals = np.zeros(unique_flat.shape[0], dtype=np.float64)
-    np.add.at(totals, inverse, contributions)
-    coords = np.stack(np.unravel_index(unique_flat, shape.dims), axis=1).astype(np.int64)
+    # np.unique returns the cells in canonical order; bincount sums each
+    # cell's contributions in event order
+    cells, inverse = np.unique(_flat_index(shape, columns), return_inverse=True)
+    totals = np.bincount(inverse, weights=contributions)
+    coords = np.stack(np.unravel_index(cells, shape.dims), axis=1).astype(np.int64)
     weights = scheme.base + scheme.alpha * totals
     if not np.all(weights > 1.0):
-        raise TensorBuildError(
-            "weighting scheme produced a cell weight <= 1; raise base or alpha"
-        )
+        raise TensorBuildError("weighting scheme produced a cell weight <= 1; raise base or alpha")
     return ObservationTensor(shape, coords, weights)

@@ -111,6 +111,29 @@ class TestFitIca:
             for ma, mb in zip(model.submodels[state].factors, expected.factors):
                 assert np.array_equal(ma, mb)
 
+    @pytest.mark.parametrize("axes", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+    def test_slice_matches_mask_reference(self, axes):
+        # state 3 holds no cells; the axis orders put the context first and last
+        base = band_tensor(5, seed=16, n_cells=45, skip_states=(3,))
+        roles = [base.shape.axis_roles[a] for a in axes]
+        shape = TensorShape([base.shape.dims[a] for a in axes], roles)
+        obs = ObservationTensor(shape, base.coords[:, axes], base.weights)
+        ctx, user, item = roles.index("timeband"), roles.index("user"), roles.index("item")
+        for state in range(5):
+            mask = obs.coords[:, ctx] == state
+            part = slice_by_state(obs, state)
+            expected = ObservationTensor(
+                TensorShape((6, 7), ("user", "item")),
+                obs.coords[mask][:, [user, item]],
+                obs.weights[mask],
+            )
+            assert part.coords.tobytes() == expected.coords.tobytes()
+            assert part.weights.tobytes() == expected.weights.tobytes()
+            assert part.n_nonzero == (0 if state == 3 else mask.sum())
+        for state in (-1, 5):
+            with pytest.raises(SolverError, match="out of bounds"):
+                slice_by_state(obs, state)
+
     def test_slice_cells_partition(self):
         obs = band_tensor(6, seed=7, n_cells=35)
         total = sum(slice_by_state(obs, s).n_nonzero for s in range(6))

@@ -67,6 +67,20 @@ class TestPrepare:
         assert run("prepare", "--input", src, "--out-dir", out) == 1
         assert not out.exists()
 
+    def test_timestamp_beyond_int64_exits_1(self, workdir, capsys, caplog):
+        # the OverflowError of such a timestamp used to end the CLI in a traceback
+        events = workdir / "events.tsv"
+        events.write_text("u1\ta\t10\nu2\tb\t1e30\n")
+        ratings = workdir / "ratings.tsv"
+        ratings.write_text("u1\ta\t5\t10\nu2\tb\t5\t99999999999999999999\n")
+        for fmt, src in (("events", events), ("ratings", ratings)):
+            assert run("prepare", "--input", src, "--format", fmt, "--out-dir", workdir / fmt) == 1
+            assert "line 2: timestamp too large" in caplog.text
+            caplog.clear()
+        assert run("train", "--input", events, "--output", workdir / "m", "--context", "none") == 1
+        assert "line 2: timestamp too large" in caplog.text
+        assert capsys.readouterr().out == ""
+
 
 class TestTrain:
     def test_plain_matrix_model(self, workdir, capsys):

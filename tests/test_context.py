@@ -267,3 +267,9 @@ class TestResolveContextVector:
         model = context_model([[1.0, 2.0]])
         with pytest.raises(ContextError, match="out of bounds"):
             resolve_context_vector(model, [(7, 1.0)])
+
+    def test_weights_must_be_finite_and_positive(self):
+        model = context_model([[1.0, 2.0]])
+        for weight in (0.0, -0.5, np.nan, np.inf):
+            with pytest.raises(ContextError, match="finite and > 0"):
+                resolve_context_vector(model, [(0, 1.0), (1, weight)])

@@ -160,6 +160,15 @@ class TestRecommendTopn:
         ranked = recommend_topn(model, 0, None, 3, exclude_items=np.array([0, 2]))
         assert ranked.items.tolist() == [1, 3]
 
+    def test_exclude_ids_outside_the_items_rejected(self):
+        # -1 used to drop the last item and 4 to raise a bare IndexError
+        model = identity_scorer([[5.0, 4.0, 3.0, 2.0]])
+        for bad in ([-1], [0, 4], [2**40]):
+            with pytest.raises(EvalError, match=r"\[0, 4\)"):
+                recommend_topn(model, 0, None, 3, exclude_items=np.array(bad))
+        ranked = recommend_topn(model, 0, None, 3, exclude_items=np.array([], dtype=np.int64))
+        assert ranked.items.tolist() == [0, 1, 2]
+
     def test_matches_exhaustive_sort(self):
         rng = np.random.default_rng(21)
         user_m = rng.normal(size=(20, 5))
@@ -212,6 +221,18 @@ class TestRecommendTopn:
         assert score_items(model, 0, 0).tolist() == [2.0, 0.0]
         assert score_items(model, 0, 1).tolist() == [0.0, 3.0]
         assert score_items(model, 0, [(0, 1.0), (1, 1.0)]).tolist() == [1.0, 1.5]
+
+    def test_weights_must_be_finite_and_positive(self):
+        # a zero or NaN weight used to make every score NaN and rank in id order
+        tensor = scoring_model(np.ones((1, 1)), np.ones((1, 3)), np.ones((1, 2)))
+        composite = composite_model([np.ones((2, 1))] * 2, [np.ones((2, 3))] * 2, 1, 3)
+        for model in (tensor, composite):
+            for weight in (0.0, -1.0, np.nan, np.inf):
+                for states in ([(1, weight)], [(0, 1.0), (1, weight)]):
+                    with pytest.raises(ContextError, match="finite and > 0"):
+                        score_items(model, 0, states)
+                    with pytest.raises(ContextError, match="finite and > 0"):
+                        recommend_topn(model, 0, states, 2)
 
     def test_empty_or_misplaced_states_rejected(self):
         tensor = scoring_model(np.ones((1, 1)), np.ones((1, 2)), np.ones((1, 2)))

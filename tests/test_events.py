@@ -61,6 +61,24 @@ def test_bad_timestamp():
         ingest_events(io.StringIO("u\ti\t-5\n"))
 
 
+def test_timestamp_beyond_int64_names_the_line():
+    # such timestamps used to escape ingest as OverflowError
+    for text in ("99999999999999999999", "9223372036854775808", "1e30", "9.3e18"):
+        with pytest.raises(ParseError, match="too large") as err:
+            ingest_events(io.StringIO(f"u\ti\t10\nu\tj\t{text}\n"))
+        assert err.value.line_no == 2
+        with pytest.raises(ParseError, match="too large") as err:
+            ingest_ratings(io.StringIO(f"u\ti\t5\t{text}\n"))
+        assert err.value.line_no == 1
+
+
+def test_nineteen_digit_timestamps_in_range():
+    text = "u\ti\t9223372036854775807\nu\tj\t0001000000000000000000\n"
+    assert ingest_events(io.StringIO(text)).timestamps.tolist() == [2**63 - 1, 10**18]
+    ratings = ingest_ratings(io.StringIO("u\ti\t5\t9223372036854775807\n"))
+    assert ratings.timestamps.tolist() == [2**63 - 1]
+
+
 def test_fractional_timestamp_truncates():
     log = ingest_events(io.StringIO("u\ti\t100.75\n"))
     assert log.timestamps[0] == 100

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from itals import ObservationTensor, TensorBuildError, TensorShape, WeightingScheme, build_tensor
+from itals import (
+    ObservationTensor,
+    SequenceSpec,
+    TensorBuildError,
+    TensorShape,
+    WeightingScheme,
+    build_tensor,
+    sequential_context,
+)
 
-from conftest import make_event_log, synthetic_tensor
+from conftest import make_event_log, seasonal_dataset, synthetic_tensor
 
 
 def pair_shape(n_users, n_items):
@@ -125,6 +133,38 @@ class TestBuildTensor:
         assert obs.coords.tolist() == [list(c) for c in cells]
         assert obs.weights.tolist() == [1 + 10 * totals[c] for c in cells]
 
+    def test_seasonal_log_matches_dict_aggregation(self):
+        log, _ = seasonal_dataset(seed=0)
+        obs = build_tensor(log, None, pair_shape(log.n_users, log.n_items), WeightingScheme(1, 10))
+        totals: dict = {}
+        for cell in zip(log.users.tolist(), log.items.tolist()):
+            totals[cell] = totals.get(cell, 0.0) + 1.0
+        cells = sorted(totals)
+        assert obs.coords.tolist() == [list(c) for c in cells]
+        assert obs.weights.tolist() == [1 + 10 * totals[c] for c in cells]
+
+    def test_sequence_context_matches_dict_aggregation(self):
+        # several decayed states per event, summed in event order
+        log, _ = seasonal_dataset(seed=0, n_users=60)
+        log = log.sorted_by_user_time()
+        spec = SequenceSpec(history_depth=3, decay=0.7, category_count=6, cold_state=5)
+        states = sequential_context(log, {i: i % 5 for i in range(log.n_items)}, spec)
+        assert max(map(len, states)) == 3
+        shape = ctx_shape(log.n_users, log.n_items, 6)
+        obs = build_tensor(log, states, shape, WeightingScheme(1, 10))
+        totals: dict = {}
+        for user, item, pairs in zip(log.users.tolist(), log.items.tolist(), states):
+            for state, rel in pairs:
+                totals[(user, item, state)] = totals.get((user, item, state), 0.0) + rel
+        cells = sorted(totals)
+        assert obs.coords.tolist() == [list(c) for c in cells]
+        assert obs.weights.tolist() == [1 + 10 * totals[c] for c in cells]
+
+    def test_cell_limit(self):
+        log = make_event_log([0], [0], [1])
+        with pytest.raises(TensorBuildError, match=f"tensor of {2**63} cells"):
+            build_tensor(log, [[(0, 1.0)]], ctx_shape(2**21, 2**21, 2**21))
+
     def test_alpha_zero_requires_bigger_base(self):
         log = make_event_log([0], [0], [1])
         obs = build_tensor(log, None, pair_shape(1, 1), WeightingScheme(base=2, alpha=0))
@@ -178,6 +218,8 @@ class TestObservationTensor:
     def test_rejects_duplicate_coordinates(self):
         with pytest.raises(TensorBuildError, match="duplicate"):
             ObservationTensor(pair_shape(2, 2), [[0, 1], [0, 1]], [2.0, 3.0])
+        with pytest.raises(TensorBuildError, match=r"duplicate coordinate \(1, 2\)"):
+            ObservationTensor(pair_shape(2, 3), [[1, 2], [0, 0], [1, 2]], [2.0, 3.0, 4.0])
 
     def test_rejects_small_weights(self):
         with pytest.raises(TensorBuildError, match="> 1"):
@@ -198,6 +240,26 @@ class TestObservationTensor:
         )
         assert obs.coords.tolist() == [[0, 0], [0, 1], [2, 0]]
         assert obs.weights.tolist() == [4.0, 3.0, 2.0]
+
+    def test_shuffled_and_sorted_coords_give_the_same_tensor(self):
+        obs = synthetic_tensor((6, 5, 4), 50, seed=9)
+        rng = np.random.default_rng(10)
+        for _ in range(3):
+            order = rng.permutation(obs.n_nonzero)
+            again = ObservationTensor(obs.shape, obs.coords[order], obs.weights[order])
+            assert again.coords.tobytes() == obs.coords.tobytes()
+            assert again.weights.tobytes() == obs.weights.tobytes()
+        rows = obs.coords.tolist()
+        assert rows == sorted(rows)
+
+    def test_cell_limit(self):
+        roles = ("user", "item", "context-1", "context-2")
+        with pytest.raises(TensorBuildError, match=f"tensor of {2**63} cells"):
+            ObservationTensor(TensorShape((2**16,) * 3 + (2**15,), roles), [[0] * 4], [2.0])
+        # the largest cell index of a shape just inside the limit
+        corner = [2**16 - 1] * 3 + [2**15 - 2]
+        fits = ObservationTensor(TensorShape((2**16,) * 3 + (2**15 - 1,), roles), [corner], [2.0])
+        assert fits.coords.tolist() == [corner]
 
     def test_immutable_arrays(self):
         obs = ObservationTensor(pair_shape(2, 2), [[0, 1]], [2.0])
