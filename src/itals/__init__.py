@@ -21,6 +21,7 @@ from .context import (
     SequenceSpec,
     assign_time_band,
     last_category_states,
+    resolve_context_matrix,
     resolve_context_vector,
     sequential_context,
     time_band_states,
@@ -113,6 +114,7 @@ __all__ = [
     "read_category_map",
     "recall_precision_at",
     "recommend_topn",
+    "resolve_context_matrix",
     "resolve_context_vector",
     "save_model",
     "score_items",

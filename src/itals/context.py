@@ -22,6 +22,7 @@ __all__ = [
     "ContextError",
     "assign_time_band",
     "sequential_context",
+    "resolve_context_matrix",
     "resolve_context_vector",
     "time_band_states",
     "last_category_states",
@@ -214,6 +215,50 @@ def time_band_states(timestamps, spec: SeasonSpec) -> list:
     return [[(int(b), 1.0)] for b in np.atleast_1d(bands)]
 
 
+def _context_axis(model, axis: Optional[int]) -> int:
+    if axis is None:
+        ctx_axes = model.shape.context_axes
+        if len(ctx_axes) != 1:
+            raise ContextError("model must have exactly one context axis, or pass axis=")
+        axis = ctx_axes[0]
+    return axis
+
+
+def resolve_context_matrix(model, state_lists: Sequence, axis: Optional[int] = None) -> np.ndarray:
+    """Weighted averages of context feature vectors, one column per state list.
+
+    Column b is ``resolve_context_vector(model, state_lists[b], axis)`` bit
+    for bit: every column sums its pairs in list order, one list position
+    at a time across the block.  Every weight must be finite and > 0.
+    """
+    axis = _context_axis(model, axis)
+    matrix = model.factors[axis]
+    size = model.shape.dims[axis]
+    lengths = np.array([len(pairs) for pairs in state_lists], dtype=np.int64)
+    if not lengths.all():
+        raise ContextError("cannot resolve an empty context state list")
+    pairs = [pair for states in state_lists for pair in states]
+    states = np.array([state for state, _ in pairs])
+    weights = np.array([weight for _, weight in pairs], dtype=np.float64)
+    outside = (states < 0) | (states >= size)
+    bad = np.flatnonzero(outside | ~(weights > 0) | ~(weights < np.inf))
+    if bad.size:
+        state, weight = pairs[bad[0]]
+        if outside[bad[0]]:
+            raise ContextError(f"context state {state} out of bounds (size {size})")
+        raise ContextError(f"context weight {weight} of state {state} must be finite and > 0")
+    # pair p is at position rank[p] of the list of column col[p]
+    col = np.repeat(np.arange(lengths.size), lengths)
+    rank = np.arange(len(pairs)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    vecs = np.zeros((matrix.shape[0], lengths.size))
+    totals = np.zeros(lengths.size)
+    for position in range(int(lengths.max(initial=0))):
+        at = np.flatnonzero(rank == position)
+        vecs[:, col[at]] += weights[at] * matrix[:, states[at]]
+        totals[col[at]] += weights[at]
+    return vecs / totals
+
+
 def resolve_context_vector(model, states: Sequence[tuple], axis: Optional[int] = None) -> np.ndarray:
     """Weighted average of context feature vectors for a set of states.
 
@@ -223,11 +268,7 @@ def resolve_context_vector(model, states: Sequence[tuple], axis: Optional[int] =
     states = list(states)
     if not states:
         raise ContextError("cannot resolve an empty context state list")
-    if axis is None:
-        ctx_axes = model.shape.context_axes
-        if len(ctx_axes) != 1:
-            raise ContextError("model must have exactly one context axis, or pass axis=")
-        axis = ctx_axes[0]
+    axis = _context_axis(model, axis)
     matrix = model.factors[axis]
     size = model.shape.dims[axis]
     total = 0.0

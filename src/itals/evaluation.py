@@ -1,11 +1,21 @@
 """Date splits, implicitization and top-N ranking metrics.
 
-Evaluation and serving rank through one path.  ``score_items`` scores
-every item for one user in one request context (for a composite model
-the heaviest context state picks the sub-model); ``recommend_topn``
-drops the excluded items and keeps the top N, ties broken by ascending
-item id; ``recall_precision_at`` groups the test and seen logs by user
-once and calls ``recommend_topn`` for each test user.
+Evaluation and serving rank through one scorer and one selection rule.
+``_score_rows`` scores a block of users against every item: for a tensor
+model one matrix product of the user columns, weighted elementwise by
+the resolved request contexts, against the item factors; for a
+composite model the heaviest context state of each user picks the
+sub-model.  ``_top_n`` keeps a row's top N, ties broken by ascending
+item id, with excluded items dropped and NaN scores last.
+
+``score_items`` and ``recommend_topn`` are the one-user case.
+``recall_precision_at`` groups the test and seen logs by user once and
+ranks the test users in blocks of at most ``RANK_BLOCK`` scores: it
+resolves the block's contexts into one matrix, scores the block with
+one product, marks every seen item with one assignment, selects each
+row's top N and takes the hits from a boolean block of relevant items.
+The per-user sums run over users in order, so the metrics equal a loop
+over ``recommend_topn`` bit for bit.
 
 Recall@N and precision@N follow the per-user convention: relevant items
 are the distinct items the user touched in the test period, one ranking
@@ -17,14 +27,15 @@ from __future__ import annotations
 
 import io
 import logging
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .baseline import CompositeModel
-from .context import ContextError, resolve_context_vector
+from .context import ContextError, resolve_context_matrix, resolve_context_vector
 from .events import EventLog, RatingLog
 
 __all__ = [
@@ -41,6 +52,10 @@ __all__ = [
 ]
 
 log = logging.getLogger("itals")
+
+# A ranking block holds at most this many scores (136 users at 480
+# items), so its score, key and relevance arrays stay under about 1 MB.
+RANK_BLOCK = 1 << 16
 
 
 class EvalError(ValueError):
@@ -104,13 +119,13 @@ class RankedList:
 StateInput = Union[int, Sequence, Mapping, None]
 
 
-def _states_per_axis(model, states: StateInput) -> dict:
+def _states_per_axis(ctx_axes: tuple, states: StateInput) -> dict:
     """Normalize context-state input to {axis: [(state, weight), ...]}.
 
-    Every context axis of the model, and no other axis, gets a non-empty
-    list; a bare state or list applies to the single context axis.
+    Every context axis of the model, ``ctx_axes``, and no other axis gets
+    a non-empty list; a bare state or list applies to the single context
+    axis.
     """
-    ctx_axes = model.shape.context_axes
     if not ctx_axes:
         return {}
     if states is None:
@@ -130,15 +145,57 @@ def _states_per_axis(model, states: StateInput) -> dict:
     return per_axis
 
 
+def _heaviest_state(pairs) -> int:
+    """The state of the first pair of largest weight; every weight must be finite and > 0."""
+    if not all(0 < weight < np.inf for _, weight in pairs):
+        raise ContextError("context weights must be finite and > 0")
+    return int(max(pairs, key=lambda sw: sw[1])[0])
+
+
+def _score_rows(model, users: np.ndarray, contexts: dict) -> np.ndarray:
+    """(B, n_items) scores of the known ``users``, one row per user.
+
+    ``contexts`` maps each context axis to the B users' lists of (state,
+    weight) pairs.  A tensor model scores the block with one matrix
+    product of the user columns, weighted elementwise by the resolved
+    context vectors, against the item factors.  A composite model groups
+    the users by the sub-model their heaviest state selects; a null
+    sub-model scores 0.
+    """
+    if isinstance(model, CompositeModel):
+        (lists,) = contexts.values()
+        states = np.array([_heaviest_state(pairs) for pairs in lists], dtype=np.int64)
+        outside = np.flatnonzero((states < 0) | (states >= model.n_states))
+        if outside.size:
+            state = states[outside[0]]
+            raise ContextError(f"context state {state} out of bounds (size {model.n_states})")
+        scores = np.zeros((users.size, model.shape.dims[model.shape.item_axis]))
+        for state in np.unique(states).tolist():
+            sub = model.submodels[state]
+            if sub is not None:
+                rows = np.flatnonzero(states == state)
+                scores[rows] = _score_rows(sub, users[rows], {})
+        return scores
+    weights = model.factors[model.shape.user_axis].take(users, axis=1)
+    for axis, lists in contexts.items():
+        # each column of the block form equals one user's loop bit for bit;
+        # for one user the loop takes fewer numpy calls
+        if len(lists) == 1:
+            weights *= resolve_context_vector(model, lists[0], axis)[:, None]
+        else:
+            weights *= resolve_context_matrix(model, lists, axis)
+    return weights.T @ model.factors[model.shape.item_axis]
+
+
 def score_items(model, user: int, states: StateInput = None, allow_unknown: bool = False) -> np.ndarray:
     """Scores for every item, for one user in one context.
 
-    For a tensor model this is the item factor matrix contracted with the
-    elementwise product of the user column and the resolved context
-    vectors.  For a composite model the heaviest context state selects
-    the sub-model (null sub-models score everything 0).  An
-    out-of-vocabulary user raises unless ``allow_unknown``, which scores
-    from a zero vector.
+    The one-user case of the block scorer: for a tensor model, the item
+    factor matrix contracted with the elementwise product of the user
+    column and the resolved context vectors; for a composite model, the
+    sub-model of the heaviest context state (null sub-models score
+    everything 0).  An out-of-vocabulary user raises unless
+    ``allow_unknown``, which scores from a zero vector.
     """
     n_users = model.shape.dims[model.shape.user_axis]
     n_items = model.shape.dims[model.shape.item_axis]
@@ -146,20 +203,24 @@ def score_items(model, user: int, states: StateInput = None, allow_unknown: bool
         if allow_unknown:
             return np.zeros(n_items)
         raise EvalError(f"unknown user {user} (model has {n_users})")
-    per_axis = _states_per_axis(model, states)
-    if isinstance(model, CompositeModel):
-        (pairs,) = per_axis.values()
-        if not all(0 < weight < np.inf for _, weight in pairs):
-            raise ContextError("context weights must be finite and > 0")
-        state = int(max(pairs, key=lambda sw: sw[1])[0])
-        if not (0 <= state < model.n_states):
-            raise ContextError(f"context state {state} out of bounds (size {model.n_states})")
-        sub = model.submodels[state]
-        return np.zeros(n_items) if sub is None else score_items(sub, user)
-    weights = model.factors[model.shape.user_axis][:, user].copy()
-    for axis, pairs in per_axis.items():
-        weights *= resolve_context_vector(model, pairs, axis)
-    return weights @ model.factors[model.shape.item_axis]
+    per_axis = _states_per_axis(model.shape.context_axes, states)
+    contexts = {axis: [pairs] for axis, pairs in per_axis.items()}
+    return _score_rows(model, np.array([user]), contexts)[0]
+
+
+def _top_n(key: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the n smallest keys, ascending, ties broken by ascending index.
+
+    NaN keys rank last.  Keys of +inf mark excluded items, which drop
+    out, so fewer than n indices come back when fewer candidates remain.
+    """
+    n = min(n, key.size)
+    # the candidates with keys at or below the n-th; "not above" also
+    # keeps NaN keys, which then sort last as in a full sort
+    top = (~(key > np.partition(key, n - 1)[n - 1])).nonzero()[0]
+    top = top[key[top] != np.inf]
+    # a stable sort of ascending ids keeps the ascending-id tie-break
+    return top[np.argsort(key[top], kind="stable")[:n]]
 
 
 def recommend_topn(
@@ -186,15 +247,13 @@ def recommend_topn(
         try:  # the bounds check of ravel_multi_index costs a third of min and max
             key[np.ravel_multi_index((exclude,), key.shape)] = np.inf
         except ValueError:
-            raise EvalError(f"excluded item ids must lie in [0, {key.size})") from None
-    n = min(n, key.size)
-    # the candidates with keys at or below the n-th; "not above" also
-    # keeps NaN keys, which then sort last as in a full sort
-    top = np.flatnonzero(~(key > np.partition(key, n - 1)[n - 1]))
-    top = top[key[top] != np.inf]
-    # a stable sort of ascending ids keeps the ascending-id tie-break
-    top = top[np.argsort(key[top], kind="stable")[:n]]
+            raise _exclude_error(key.size) from None
+    top = _top_n(key, n)
     return RankedList(user=user, items=top, scores=scores[top])
+
+
+def _exclude_error(n_items: int) -> EvalError:
+    return EvalError(f"excluded item ids must lie in [0, {n_items})")
 
 
 @dataclass
@@ -214,11 +273,26 @@ class RankingReport:
 
 def _items_by_user(log: EventLog, users: np.ndarray):
     """(items, lo, hi): ``items[lo[j]:hi[j]]`` are the items of ``users[j]``."""
-    order = np.lexsort((log.items, log.users))
+    order = np.argsort(log.users, kind="stable")
     grouped = log.users[order]
     lo = np.searchsorted(grouped, users, side="left")
     hi = np.searchsorted(grouped, users, side="right")
     return log.items[order], lo, hi
+
+
+def _block_cells(items: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(rows, items) of ``items[lo[r]:hi[r]]`` for every row r, for fancy indexing."""
+    counts = hi - lo
+    rows = np.repeat(np.arange(counts.size), counts)
+    starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return rows, items[starts + np.arange(rows.size)]
+
+
+def _request(request_states: Mapping, user: int):
+    try:
+        return request_states[user]
+    except KeyError:
+        raise EvalError(f"no request context for user {user}") from None
 
 
 def recall_precision_at(
@@ -247,51 +321,68 @@ def recall_precision_at(
         raise EvalError("average must be 'macro' or 'micro'")
 
     n_users_model = model.shape.dims[model.shape.user_axis]
+    n_items = model.shape.dims[model.shape.item_axis]
+    ctx_axes = model.shape.context_axes
+    if seen is not None and seen.items.size:
+        if seen.items.min() < 0 or seen.items.max() >= n_items:
+            raise _exclude_error(n_items)
     users = np.unique(test.users)
+    n_skipped = 0
+    if skip_unknown_users:
+        n_skipped = int(np.count_nonzero(users >= n_users_model))
+        users = users[users < n_users_model]
+    if users.size == 0:
+        raise EvalError("no evaluable users in the test log")
     test_items, test_lo, test_hi = _items_by_user(test, users)
     if seen is not None:
         seen_items, seen_lo, seen_hi = _items_by_user(seen, users)
-
+    # a test item the model does not know is relevant but never ranked
+    width = max(n_items, int(test.items.max()) + 1)
+    block = max(1, RANK_BLOCK // width)
     steps = np.arange(1, n_max + 1, dtype=np.float64)
-    recall_sum = np.zeros(n_max)
-    precision_sum = np.zeros(n_max)
-    hits_sum = np.zeros(n_max)
+    # running sums over users in user order: recall and precision terms
+    # (macro) or hits (micro); each block adds its rows one at a time
+    sums = np.zeros((2 if average == "macro" else 1, n_max))
     total_relevant = 0
-    n_eval = 0
-    n_skipped = 0
 
-    for j, user in enumerate(users.tolist()):
-        relevant = np.unique(test_items[test_lo[j] : test_hi[j]])
-        flags = np.zeros(n_max)
-        if user >= n_users_model:
-            if skip_unknown_users:
-                n_skipped += 1
-                continue
-        else:
-            states = None
+    for start in range(0, users.size, block):
+        rows = slice(start, start + block)
+        block_users = users[rows]
+        relevant = np.zeros((block_users.size, width), dtype=bool)
+        relevant[_block_cells(test_items, test_lo[rows], test_hi[rows])] = True
+        flags = np.zeros((block_users.size, n_max))
+        known = np.flatnonzero(block_users < n_users_model)
+        if known.size:
+            ranked = block_users[known]
+            states = [None] * known.size
             if request_states is not None:
-                try:
-                    states = request_states[user]
-                except KeyError:
-                    raise EvalError(f"no request context for user {user}") from None
-            exclude = None if seen is None else seen_items[seen_lo[j] : seen_hi[j]]
-            ranked = recommend_topn(model, user, states, n_max, exclude_items=exclude)
-            flags[: len(ranked.items)] = np.isin(ranked.items, relevant)
-        hits = np.cumsum(flags)
-        n_eval += 1
-        total_relevant += len(relevant)
-        hits_sum += hits
-        recall_sum += hits / len(relevant)
-        precision_sum += hits / steps
+                states = [_request(request_states, user) for user in ranked.tolist()]
+            per_user = [_states_per_axis(ctx_axes, s) for s in states]
+            contexts = {axis: [p[axis] for p in per_user] for axis in ctx_axes}
+            key = -_score_rows(model, ranked, contexts)
+            if seen is not None:
+                lo, hi = seen_lo[rows][known], seen_hi[rows][known]
+                key[_block_cells(seen_items, lo, hi)] = np.inf
+            for j, row in zip(known.tolist(), key):
+                top = _top_n(row, n_max)
+                flags[j, : top.size] = relevant[j, top]
+        hits = np.cumsum(flags, axis=1)
+        n_relevant = relevant.sum(axis=1)
+        total_relevant += int(n_relevant.sum())
+        if average == "macro":
+            terms = np.stack([hits / n_relevant[:, None], hits / steps], axis=1)
+        else:
+            terms = hits[:, None, :]
+        # cumsum adds the rows one after another, like a loop over users
+        sums = np.cumsum(np.concatenate([sums[None], terms]), axis=0)[-1]
 
-    if n_eval == 0:
-        raise EvalError("no evaluable users in the test log")
+    n_eval = users.size
     if average == "macro":
-        recall = recall_sum / n_eval
-        precision = precision_sum / n_eval
+        recall = sums[0] / n_eval
+        precision = sums[1] / n_eval
     else:
-        recall = hits_sum / total_relevant
-        precision = hits_sum / (steps * n_eval)
+        recall = sums[0] / total_relevant
+        precision = sums[0] / (steps * n_eval)
     return RankingReport(n_max, recall, precision, n_eval, n_skipped, average)
 
 

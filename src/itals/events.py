@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -139,7 +140,8 @@ def _parse_timestamp(text: str, line_no: int) -> int:
             raise ParseError(line_no, f"timestamp not parseable: {text!r}") from None
         if not np.isfinite(fval):
             raise ParseError(line_no, f"timestamp not finite: {text!r}")
-        value = int(fval)
+        # floor, not truncation toward 0, which would accept -0.5 as 0
+        value = math.floor(fval)
     if value < 0:
         raise ParseError(line_no, f"timestamp negative: {text!r}")
     if value > np.iinfo(np.int64).max:

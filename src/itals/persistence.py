@@ -19,7 +19,8 @@ config stored once at the end).
 
 Reload reproduces predictions bit-exactly: float64 bytes round-trip
 unchanged.  Saving and loading reject factors that hold NaN or infinity,
-which no trained model has, and id maps of the wrong length.
+which no trained model has, id maps of the wrong length, and composite
+sub-models whose user count, item count or K differ from the composite's.
 """
 
 from __future__ import annotations
@@ -96,6 +97,26 @@ def _check_id_maps(shape: TensorShape, id_maps) -> None:
         if ids is not None and len(ids) != shape.dims[axis]:
             raise PersistenceError(
                 f"id map of axis {axis} holds {len(ids)} ids, the axis has {shape.dims[axis]}"
+            )
+
+
+def _check_submodels(model: CompositeModel) -> None:
+    """Every sub-model must score the composite's users and items with its K."""
+    shape = model.shape
+    if model.n_states != shape.dims[model.context_axis]:
+        raise PersistenceError(
+            f"{model.n_states} sub-models for {shape.dims[model.context_axis]} context states"
+        )
+    want = (shape.dims[shape.user_axis], shape.dims[shape.item_axis], model.features)
+    for state, sub in enumerate(model.submodels):
+        if sub is None:
+            continue
+        dims = sub.shape.dims
+        got = (dims[sub.shape.user_axis], dims[sub.shape.item_axis], sub.features)
+        if sub.shape.ndim != 2 or got != want:
+            raise PersistenceError(
+                f"sub-model of state {state} has shape {tuple(sub.shape.dims)} and K = {got[2]}; "
+                f"the composite has {want[0]} users, {want[1]} items and K = {want[2]}"
             )
 
 
@@ -178,6 +199,8 @@ def save_model(model, path: Union[str, Path]) -> None:
     cores = [sub for sub in model.submodels if sub is not None] if composite else [model]
     for core in cores:
         _check_factors(core.shape, core.features, core.factors)
+    if composite:
+        _check_submodels(model)
     _check_id_maps(model.shape, model.id_maps)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -237,6 +260,8 @@ def load_model(path: Union[str, Path]):
                 sub_shape, sub_k, sub_factors = core
                 grams = [m @ m.T for m in sub_factors]
                 submodels.append(Model(sub_shape, sub_factors, grams, config, pair_maps))
-            return CompositeModel(ctx_axis, shape, submodels, config, id_maps)
+            model = CompositeModel(ctx_axis, shape, submodels, config, id_maps)
+            _check_submodels(model)
+            return model
 
     raise PersistenceError(f"unknown model kind {kind}")

@@ -10,6 +10,7 @@ from itals import (
     TrainConfig,
     assign_time_band,
     last_category_states,
+    resolve_context_matrix,
     resolve_context_vector,
     sequential_context,
     time_band_states,
@@ -273,3 +274,28 @@ class TestResolveContextVector:
         for weight in (0.0, -0.5, np.nan, np.inf):
             with pytest.raises(ContextError, match="finite and > 0"):
                 resolve_context_vector(model, [(0, 1.0), (1, weight)])
+
+
+class TestResolveContextMatrix:
+    def test_columns_equal_the_vector_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        model = context_model(rng.normal(size=(6, 9)))
+        lists = [
+            [(int(rng.integers(0, 9)), float(rng.uniform(0.1, 2.0)))
+             for _ in range(int(rng.integers(1, 5)))]
+            for _ in range(40)
+        ]
+        matrix = resolve_context_matrix(model, lists)
+        assert matrix.shape == (6, 40)
+        for j, pairs in enumerate(lists):
+            assert matrix[:, j].tobytes() == resolve_context_vector(model, pairs).tobytes()
+
+    def test_errors_match_the_vector(self):
+        model = context_model([[1.0, 2.0]])
+        with pytest.raises(ContextError, match="empty"):
+            resolve_context_matrix(model, [[(0, 1.0)], []])
+        with pytest.raises(ContextError, match=r"context state 7 out of bounds \(size 2\)"):
+            resolve_context_matrix(model, [[(0, 1.0)], [(1, 1.0), (7, 1.0)]])
+        for weight in (0.0, -0.5, np.nan, np.inf):
+            with pytest.raises(ContextError, match="finite and > 0"):
+                resolve_context_matrix(model, [[(0, 1.0)], [(0, 1.0), (1, weight)]])

@@ -24,9 +24,11 @@ from itals import (
     ingest_ratings,
     recall_precision_at,
     recommend_topn,
+    resolve_context_vector,
     split_by_date,
     time_band_states,
 )
+from itals import evaluation
 from itals.evaluation import score_items
 
 from conftest import DAY, make_event_log, seasonal_dataset
@@ -75,6 +77,41 @@ def brute_force_report(model, test, n_max, request_states=None, seen=None, avera
     if average == "macro":
         return (hits / n_relevant[:, None]).mean(axis=0), (hits / steps).mean(axis=0)
     return hits.sum(axis=0) / n_relevant.sum(), hits.sum(axis=0) / (steps * len(hits))
+
+
+def looped_report(
+    model, test, n_max, requests=None, seen=None, average="macro", skip_unknown=False
+):
+    """(recall, precision) of one recommend_topn call per test user, summed in user order."""
+    n_users = model.shape.dims[model.shape.user_axis]
+    steps = np.arange(1, n_max + 1, dtype=np.float64)
+    recall_sum, precision_sum, hits_sum = np.zeros(n_max), np.zeros(n_max), np.zeros(n_max)
+    total_relevant = n_eval = 0
+    for user in np.unique(test.users).tolist():
+        if user >= n_users and skip_unknown:
+            continue
+        relevant = np.unique(test.items[test.users == user])
+        flags = np.zeros(n_max)
+        if user < n_users:
+            states = None if requests is None else requests[user]
+            exclude = None if seen is None else seen.items[seen.users == user]
+            ranked = recommend_topn(model, user, states, n_max, exclude_items=exclude)
+            flags[: ranked.items.size] = np.isin(ranked.items, relevant)
+        hits = np.cumsum(flags)
+        n_eval += 1
+        total_relevant += relevant.size
+        hits_sum += hits
+        recall_sum += hits / relevant.size
+        precision_sum += hits / steps
+    if average == "macro":
+        return recall_sum / n_eval, precision_sum / n_eval
+    return hits_sum / total_relevant, hits_sum / (steps * n_eval)
+
+
+def assert_bitwise_report(report, reference):
+    recall, precision = reference
+    assert report.recall.tobytes() == recall.tobytes()
+    assert report.precision.tobytes() == precision.tobytes()
 
 
 def identity_scorer(score_rows):
@@ -398,6 +435,107 @@ class TestRecallPrecision:
         empty = make_event_log([], [], [], n_users=1, n_items=1)
         with pytest.raises(EvalError, match="empty"):
             recall_precision_at(model, empty, 1)
+
+
+class TestBlockRanking:
+    N_USERS, N_ITEMS, N_STATES = 9, 13, 3
+
+    def instance(self, rng, composite):
+        """A float model, a test log with unknown users and items, a seen log and requests."""
+        n_users, n_items, n_states = self.N_USERS, self.N_ITEMS, self.N_STATES
+        if composite:
+            model = composite_model(
+                [rng.normal(size=(2, n_users)) for _ in range(n_states - 1)] + [None],
+                [rng.normal(size=(2, n_items)) for _ in range(n_states)],
+                n_users, n_items,
+            )
+        else:
+            model = scoring_model(*(rng.normal(size=(3, s)) for s in (n_users, n_items, n_states)))
+        n_test, n_seen = 60, 80
+        # users up to n_users + 2 are unknown; items n_items and n_items + 1
+        # are relevant but never ranked
+        test = make_event_log(
+            rng.integers(0, n_users + 3, n_test), rng.integers(0, n_items + 2, n_test),
+            np.arange(n_test), n_users=n_users + 3, n_items=n_items + 2,
+        )
+        seen = make_event_log(
+            rng.integers(0, n_users, n_seen), rng.integers(0, n_items, n_seen),
+            np.arange(n_seen), n_users=n_users, n_items=n_items,
+        )
+        requests = {
+            user: [(int(rng.integers(0, n_states)), float(rng.choice([0.25, 0.5, 1.0])))
+                   for _ in range(int(rng.integers(1, 4)))]
+            for user in range(n_users + 3)
+        }
+        return model, test, seen, requests
+
+    def block_sizes(self, monkeypatch, test):
+        """Set the block cap to 1, 3 and all test users in turn."""
+        width = max(self.N_ITEMS, int(test.items.max()) + 1)
+        for users in (1, 3, self.N_USERS + 3):
+            monkeypatch.setattr(evaluation, "RANK_BLOCK", users * width)
+            yield
+
+    @pytest.mark.parametrize("composite", [False, True])
+    @pytest.mark.parametrize("average", ["macro", "micro"])
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_every_block_size_gives_the_looped_report(self, monkeypatch, composite, average, skip):
+        rng = np.random.default_rng(51)
+        for _ in range(6):
+            model, test, seen, requests = self.instance(rng, composite)
+            for n_max in (4, self.N_ITEMS):
+                reference = looped_report(model, test, n_max, requests, seen, average, skip)
+                for _ in self.block_sizes(monkeypatch, test):
+                    report = recall_precision_at(
+                        model, test, n_max, requests, seen=seen,
+                        skip_unknown_users=skip, average=average,
+                    )
+                    assert_bitwise_report(report, reference)
+
+    def test_missing_request_context_in_any_block(self, monkeypatch):
+        model, test, seen, requests = self.instance(np.random.default_rng(52), False)
+        last = int(test.users[test.users < self.N_USERS].max())
+        del requests[last]
+        for _ in self.block_sizes(monkeypatch, test):
+            with pytest.raises(EvalError, match=f"no request context for user {last}"):
+                recall_precision_at(model, test, 4, requests, seen=seen)
+
+    def test_seen_items_checked_before_any_ranking(self):
+        # no user has a request context, so ranking anyone would fail first
+        model = scoring_model(np.ones((1, 3)), np.ones((1, 4)), np.ones((1, 2)))
+        test = make_event_log([0, 1], [0, 1], [1, 2], n_users=3, n_items=4)
+        for bad in (-1, 4):
+            seen = make_event_log([0, 2], [1, bad], [1, 2], n_users=3, n_items=5)
+            with pytest.raises(EvalError, match=r"excluded item ids must lie in \[0, 4\)"):
+                recall_precision_at(model, test, 2, {}, seen=seen)
+
+    @pytest.mark.parametrize("k", [20, 80])
+    def test_one_user_scores_equal_the_vector_product(self, k):
+        rng = np.random.default_rng(k)
+        model = scoring_model(*(rng.normal(size=(k, s)) for s in (4, 50, 3)))
+        states = [(2, 1.0), (0, 0.6)]
+        for user in range(4):
+            weights = model.factors[0][:, user] * resolve_context_vector(model, states)
+            expected = weights @ model.factors[1]
+            assert score_items(model, user, states).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("average", ["macro", "micro"])
+    def test_fitted_seasonal_model_matches_recommend_topn(self, average):
+        log, split_ts = seasonal_dataset(seed=0)
+        train, test = split_by_date(log, SplitSpec(split_ts))
+        season = SeasonSpec.uniform(DAY, 6)
+        shape = TensorShape((log.n_users, log.n_items, 6), ("user", "item", "timeband"))
+        model = fit(build_tensor(train, time_band_states(train.timestamps, season), shape),
+                    TrainConfig(features=12, epochs=3, reg=0.1))
+        first = {}
+        for idx in np.lexsort((test.timestamps, test.users))[::-1].tolist():
+            band = assign_time_band(test.timestamps[idx], season)
+            # every third user asks in two bands, so list lengths differ
+            pairs = [(band, 1.0), ((band + 1) % 6, 0.5)]
+            first[int(test.users[idx])] = pairs[: 2 if test.users[idx] % 3 == 0 else 1]
+        report = recall_precision_at(model, test, 20, first, seen=train, average=average)
+        assert report.n_users == log.n_users
+        assert_bitwise_report(report, looped_report(model, test, 20, first, train, average))
 
 
 class TestQualityGate:

@@ -84,6 +84,17 @@ def test_fractional_timestamp_truncates():
     assert log.timestamps[0] == 100
 
 
+def test_negative_fractional_timestamps_rejected():
+    # truncation toward 0 used to accept these as timestamp 0
+    for text in ("-0.5", "-0.9", "-1.5"):
+        with pytest.raises(ParseError, match="negative") as err:
+            ingest_events(io.StringIO(f"u\ti\t10\nu\tj\t{text}\n"))
+        assert err.value.line_no == 2
+        with pytest.raises(ParseError, match="negative"):
+            ingest_ratings(io.StringIO(f"u\ti\t5\t{text}\n"))
+    assert ingest_events(io.StringIO("u\ti\t-0.0\n")).timestamps.tolist() == [0]
+
+
 def test_byte_stream_input():
     log = ingest_events(io.BytesIO(b"u\ti\t1\n"))
     assert len(log) == 1

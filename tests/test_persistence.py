@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from itals import (
+    CompositeModel,
     PersistenceError,
+    TensorShape,
     TrainConfig,
     fit,
     fit_ica,
@@ -169,3 +171,28 @@ class TestErrors:
             save_model(model, path)
         with pytest.raises(PersistenceError, match="id map of axis 0 holds 2 ids, the axis has 3"):
             load_model(path)
+
+    def test_submodel_shape_must_match_the_composite(self, tmp_path, monkeypatch):
+        # a (3, 7) sub-model in a (4, 5, 2) composite used to save and load,
+        # and then to score 7 items and to call user 3 unknown
+        def sub(dims, k):
+            config = TrainConfig(features=k, epochs=1, reg=0.1)
+            return fit(synthetic_tensor(dims, 6, seed=15), config)
+
+        config = TrainConfig(features=2, epochs=1, reg=0.1)
+        shape = TensorShape((4, 5, 2), ("user", "item", "timeband"))
+        path = tmp_path / "c"
+        for bad in (sub((3, 7), 2), sub((4, 5), 3)):
+            model = CompositeModel(2, shape, [sub((4, 5), 2), bad], config)
+            with pytest.raises(PersistenceError, match="sub-model of state 1 has shape"):
+                save_model(model, path)
+            assert not path.exists()
+            with monkeypatch.context() as patch:
+                patch.setattr(persistence, "_check_submodels", lambda model: None)
+                save_model(model, path)
+            with pytest.raises(PersistenceError, match="sub-model of state 1 has shape"):
+                load_model(path)
+            path.unlink()
+        model = CompositeModel(2, shape, [None, sub((4, 5), 2), None], config)
+        with pytest.raises(PersistenceError, match="3 sub-models for 2 context states"):
+            save_model(model, path)
