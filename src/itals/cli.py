@@ -141,8 +141,8 @@ class _Context(NamedTuple):
 def _categories(args, events: EventLog):
     """({item index: category state}, category names) from --category-map or the log.
 
-    Only items that occur in ``events`` need a category: a vocabulary item
-    seen only outside a date split is never looked up.
+    The extractors look up the items of the training events only, so a
+    vocabulary item seen only outside a date split needs no category.
     """
     if args.category_map is not None:
         mapping, names = read_category_map(args.category_map, events.item_ids)
@@ -152,10 +152,6 @@ def _categories(args, events: EventLog):
         names = list(events.category_ids)
     else:
         raise ContextError("sequence context needs --category-map or a category column")
-    missing = set(np.unique(events.items).tolist()) - set(mapping)
-    if missing:
-        item = events.item_ids[min(missing)]
-        raise ContextError(f"no category for item {item!r} ({len(missing)} total)")
     return mapping, names
 
 

@@ -1,14 +1,19 @@
 """Context extractors: seasonal time bands and last-purchase categories.
 
 Both map raw events to discrete context states for the tensor's third
-axis.  Time bands bin the timestamp's offset inside a recurring season;
-the sequential extractor emits the categories of a user's most recent
-prior purchases with geometrically decayed relative weights.
+axis.  Time bands bin the timestamp's offset inside a recurring season.
+
+Sequence context has one window rule.  A user's events in time order
+(ties in log order) give a category list ``cats``; the window [start, end)
+is ``cats[max(start, end - depth):end]``, most recent first, and its j-th
+category weighs decay**(j-1).  A repeated category sums its weights in
+rank order, capped at 1, at its first place; an empty window is
+``[(cold_state, 1.0)]``.  An event's window ends where its basket (same
+user and timestamp) begins, a request's at the end of the user's history.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -54,6 +59,8 @@ class SeasonSpec:
         object.__setattr__(self, "utc_offset", int(utc_offset))
         if self.season_length <= 0:
             raise ContextError("season_length must be positive")
+        if self.season_length >= 2**63 or not -(2**63) <= self.utc_offset < 2**63:
+            raise ContextError("season_length and utc_offset must fit in int64")
         bounds = self.band_boundaries
         if len(bounds) < 1:
             raise ContextError("at least one band boundary is required")
@@ -82,7 +89,11 @@ class SeasonSpec:
 def assign_time_band(timestamp, spec: SeasonSpec):
     """Band index of a timestamp (scalar or array) inside its season."""
     ts = np.asarray(timestamp, dtype=np.int64)
-    offset = (ts + spec.utc_offset) % spec.season_length
+    # (ts + utc_offset) mod season without int64 overflow: reduce both terms,
+    # then their sum less the season lies in [-season, season)
+    season = spec.season_length
+    offset = ts % season - (season - spec.utc_offset % season)
+    offset += (offset < 0) * season
     bounds = np.asarray(spec.band_boundaries, dtype=np.int64)
     band = np.searchsorted(bounds, offset, side="right") - 1
     if np.ndim(timestamp) == 0:
@@ -116,36 +127,29 @@ class SequenceSpec:
             raise ContextError("cold_state must be a valid state id")
 
 
-def _window_states(recent_categories: Sequence[int], spec: SequenceSpec) -> list:
-    """Merge a recent-first category window into (state, weight) pairs.
-
-    Duplicate categories sum their decay weights, capped at 1 so a
-    repeated category never outweighs the single-purchase case.
-    """
-    if not recent_categories:
-        return [(spec.cold_state, 1.0)]
-    merged: dict = {}
-    order: list = []
-    for rank, cat in enumerate(recent_categories):
-        weight = spec.decay**rank
-        if cat in merged:
-            merged[cat] = min(1.0, merged[cat] + weight)
-        else:
-            merged[cat] = weight
-            order.append(cat)
-    return [(cat, merged[cat]) for cat in order]
+def _category_states(items, item_to_category: Mapping[int, int], spec: SequenceSpec, item_ids):
+    """Each event's category state; ContextError names the lowest unmapped or reserved item."""
+    unique, inverse = np.unique(items, return_inverse=True)
+    cats = [item_to_category.get(item) for item in unique.tolist()]
+    for item, cat in zip(unique.tolist(), cats):
+        if cat is None:
+            name = item_ids[item] if item < len(item_ids) else item
+            raise ContextError(f"no category mapping for item {name!r}")
+        if not (0 <= cat < spec.category_count) or cat == spec.cold_state:
+            raise ContextError(f"category {cat} of item {item} collides with reserved states")
+    return np.array(cats, dtype=np.int64)[inverse]
 
 
-def _category_of(item: int, item_to_category: Mapping[int, int], spec: SequenceSpec, item_ids) -> int:
-    """The item's category state; ContextError when it is unmapped or reserved."""
-    cat = item_to_category.get(item)
-    if cat is None:
-        name = item_ids[item] if item < len(item_ids) else item
-        raise ContextError(f"no category mapping for item {name!r}")
-    cat = int(cat)
-    if not (0 <= cat < spec.category_count) or cat == spec.cold_state:
-        raise ContextError(f"category {cat} of item {item} collides with reserved states")
-    return cat
+def _windows(cats: list, starts: list, ends: list, spec: SequenceSpec) -> list:
+    """The merged window of positions [start, end) of ``cats`` per pair, by the module's rule."""
+    weights = [spec.decay**rank for rank in range(spec.history_depth)]
+    out = []
+    for start, end in zip(starts, ends):
+        merged: dict = {}
+        for cat, weight in zip(reversed(cats[max(start, end - spec.history_depth):end]), weights):
+            merged[cat] = min(1.0, merged[cat] + weight) if cat in merged else weight
+        out.append(list(merged.items()) or [(spec.cold_state, 1.0)])
+    return out
 
 
 def sequential_context(
@@ -153,42 +157,29 @@ def sequential_context(
     item_to_category: Mapping[int, int],
     spec: SequenceSpec,
 ) -> list:
-    """Per-event context states from each user's purchase history.
+    """Per-event context states: the window [user start, basket start) of the user's list.
 
-    ``events`` must be sorted per user by timestamp.  For each event the
-    categories of that user's up to ``history_depth`` most recent
-    strictly-earlier events are emitted with decayed weights; a user's
-    first event gets the cold state.  Output is aligned with the input
-    event order.
-
-    Raises ContextError when an item lacks a category mapping or the
-    ordering precondition is violated.
+    The events of a basket are not each other's history; their log order
+    still sets recency for later events.  ``events`` must be sorted by
+    timestamp within each user; users may interleave.  Output is aligned
+    with the input event order.  Raises ContextError when an item lacks a
+    category mapping or the ordering precondition is violated.
     """
-    n = len(events)
-    out: list = [None] * n
-    # per user: [timestamp of the current group, categories of strictly
-    # earlier events, categories of the current same-timestamp group];
-    # both windows keep only the history_depth most recent entries
-    state: dict = {}
-
-    for e in range(n):
-        user = int(events.users[e])
-        item = int(events.items[e])
-        ts = int(events.timestamps[e])
-        entry = state.get(user)
-        if entry is None:
-            depth = spec.history_depth
-            entry = state[user] = [ts, deque(maxlen=depth), deque(maxlen=depth)]
-        elif ts < entry[0]:
-            raise ContextError("events must be sorted per user by timestamp")
-        elif ts > entry[0]:
-            entry[0] = ts
-            entry[1].extend(entry[2])
-            entry[2].clear()
-        out[e] = _window_states(list(reversed(entry[1])), spec)
-        entry[2].append(_category_of(item, item_to_category, spec, events.item_ids))
-
-    return out
+    order = np.argsort(events.users, kind="stable")
+    users, stamps = events.users[order], events.timestamps[order]
+    new_user = np.diff(users, prepend=-1) != 0  # user indices are >= 0
+    if (stamps[1:] < stamps[:-1])[~new_user[1:]].any():
+        raise ContextError("events must be sorted per user by timestamp")
+    cats = _category_states(events.items, item_to_category, spec, events.item_ids)[order]
+    new_basket = new_user.copy()
+    new_basket[1:] |= stamps[1:] != stamps[:-1]
+    # the events of one basket share its window: merge it once per basket
+    user_start = np.maximum.accumulate(np.where(new_user, np.arange(order.size), 0))
+    basket_start = np.flatnonzero(new_basket)
+    starts = user_start[basket_start].tolist()
+    windows = _windows(cats.tolist(), starts, basket_start.tolist(), spec)
+    basket = (np.cumsum(new_basket) - 1)[np.argsort(order)]
+    return [list(windows[b]) for b in basket.tolist()]
 
 
 def last_category_states(
@@ -196,17 +187,17 @@ def last_category_states(
     item_to_category: Mapping[int, int],
     spec: SequenceSpec,
 ) -> dict:
-    """Request-time context per user: categories of the last purchases.
+    """Request-time context per user: the window [user start, user end) of the user's list.
 
-    Mirrors ``sequential_context`` for a hypothetical next event after the
-    end of the training period.  Users absent from the log map to the
-    cold state implicitly (they are simply missing from the dict).
+    This is the window a next event after the training period would get.
+    Users absent from the log map to the cold state implicitly (they are
+    simply missing from the dict).
     """
     ordered = train.sorted_by_user_time()
-    latest: dict = defaultdict(lambda: deque(maxlen=spec.history_depth))
-    for user, item in zip(ordered.users.tolist(), ordered.items.tolist()):
-        latest[user].append(_category_of(item, item_to_category, spec, ordered.item_ids))
-    return {user: _window_states(list(reversed(cats)), spec) for user, cats in latest.items()}
+    users, starts, counts = np.unique(ordered.users, return_index=True, return_counts=True)
+    cats = _category_states(ordered.items, item_to_category, spec, ordered.item_ids).tolist()
+    windows = _windows(cats, starts.tolist(), (starts + counts).tolist(), spec)
+    return dict(zip(users.tolist(), windows))
 
 
 def time_band_states(timestamps, spec: SeasonSpec) -> list:
@@ -247,13 +238,16 @@ def resolve_context_matrix(model, state_lists: Sequence, axis: Optional[int] = N
         if outside[bad[0]]:
             raise ContextError(f"context state {state} out of bounds (size {size})")
         raise ContextError(f"context weight {weight} of state {state} must be finite and > 0")
-    # pair p is at position rank[p] of the list of column col[p]
+    # pair p is at position rank[p] of the list of column col[p]; a stable sort
+    # by position makes each position's pairs one slice, columns ascending
     col = np.repeat(np.arange(lengths.size), lengths)
     rank = np.arange(len(pairs)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     vecs = np.zeros((matrix.shape[0], lengths.size))
     totals = np.zeros(lengths.size)
-    for position in range(int(lengths.max(initial=0))):
-        at = np.flatnonzero(rank == position)
+    by_rank = np.argsort(rank, kind="stable")
+    ends = np.cumsum(np.bincount(rank)).tolist()
+    for lo, hi in zip([0, *ends], ends):
+        at = by_rank[lo:hi]
         vecs[:, col[at]] += weights[at] * matrix[:, states[at]]
         totals[col[at]] += weights[at]
     return vecs / totals

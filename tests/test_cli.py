@@ -32,6 +32,15 @@ class TestPrepare:
         assert (out / "events.tsv").exists()
         assert (out / "users.tsv").exists()
 
+    def test_category_column_writes_the_category_map(self, workdir, capsys):
+        src = write_events(workdir / "raw.tsv", with_category=True)
+        out = workdir / "prep"
+        assert run("prepare", "--input", src, "--out-dir", out) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"][-1] == str(out / "categories.tsv")
+        rows = [line.split("\t") for line in (out / "categories.tsv").read_text().splitlines()]
+        assert [index for index, _ in rows] == ["0", "1", "2"]
+        assert sorted(name for _, name in rows) == ["alpha", "beta", "gamma"]
+
     def test_ratings_threshold_five(self, workdir, capsys):
         src = workdir / "ratings.tsv"
         src.write_text("u1\ta\t5\t10\nu1\tb\t4\t20\nu2\ta\t5\t30\nu2\tc\t2\t40\n")
@@ -131,6 +140,28 @@ class TestTrain:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["dims"] == [12, 15, 3]
 
+    def test_item_without_a_category_is_named(self, workdir, capsys, caplog):
+        src = write_events(workdir / "ev.tsv")
+        cmap = workdir / "cats.tsv"
+        cmap.write_text("".join(f"item{i}\tcat{i % 2}\n" for i in range(15) if i != 7))
+        model = workdir / "m.itals"
+        assert run(
+            "train", "--input", src, "--output", model, "--context", "sequence:2",
+            "--category-map", cmap, "--k", 2, "--epochs", 1,
+        ) == 1
+        assert "no category mapping for item 'item7'" in caplog.text
+        assert capsys.readouterr().out == ""
+        assert not model.exists()
+
+    def test_utc_offset_beyond_int64_exits_1(self, workdir, capsys, caplog):
+        src = write_events(workdir / "ev.tsv")
+        assert run(
+            "train", "--input", src, "--output", workdir / "m.itals",
+            "--context", "timeband:uniform:6", "--utc-offset", 10**20, "--k", 2, "--epochs", 1,
+        ) == 1
+        assert "utc_offset must fit in int64" in caplog.text
+        assert capsys.readouterr().out == ""
+
     def test_ica_model(self, workdir, capsys):
         src = write_events(workdir / "ev.tsv")
         model = workdir / "m.itals"
@@ -220,6 +251,36 @@ class TestEvalCommand:
         assert len(records) == 10
         assert {r["N"] for r in records} == set(range(1, 11))
         assert all(set(r) == {"dataset", "model", "K", "N", "recall", "precision", "wall_time"} for r in records)
+
+    def test_explicit_band_boundaries(self, workdir, capsys):
+        src = write_events(workdir / "ev.tsv")
+        context = "timeband:0,21600,43200,64800"
+        model = self._train(workdir, src, context)
+        assert json.loads(capsys.readouterr().out)["dims"] == [12, 15, 4]
+        assert run(
+            "eval", "--model", model, "--input", src, "--split-ts", 27 * DAY,
+            "--context", context, "--topn", 5,
+        ) == 0
+        assert "recall@5" in json.loads(capsys.readouterr().out)
+
+    def test_training_item_without_a_category_is_named(self, workdir, capsys, caplog):
+        src = write_events(workdir / "ev.tsv")
+        cmap = workdir / "cats.tsv"
+        lines = [f"item{i}\tcat{i % 2}\n" for i in range(15)]
+        cmap.write_text("".join(lines))
+        model = workdir / "m.itals"
+        assert run(
+            "train", "--input", src, "--output", model, "--context", "sequence:2",
+            "--category-map", cmap, "--k", 2, "--epochs", 1,
+        ) == 0
+        cmap.write_text("".join(lines[:7] + lines[8:]))
+        capsys.readouterr()
+        assert run(
+            "eval", "--model", model, "--input", src, "--split-ts", 27 * DAY,
+            "--context", "sequence:2", "--category-map", cmap,
+        ) == 1
+        assert "no category mapping for item 'item7'" in caplog.text
+        assert capsys.readouterr().out == ""
 
     def test_eval_composite(self, workdir, capsys):
         src = write_events(workdir / "ev.tsv")
@@ -390,6 +451,32 @@ class TestRecommendCommand:
         )
         assert code == 0
 
+    def test_at_needs_a_timeband_context(self, workdir, capsys, caplog):
+        src = write_events(workdir / "ev.tsv", with_category=True)
+        model = workdir / "m.itals"
+        run(
+            "train", "--input", src, "--output", model,
+            "--context", "sequence:2", "--k", 3, "--epochs", 1, "--lambda", 0.1,
+        )
+        capsys.readouterr()
+        assert run(
+            "recommend", "--model", model, "--user", "user1", "--at", 100, "--context", "sequence:2"
+        ) == 1
+        assert "--at needs a timeband --context" in caplog.text
+        assert capsys.readouterr().out == ""
+
+    def test_exclude_seen_needs_input(self, workdir, capsys, caplog):
+        src = write_events(workdir / "ev.tsv")
+        model = workdir / "m.itals"
+        run(
+            "train", "--input", src, "--output", model,
+            "--context", "none", "--k", 2, "--epochs", 1, "--lambda", 0.1,
+        )
+        capsys.readouterr()
+        assert run("recommend", "--model", model, "--user", "user1", "--exclude-seen") == 1
+        assert "--exclude-seen needs --input" in caplog.text
+        assert capsys.readouterr().out == ""
+
     def test_unknown_user(self, workdir, capsys):
         src = write_events(workdir / "ev.tsv")
         model = workdir / "m.itals"
@@ -538,6 +625,15 @@ class TestConfigFile:
             summary.pop("wall_time")
             summaries.append(summary)
         assert summaries[0] == summaries[1] != summaries[2]
+
+
+    def test_switch_takes_yes_or_no(self, workdir, capsys):
+        cfg = workdir / "run.cfg"
+        cfg.write_text("exclude_seen = maybe\n")
+        with pytest.raises(SystemExit) as exc:
+            run("--config", cfg, "eval", "--model", "m", "--input", "ev.tsv", "--split-ts", 1)
+        assert exc.value.code == 2
+        assert "argument --exclude-seen: expected yes or no, got 'maybe'" in capsys.readouterr().err
 
 
 class TestDefaults:

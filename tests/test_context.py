@@ -15,7 +15,6 @@ from itals import (
     sequential_context,
     time_band_states,
 )
-from itals.context import _window_states
 
 from conftest import make_event_log
 
@@ -44,6 +43,13 @@ class TestSeasonSpec:
     def test_boundaries_inside_season(self):
         with pytest.raises(ContextError, match="inside"):
             SeasonSpec(DAY, (0, DAY))
+
+    def test_values_outside_int64_rejected(self):
+        for season, offset in ((2**63, 0), (DAY, 2**63), (DAY, -(2**63) - 1), (DAY, 10**20)):
+            with pytest.raises(ContextError, match="int64"):
+                SeasonSpec(season, (0,), offset)
+        SeasonSpec(2**63 - 1, (0,), -(2**63))
+        SeasonSpec(DAY, (0,), 2**63 - 1)
 
 
 class TestAssignTimeBand:
@@ -86,6 +92,32 @@ class TestAssignTimeBand:
         hist = np.bincount(bands, minlength=6)
         assert hist.sum() == 1000
 
+    def test_no_overflow_near_the_int64_limits(self):
+        def true_band(ts, spec):
+            offset = (ts + spec.utc_offset) % spec.season_length  # Python ints do not wrap
+            return sum(b <= offset for b in spec.band_boundaries) - 1
+
+        big = 2**63 - 1
+        cases = [
+            (big - 99, SeasonSpec.uniform(DAY, 6, utc_offset=3600)),  # band 4, not 2
+            (5, SeasonSpec(DAY, (0, DAY // 2), utc_offset=big)),
+            (2**62, SeasonSpec(big, (0, 2**62), utc_offset=2**62)),
+            (big, SeasonSpec(big, (0, 1, big - 1), utc_offset=-(2**63))),
+        ]
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            season = int(rng.integers(1, big >> int(rng.integers(0, 63)), endpoint=True))
+            bounds = sorted({0, *(int(b) for b in rng.integers(0, season, 3))})
+            offset = int(rng.integers(-(2**63), big, endpoint=True))
+            ts = int(rng.integers(0, big, endpoint=True))
+            cases.append((ts, SeasonSpec(season, bounds, offset)))
+        assert assign_time_band(big - 99, cases[0][1]) == 4
+        for ts, spec in cases:
+            assert assign_time_band(ts, spec) == true_band(ts, spec)
+            assert assign_time_band(np.array([ts, 0]), spec).tolist() == [
+                true_band(ts, spec), true_band(0, spec)
+            ]
+
     def test_states_helper(self):
         spec = SeasonSpec.uniform(DAY, 24)
         states = time_band_states([0, 3600, 7200], spec)
@@ -100,6 +132,24 @@ class TestSequenceSpec:
             SequenceSpec(history_depth=1, decay=0.0, category_count=2, cold_state=1)
         with pytest.raises(ContextError):
             SequenceSpec(history_depth=1, category_count=2, cold_state=2)
+
+
+def brute_force_window(earlier, spec):
+    """The context of a user's categories ``earlier`` (oldest first), merged pair by pair.
+
+    The last ``history_depth`` categories, most recent first, weigh 1,
+    decay, decay**2, ...; a repeat adds its weight to the pair of its first
+    place, capped at 1.  No window at all is the cold state.
+    """
+    pairs = []
+    for rank, cat in enumerate(earlier[::-1][: spec.history_depth]):
+        weight = spec.decay**rank
+        places = [j for j, (seen, _) in enumerate(pairs) if seen == cat]
+        if places:
+            pairs[places[0]] = (cat, min(1.0, pairs[places[0]][1] + weight))
+        else:
+            pairs.append((cat, weight))
+    return pairs or [(spec.cold_state, 1.0)]
 
 
 class TestSequentialContext:
@@ -165,10 +215,19 @@ class TestSequentialContext:
                     users.append(user)
                     items.append(int(rng.integers(0, 9)))
                     stamps.append(ts)
+        # then in time order: the users interleave, each still in time order
+        order = np.argsort(stamps, kind="stable")
+        for users, items, stamps in (
+            (users, items, stamps), ([seq[p] for p in order] for seq in (users, items, stamps))
+        ):
+            self.check_against_brute_force(users, items, stamps)
+
+    def check_against_brute_force(self, users, items, stamps):
         log = make_event_log(users, items, stamps, n_users=4, n_items=9)
         mapping = {i: i % 4 for i in range(9)}
-        for depth in (1, 2, 4):
-            spec = self.spec(depth=depth, decay=0.5)
+        # depth 60 exceeds every history; at decay 0.9 a repeat crosses the cap
+        for depth, decay in ((1, 0.5), (2, 0.5), (4, 0.5), (60, 0.5), (4, 0.9), (60, 1.0)):
+            spec = self.spec(depth=depth, decay=decay)
             states = sequential_context(log, mapping, spec)
             for e in range(len(log)):
                 earlier = [
@@ -176,7 +235,18 @@ class TestSequentialContext:
                     for p in range(e)
                     if users[p] == users[e] and stamps[p] < stamps[e]
                 ]
-                assert states[e] == _window_states(earlier[::-1][:depth], spec)
+                assert states[e] == brute_force_window(earlier, spec)
+            per_user = last_category_states(log, mapping, spec)
+            for user in range(4):
+                history = [mapping[i] for u, i in zip(users, items) if u == user]
+                assert per_user[user] == brute_force_window(history, spec)
+            if decay == 0.9:  # a later place at weight 1 is a capped repeat
+                assert any(w == 1.0 for pairs in states for _, w in pairs[1:])
+
+    def test_empty_log(self):
+        log = make_event_log([], [], [], n_users=0, n_items=0)
+        assert sequential_context(log, {}, self.spec(depth=3)) == []
+        assert last_category_states(log, {}, self.spec(depth=3)) == {}
 
     def test_many_tied_events_are_all_cold(self):
         n = 20_000
@@ -289,6 +359,20 @@ class TestResolveContextMatrix:
         assert matrix.shape == (6, 40)
         for j, pairs in enumerate(lists):
             assert matrix[:, j].tobytes() == resolve_context_vector(model, pairs).tobytes()
+
+    def test_a_long_list_in_a_block(self):
+        rng = np.random.default_rng(4)
+        model = context_model(rng.normal(size=(5, 30)))
+        lists = [
+            [(int(rng.integers(0, 30)), float(rng.uniform(0.1, 2.0))) for _ in range(length)]
+            for length in (1, 5_000, 3, 1, 2)
+        ]
+        matrix = resolve_context_matrix(model, lists)
+        for j, pairs in enumerate(lists):
+            assert matrix[:, j].tobytes() == resolve_context_vector(model, pairs).tobytes()
+
+    def test_an_empty_block(self):
+        assert resolve_context_matrix(context_model([[1.0, 2.0]]), []).shape == (1, 0)
 
     def test_errors_match_the_vector(self):
         model = context_model([[1.0, 2.0]])
