@@ -21,8 +21,6 @@ from .context import (
     SequenceSpec,
     assign_time_band,
     last_category_states,
-    resolve_context_matrix,
-    resolve_context_vector,
     sequential_context,
     time_band_states,
 )
@@ -114,8 +112,6 @@ __all__ = [
     "read_category_map",
     "recall_precision_at",
     "recommend_topn",
-    "resolve_context_matrix",
-    "resolve_context_vector",
     "save_model",
     "score_items",
     "sequential_context",

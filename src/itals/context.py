@@ -1,7 +1,10 @@
 """Context extractors: seasonal time bands and last-purchase categories.
 
-Both map raw events to discrete context states for the tensor's third
-axis.  Time bands bin the timestamp's offset inside a recurring season.
+Both map raw events to lists of (state, weight) pairs for the tensor's
+context axis, one list per event, and the request contexts that
+evaluation scores.  They read events only, never a model: turning a
+request into a context vector is the scorer's job (``evaluation``).
+Time bands bin the timestamp's offset inside a recurring season.
 
 Sequence context has one window rule.  A user's events in time order
 (ties in log order) give a category list ``cats``; the window [start, end)
@@ -15,7 +18,7 @@ user and timestamp) begins, a request's at the end of the user's history.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -27,8 +30,6 @@ __all__ = [
     "ContextError",
     "assign_time_band",
     "sequential_context",
-    "resolve_context_matrix",
-    "resolve_context_vector",
     "time_band_states",
     "last_category_states",
 ]
@@ -142,7 +143,8 @@ def _category_states(items, item_to_category: Mapping[int, int], spec: SequenceS
 
 def _windows(cats: list, starts: list, ends: list, spec: SequenceSpec) -> list:
     """The merged window of positions [start, end) of ``cats`` per pair, by the module's rule."""
-    weights = [spec.decay**rank for rank in range(spec.history_depth)]
+    # no window is longer than the whole list
+    weights = [spec.decay**rank for rank in range(min(spec.history_depth, len(cats)))]
     out = []
     for start, end in zip(starts, ends):
         merged: dict = {}
@@ -204,74 +206,3 @@ def time_band_states(timestamps, spec: SeasonSpec) -> list:
     """Single-band context per event: [(band, 1.0)] for each timestamp."""
     bands = assign_time_band(np.asarray(timestamps, dtype=np.int64), spec)
     return [[(int(b), 1.0)] for b in np.atleast_1d(bands)]
-
-
-def _context_axis(model, axis: Optional[int]) -> int:
-    if axis is None:
-        ctx_axes = model.shape.context_axes
-        if len(ctx_axes) != 1:
-            raise ContextError("model must have exactly one context axis, or pass axis=")
-        axis = ctx_axes[0]
-    return axis
-
-
-def resolve_context_matrix(model, state_lists: Sequence, axis: Optional[int] = None) -> np.ndarray:
-    """Weighted averages of context feature vectors, one column per state list.
-
-    Column b is ``resolve_context_vector(model, state_lists[b], axis)`` bit
-    for bit: every column sums its pairs in list order, one list position
-    at a time across the block.  Every weight must be finite and > 0.
-    """
-    axis = _context_axis(model, axis)
-    matrix = model.factors[axis]
-    size = model.shape.dims[axis]
-    lengths = np.array([len(pairs) for pairs in state_lists], dtype=np.int64)
-    if not lengths.all():
-        raise ContextError("cannot resolve an empty context state list")
-    pairs = [pair for states in state_lists for pair in states]
-    states = np.array([state for state, _ in pairs])
-    weights = np.array([weight for _, weight in pairs], dtype=np.float64)
-    outside = (states < 0) | (states >= size)
-    bad = np.flatnonzero(outside | ~(weights > 0) | ~(weights < np.inf))
-    if bad.size:
-        state, weight = pairs[bad[0]]
-        if outside[bad[0]]:
-            raise ContextError(f"context state {state} out of bounds (size {size})")
-        raise ContextError(f"context weight {weight} of state {state} must be finite and > 0")
-    # pair p is at position rank[p] of the list of column col[p]; a stable sort
-    # by position makes each position's pairs one slice, columns ascending
-    col = np.repeat(np.arange(lengths.size), lengths)
-    rank = np.arange(len(pairs)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    vecs = np.zeros((matrix.shape[0], lengths.size))
-    totals = np.zeros(lengths.size)
-    by_rank = np.argsort(rank, kind="stable")
-    ends = np.cumsum(np.bincount(rank)).tolist()
-    for lo, hi in zip([0, *ends], ends):
-        at = by_rank[lo:hi]
-        vecs[:, col[at]] += weights[at] * matrix[:, states[at]]
-        totals[col[at]] += weights[at]
-    return vecs / totals
-
-
-def resolve_context_vector(model, states: Sequence[tuple], axis: Optional[int] = None) -> np.ndarray:
-    """Weighted average of context feature vectors for a set of states.
-
-    With a single state this is exactly that state's column of the
-    context factor matrix.  Every weight must be finite and > 0.
-    """
-    states = list(states)
-    if not states:
-        raise ContextError("cannot resolve an empty context state list")
-    axis = _context_axis(model, axis)
-    matrix = model.factors[axis]
-    size = model.shape.dims[axis]
-    total = 0.0
-    vec = np.zeros(matrix.shape[0], dtype=np.float64)
-    for state, weight in states:
-        if not (0 <= state < size):
-            raise ContextError(f"context state {state} out of bounds (size {size})")
-        if not 0 < weight < np.inf:
-            raise ContextError(f"context weight {weight} of state {state} must be finite and > 0")
-        vec += weight * matrix[:, state]
-        total += weight
-    return vec / total

@@ -8,9 +8,17 @@ composite model the heaviest context state of each user picks the
 sub-model.  ``_top_n`` keeps a row's top N, ties broken by ascending
 item id, with excluded items dropped and NaN scores last.
 
+A request context is a list of (state, weight) pairs per context axis.
+One rule holds for every pair, checked by ``_check_pair``: the state is
+an integer in [0, axis size) and the weight is finite and > 0; else
+ContextError names the first bad pair.  ``_resolve`` turns a block of
+lists into weighted averages of the context factor columns, and the
+composite's selection takes the first pair of largest weight.
+
 ``score_items`` and ``recommend_topn`` are the one-user case.
 ``recall_precision_at`` groups the test and seen logs by user once and
-ranks the test users in blocks of at most ``RANK_BLOCK`` scores: it
+ranks the test users in blocks of at most ``RANK_BLOCK`` scores (or
+metric terms, when n_max exceeds the items): it
 resolves the block's contexts into one matrix, scores the block with
 one product, marks every seen item with one assignment, selects each
 row's top N and takes the hits from a boolean block of relevant items.
@@ -35,7 +43,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .baseline import CompositeModel
-from .context import ContextError, resolve_context_matrix, resolve_context_vector
+from .context import ContextError
 from .events import EventLog, RatingLog
 
 __all__ = [
@@ -53,8 +61,9 @@ __all__ = [
 
 log = logging.getLogger("itals")
 
-# A ranking block holds at most this many scores (136 users at 480
-# items), so its score, key and relevance arrays stay under about 1 MB.
+# A ranking block holds at most this many entries per array: its rows
+# are max(items, n_max) wide (136 users at 480 items and N = 20), so its
+# score, key, relevance and metric arrays stay under about 1 MB each.
 RANK_BLOCK = 1 << 16
 
 
@@ -145,11 +154,67 @@ def _states_per_axis(ctx_axes: tuple, states: StateInput) -> dict:
     return per_axis
 
 
-def _heaviest_state(pairs) -> int:
-    """The state of the first pair of largest weight; every weight must be finite and > 0."""
-    if not all(0 < weight < np.inf for _, weight in pairs):
-        raise ContextError("context weights must be finite and > 0")
-    return int(max(pairs, key=lambda sw: sw[1])[0])
+def _check_pair(state, weight, size: int) -> None:
+    """The request rule: an integer state in [0, size) and a finite weight > 0."""
+    if not ((type(state) is int or isinstance(state, np.integer)) and 0 <= state < size):
+        raise ContextError(f"context state {state} out of bounds (size {size})")
+    if not 0 < weight < np.inf:
+        raise ContextError(f"context weight {weight} of state {state} must be finite and > 0")
+
+
+def _heaviest(pairs, size: int) -> int:
+    """The state of the first pair of largest weight; every pair is checked."""
+    best, heaviest = None, 0.0
+    for state, weight in pairs:
+        _check_pair(state, weight, size)
+        if weight > heaviest:
+            best, heaviest = state, weight
+    return best
+
+
+def _resolve(matrix: np.ndarray, lists: Sequence) -> np.ndarray:
+    """(K, B) weighted averages of ``matrix`` columns, one per list of (state, weight) pairs.
+
+    Every column sums its pairs in list order, so a block equals its lists
+    resolved one at a time bit for bit.  One list is a loop over its pairs
+    (fewer numpy calls); a block sorts its pairs by list position once and
+    adds one position's pairs at a time across the block.  A pair that
+    breaks the request rule raises ContextError, the first one named.
+    """
+    size = matrix.shape[1]
+    if len(lists) == 1:
+        vec = np.zeros(matrix.shape[0])
+        total = 0.0
+        for state, weight in lists[0]:
+            # a valid pair with a Python int state, the usual one, skips the call
+            if not (type(state) is int and 0 <= state < size and 0 < weight < np.inf):
+                _check_pair(state, weight, size)
+            vec += weight * matrix[:, state]
+            total += weight
+        return (vec / total)[:, None]
+    lengths = np.array([len(pairs) for pairs in lists], dtype=np.int64)
+    pairs = [pair for states in lists for pair in states]
+    states = np.array([state for state, _ in pairs])
+    weights = np.array([weight for _, weight in pairs], dtype=np.float64)
+    if states.dtype.kind not in "iu" or not (
+        (states >= 0) & (states < size) & (weights > 0) & (weights < np.inf)
+    ).all():
+        for state, weight in pairs:
+            _check_pair(state, weight, size)
+        states = states.astype(np.int64)  # e.g. numpy ints of mixed signedness
+    # pair p is at position rank[p] of the list of column col[p]; a stable sort
+    # by position makes each position's pairs one slice, columns ascending
+    col = np.repeat(np.arange(lengths.size), lengths)
+    rank = np.arange(len(pairs)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    vecs = np.zeros((matrix.shape[0], lengths.size))
+    totals = np.zeros(lengths.size)
+    by_rank = np.argsort(rank, kind="stable")
+    ends = np.cumsum(np.bincount(rank)).tolist()
+    for lo, hi in zip([0, *ends], ends):
+        at = by_rank[lo:hi]
+        vecs[:, col[at]] += weights[at] * matrix[:, states[at]]
+        totals[col[at]] += weights[at]
+    return vecs / totals
 
 
 def _score_rows(model, users: np.ndarray, contexts: dict) -> np.ndarray:
@@ -164,11 +229,7 @@ def _score_rows(model, users: np.ndarray, contexts: dict) -> np.ndarray:
     """
     if isinstance(model, CompositeModel):
         (lists,) = contexts.values()
-        states = np.array([_heaviest_state(pairs) for pairs in lists], dtype=np.int64)
-        outside = np.flatnonzero((states < 0) | (states >= model.n_states))
-        if outside.size:
-            state = states[outside[0]]
-            raise ContextError(f"context state {state} out of bounds (size {model.n_states})")
+        states = np.array([_heaviest(pairs, model.n_states) for pairs in lists], dtype=np.int64)
         scores = np.zeros((users.size, model.shape.dims[model.shape.item_axis]))
         for state in np.unique(states).tolist():
             sub = model.submodels[state]
@@ -178,12 +239,7 @@ def _score_rows(model, users: np.ndarray, contexts: dict) -> np.ndarray:
         return scores
     weights = model.factors[model.shape.user_axis].take(users, axis=1)
     for axis, lists in contexts.items():
-        # each column of the block form equals one user's loop bit for bit;
-        # for one user the loop takes fewer numpy calls
-        if len(lists) == 1:
-            weights *= resolve_context_vector(model, lists[0], axis)[:, None]
-        else:
-            weights *= resolve_context_matrix(model, lists, axis)
+        weights *= _resolve(model.factors[axis], lists)
     return weights.T @ model.factors[model.shape.item_axis]
 
 
@@ -338,7 +394,7 @@ def recall_precision_at(
         seen_items, seen_lo, seen_hi = _items_by_user(seen, users)
     # a test item the model does not know is relevant but never ranked
     width = max(n_items, int(test.items.max()) + 1)
-    block = max(1, RANK_BLOCK // width)
+    block = max(1, RANK_BLOCK // max(width, n_max))
     steps = np.arange(1, n_max + 1, dtype=np.float64)
     # running sums over users in user order: recall and precision terms
     # (macro) or hits (micro); each block adds its rows one at a time

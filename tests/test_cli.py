@@ -181,6 +181,30 @@ class TestTrain:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("context, message", [
+        ("sequence:2", "sequence context needs --category-map or a category column"),
+        ("timeband:a:b:c", "bad timeband context: 'timeband:a:b:c'"),
+        ("sequence:1:2:3", "bad sequence context: 'sequence:1:2:3'"),
+        ("foo:1", "unknown context kind: 'foo:1'"),
+    ])
+    def test_bad_context_exits_1(self, workdir, capsys, caplog, context, message):
+        src = write_events(workdir / "ev.tsv")  # no category column
+        model = workdir / "m.itals"
+        assert run(
+            "train", "--input", src, "--output", model, "--context", context, "--k", 2, "--epochs", 1,
+        ) == 1
+        assert message in caplog.text
+        assert capsys.readouterr().out == "" and not model.exists()
+
+    def test_empty_split_exits_1(self, workdir, capsys, caplog):
+        src = write_events(workdir / "ev.tsv")
+        model = workdir / "m.itals"
+        assert run(
+            "train", "--input", src, "--output", model, "--split-ts", 0, "--k", 2, "--epochs", 1,
+        ) == 1
+        assert "no training events (check --split-ts)" in caplog.text
+        assert capsys.readouterr().out == "" and not model.exists()
+
     def test_same_seed_byte_identical_models(self, workdir, capsys):
         src = write_events(workdir / "ev.tsv")
         m1, m2 = workdir / "m1", workdir / "m2"
@@ -366,6 +390,29 @@ class TestEvalCommand:
         assert run(*args, "timeband:uniform:4") == 1
         assert capsys.readouterr().out == ""
         assert "timeband state 4 is 4 in the model, nothing in --context" in caplog.text
+
+    def test_model_without_id_maps_is_checked_by_role(self, workdir, capsys, caplog):
+        # 3 categories and the no-prior state: as many states as the model's bands
+        src = write_events(workdir / "ev.tsv", with_category=True)
+        cells = synthetic_tensor((12, 15, 4), 60, seed=0)
+        shape = TensorShape(cells.shape.dims, ("user", "item", "timeband"))
+        model = workdir / "m.itals"
+        save_model(fit(ObservationTensor(shape, cells.coords, cells.weights),
+                       TrainConfig(features=2, epochs=1, reg=0.1)), model)
+        assert run(
+            "eval", "--model", model, "--input", src, "--split-ts", 27 * DAY,
+            "--context", "sequence:2",
+        ) == 1
+        assert capsys.readouterr().out == ""
+        assert "--context describes a category axis, the model's is timeband" in caplog.text
+
+    def test_context_model_needs_context(self, workdir, capsys, caplog):
+        src = write_events(workdir / "ev.tsv")
+        model = self._train(workdir, src, "timeband:uniform:6")
+        capsys.readouterr()
+        assert run("eval", "--model", model, "--input", src, "--split-ts", 27 * DAY) == 1
+        assert capsys.readouterr().out == ""
+        assert "the model has a context axis; pass --context to describe it" in caplog.text
 
     def test_eval_plain_needs_no_context(self, workdir, capsys):
         src = write_events(workdir / "ev.tsv")

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from itals import (
     ContextError,
+    EvalError,
     Model,
     SeasonSpec,
     SequenceSpec,
@@ -10,11 +13,11 @@ from itals import (
     TrainConfig,
     assign_time_band,
     last_category_states,
-    resolve_context_matrix,
-    resolve_context_vector,
+    recall_precision_at,
     sequential_context,
     time_band_states,
 )
+from itals.evaluation import _resolve, score_items
 
 from conftest import make_event_log
 
@@ -270,6 +273,24 @@ class TestSequentialContext:
             weights = [w for _, w in pairs]
             assert all(0 < w <= 1 for w in weights)
 
+    def test_depth_beyond_the_history_builds_no_more_weights(self):
+        # the window weights used to be built for the whole depth on every call
+        log = make_event_log([0, 0, 1], [0, 1, 2], [1, 2, 3])
+        mapping = {0: 0, 1: 1, 2: 0}
+
+        def contexts(depth):
+            spec = self.spec(depth=depth, decay=0.5)
+            return sequential_context(log, mapping, spec), last_category_states(log, mapping, spec)
+
+        assert contexts(10**12) == contexts(3)
+        tracemalloc.start()
+        try:
+            assert contexts(10**6) == contexts(3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
+
     def test_missing_mapping_names_item(self):
         log = make_event_log([0], [0], [1])
         with pytest.raises(ContextError, match="i0"):
@@ -313,73 +334,104 @@ def context_model(matrix):
     return Model(shape, factors, [m @ m.T for m in factors], config)
 
 
+def resolve_one(matrix, pairs):
+    """The request context vector of one list of pairs, by the one-list form."""
+    return _resolve(np.asarray(matrix, dtype=np.float64), [pairs])[:, 0]
+
+
+def looped_vector(matrix, pairs):
+    """The weighted average of ``matrix`` columns, summed in list order."""
+    vec, total = np.zeros(matrix.shape[0]), 0.0
+    for state, weight in pairs:
+        vec += weight * matrix[:, state]
+        total += weight
+    return vec / total
+
+
 class TestResolveContextVector:
+    """The scorer's request resolver, ``evaluation._resolve``, at one list."""
+
     def test_single_state_is_the_column(self):
-        model = context_model([[1.0, 2.0], [3.0, 4.0]])
-        vec = resolve_context_vector(model, [(1, 1.0)])
+        vec = resolve_one([[1.0, 2.0], [3.0, 4.0]], [(1, 1.0)])
         assert np.allclose(vec, [2.0, 4.0])
 
     def test_opposite_columns_cancel(self):
-        model = context_model([[1.0, -1.0], [2.0, -2.0]])
-        vec = resolve_context_vector(model, [(0, 1.0), (1, 1.0)])
+        vec = resolve_one([[1.0, -1.0], [2.0, -2.0]], [(0, 1.0), (1, 1.0)])
         assert np.allclose(vec, [0.0, 0.0])
 
     def test_weighted_average(self):
-        model = context_model([[1.0, 0.0], [0.0, 3.0]])
-        vec = resolve_context_vector(model, [(0, 1.0), (1, 0.5)])
+        vec = resolve_one([[1.0, 0.0], [0.0, 3.0]], [(0, 1.0), (1, 0.5)])
         assert np.allclose(vec, [2.0 / 3.0, 1.0])
 
     def test_empty_states_error(self):
+        # an empty request is refused before it reaches the resolver
         model = context_model([[1.0, 2.0]])
-        with pytest.raises(ContextError, match="empty"):
-            resolve_context_vector(model, [])
+        with pytest.raises(EvalError, match="empty"):
+            score_items(model, 0, [])
 
     def test_state_bounds(self):
-        model = context_model([[1.0, 2.0]])
-        with pytest.raises(ContextError, match="out of bounds"):
-            resolve_context_vector(model, [(7, 1.0)])
+        for pairs in ([(7, 1.0)], [(0, 1.0), (-1, 1.0)], [(0.7, 1.0)]):
+            with pytest.raises(ContextError, match="out of bounds"):
+                resolve_one([[1.0, 2.0]], pairs)
 
     def test_weights_must_be_finite_and_positive(self):
-        model = context_model([[1.0, 2.0]])
         for weight in (0.0, -0.5, np.nan, np.inf):
             with pytest.raises(ContextError, match="finite and > 0"):
-                resolve_context_vector(model, [(0, 1.0), (1, weight)])
+                resolve_one([[1.0, 2.0]], [(0, 1.0), (1, weight)])
 
 
 class TestResolveContextMatrix:
+    """``evaluation._resolve`` on a block of lists."""
+
     def test_columns_equal_the_vector_bit_for_bit(self):
         rng = np.random.default_rng(3)
-        model = context_model(rng.normal(size=(6, 9)))
+        matrix = rng.normal(size=(6, 9))
         lists = [
             [(int(rng.integers(0, 9)), float(rng.uniform(0.1, 2.0)))
              for _ in range(int(rng.integers(1, 5)))]
             for _ in range(40)
         ]
-        matrix = resolve_context_matrix(model, lists)
-        assert matrix.shape == (6, 40)
+        block = _resolve(matrix, lists)
+        assert block.shape == (6, 40)
         for j, pairs in enumerate(lists):
-            assert matrix[:, j].tobytes() == resolve_context_vector(model, pairs).tobytes()
+            assert block[:, j].tobytes() == resolve_one(matrix, pairs).tobytes()
+            assert block[:, j].tobytes() == looped_vector(matrix, pairs).tobytes()
 
     def test_a_long_list_in_a_block(self):
         rng = np.random.default_rng(4)
-        model = context_model(rng.normal(size=(5, 30)))
+        matrix = rng.normal(size=(5, 30))
         lists = [
             [(int(rng.integers(0, 30)), float(rng.uniform(0.1, 2.0))) for _ in range(length)]
             for length in (1, 5_000, 3, 1, 2)
         ]
-        matrix = resolve_context_matrix(model, lists)
+        block = _resolve(matrix, lists)
         for j, pairs in enumerate(lists):
-            assert matrix[:, j].tobytes() == resolve_context_vector(model, pairs).tobytes()
-
-    def test_an_empty_block(self):
-        assert resolve_context_matrix(context_model([[1.0, 2.0]]), []).shape == (1, 0)
+            assert block[:, j].tobytes() == resolve_one(matrix, pairs).tobytes()
 
     def test_errors_match_the_vector(self):
-        model = context_model([[1.0, 2.0]])
-        with pytest.raises(ContextError, match="empty"):
-            resolve_context_matrix(model, [[(0, 1.0)], []])
+        matrix = np.array([[1.0, 2.0]])
+        # an empty request is refused before it reaches the resolver
+        test = make_event_log([0, 1], [0, 1], [1, 2])
+        with pytest.raises(EvalError, match="empty"):
+            recall_precision_at(context_model(matrix), test, 2, {0: [(0, 1.0)], 1: []})
         with pytest.raises(ContextError, match=r"context state 7 out of bounds \(size 2\)"):
-            resolve_context_matrix(model, [[(0, 1.0)], [(1, 1.0), (7, 1.0)]])
+            _resolve(matrix, [[(0, 1.0)], [(1, 1.0), (7, 1.0)]])
+        with pytest.raises(ContextError, match=r"context state 0.7 out of bounds \(size 2\)"):
+            _resolve(matrix, [[(0, 1.0)], [(1, 1.0), (0.7, 1.0)]])
         for weight in (0.0, -0.5, np.nan, np.inf):
             with pytest.raises(ContextError, match="finite and > 0"):
-                resolve_context_matrix(model, [[(0, 1.0)], [(0, 1.0), (1, weight)]])
+                _resolve(matrix, [[(0, 1.0)], [(0, 1.0), (1, weight)]])
+
+    def test_numpy_integer_states(self):
+        matrix = np.random.default_rng(5).normal(size=(3, 4))
+        lists = [[(1, 0.5), (3, 1.0)], [(2, 1.0)]]
+        expected = _resolve(matrix, lists)
+        for kind in (np.int64, np.uint64, np.int32):
+            mixed = [[(kind(s), w) for s, w in lists[0]], lists[1]]
+            assert _resolve(matrix, mixed).tobytes() == expected.tobytes()
+            assert resolve_one(matrix, mixed[0]).tobytes() == expected[:, 0].tobytes()
+        for state in (1.0, np.float64(1.0), "1", None):
+            with pytest.raises(ContextError, match="out of bounds"):
+                _resolve(matrix, [[(state, 1.0)], [(2, 1.0)]])
+            with pytest.raises(ContextError, match="out of bounds"):
+                resolve_one(matrix, [(state, 1.0)])

@@ -1,5 +1,6 @@
 import io
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from itals import (
     ingest_ratings,
     recall_precision_at,
     recommend_topn,
-    resolve_context_vector,
     split_by_date,
     time_band_states,
 )
@@ -271,6 +271,19 @@ class TestRecommendTopn:
                     with pytest.raises(ContextError, match="finite and > 0"):
                         recommend_topn(model, 0, states, 2)
 
+    def test_n_must_be_positive(self):
+        with pytest.raises(EvalError, match="n must be >= 1"):
+            recommend_topn(identity_scorer([[1.0, 2.0]]), 0, None, 0)
+
+    def test_a_list_for_a_two_context_model_rejected(self):
+        factors = [np.ones((1, n)) for n in (1, 2, 2, 3)]
+        shape = TensorShape((1, 2, 2, 3), ("user", "item", "context-1", "context-2"))
+        model = Model(shape, factors, [m @ m.T for m in factors], TrainConfig(features=1, epochs=1))
+        with pytest.raises(EvalError, match="mapping for multi-context models"):
+            score_items(model, 0, [(0, 1.0)])
+        scores = score_items(model, 0, {2: [(1, 1.0)], 3: [(2, 1.0)]})
+        assert scores.tolist() == [1.0, 1.0]
+
     def test_empty_or_misplaced_states_rejected(self):
         tensor = scoring_model(np.ones((1, 1)), np.ones((1, 2)), np.ones((1, 2)))
         composite = composite_model([np.ones((2, 1))], [np.ones((2, 2))], 1, 2)
@@ -303,6 +316,90 @@ class TestCompositeScoring:
         for state in (-1, 3):
             with pytest.raises(ContextError, match="out of bounds"):
                 score_items(model, 0, state)
+
+
+class TestRequestRule:
+    """Every request pair holds an integer state in [0, size) and a finite weight > 0."""
+
+    BAD = [
+        # a float state used to pick iCA sub-model 0, and a raw IndexError in a tensor model
+        pytest.param([(0.7, 1.0)], "context state 0.7 out of bounds (size 3)", id="float-state"),
+        # iCA used to check the heaviest state only
+        pytest.param(
+            [(0, 0.9), (7, 0.1)], "context state 7 out of bounds (size 3)", id="light-pair-outside"
+        ),
+        pytest.param(
+            [(1, 0.5), (-1, 1.0)], "context state -1 out of bounds (size 3)", id="negative-state"
+        ),
+        pytest.param(
+            [(0, 1.0), (1, np.nan)], "context weight nan of state 1 must be finite and > 0",
+            id="nan-weight",
+        ),
+        pytest.param(
+            [(2, 0.0), (1, 1.0)], "context weight 0.0 of state 2 must be finite and > 0",
+            id="zero-weight",
+        ),
+        pytest.param(
+            [(2, 0.5), (9, np.inf)], "context state 9 out of bounds (size 3)", id="state-before-weight"
+        ),
+    ]
+
+    def models(self):
+        """A tensor model and a composite with a null sub-model: 4 users, 5 items, 3 states."""
+        rng = np.random.default_rng(61)
+        tensor = scoring_model(*(rng.normal(size=(2, s)) for s in (4, 5, 3)))
+        composite = composite_model(
+            [rng.normal(size=(2, 4)) for _ in range(2)] + [None],
+            [rng.normal(size=(2, 5)) for _ in range(3)], 4, 5,
+        )
+        return tensor, composite
+
+    def errors(self, monkeypatch, requests):
+        """The ContextError messages of every path, for each model in turn."""
+        test = make_event_log([0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 4], n_users=4, n_items=5)
+        bad = next(user for user, pairs in requests.items() if pairs != [(1, 1.0)])
+        messages = []
+        for model in self.models():
+            calls = [
+                lambda: score_items(model, bad, requests[bad]),
+                lambda: recommend_topn(model, bad, requests[bad], 3),
+            ]
+            for users in (1, 4):  # one user per block, and one block
+                calls.append(lambda users=users: (
+                    monkeypatch.setattr(evaluation, "RANK_BLOCK", users * 5),
+                    recall_precision_at(model, test, 3, requests),
+                ))
+            for call in calls:
+                with pytest.raises(ContextError) as info:
+                    call()
+                messages.append(str(info.value))
+        return messages
+
+    @pytest.mark.parametrize("states, message", BAD)
+    def test_tensor_and_composite_raise_the_same_error(self, monkeypatch, states, message):
+        requests = {user: [(1, 1.0)] for user in range(4)}
+        requests[2] = states
+        assert self.errors(monkeypatch, requests) == [message] * 8
+
+    def test_the_first_bad_pair_is_named(self, monkeypatch):
+        requests = {0: [(1, 1.0)], 1: [(0, 1.0), (1, np.nan)], 2: [(7, 1.0)], 3: [(1, 1.0)]}
+        messages = self.errors(monkeypatch, requests)
+        assert set(messages) == {"context weight nan of state 1 must be finite and > 0"}
+
+    def test_numpy_integer_states_are_integers(self, monkeypatch):
+        test = make_event_log([0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 4], n_users=4, n_items=5)
+        requests = {0: [(1, 1.0)], 1: [(0, 0.5), (2, 1.0)], 2: [(2, 1.0)], 3: [(0, 1.0)]}
+        numpy_requests = {
+            user: [(kind(s), w) for s, w in pairs]
+            for (user, pairs), kind in zip(requests.items(), (np.int64, np.uint64, np.int32, int))
+        }
+        for model in self.models():
+            expected = recall_precision_at(model, test, 3, requests)
+            report = recall_precision_at(model, test, 3, numpy_requests)
+            assert_bitwise_report(report, (expected.recall, expected.precision))
+            for user, pairs in numpy_requests.items():
+                scores = score_items(model, user, pairs)
+                assert scores.tobytes() == score_items(model, user, requests[user]).tobytes()
 
 
 class TestRecallPrecision:
@@ -436,6 +533,20 @@ class TestRecallPrecision:
         with pytest.raises(EvalError, match="empty"):
             recall_precision_at(model, empty, 1)
 
+    def test_bad_arguments_rejected(self):
+        model = identity_scorer([[1.0, 2.0]])
+        test = make_event_log([0], [1], [1], n_users=1, n_items=2)
+        with pytest.raises(EvalError, match="n_max must be >= 1"):
+            recall_precision_at(model, test, 0)
+        with pytest.raises(EvalError, match="'macro' or 'micro'"):
+            recall_precision_at(model, test, 2, average="mean")
+
+    def test_no_evaluable_users(self):
+        model = identity_scorer([[1.0, 2.0]])
+        test = make_event_log([1, 2], [0, 1], [1, 2], n_users=3, n_items=2)
+        with pytest.raises(EvalError, match="no evaluable users"):
+            recall_precision_at(model, test, 2, skip_unknown_users=True)
+
 
 class TestBlockRanking:
     N_USERS, N_ITEMS, N_STATES = 9, 13, 3
@@ -509,13 +620,34 @@ class TestBlockRanking:
             with pytest.raises(EvalError, match=r"excluded item ids must lie in \[0, 4\)"):
                 recall_precision_at(model, test, 2, {}, seen=seen)
 
+    def test_memory_is_bounded_when_n_max_exceeds_the_items(self):
+        # blocks were sized by the items alone, so their metric arrays grew
+        # with n_max times the users of a block
+        rng = np.random.default_rng(53)
+        model = scoring_model(rng.normal(size=(2, 200)), rng.normal(size=(2, 10)))
+        test = make_event_log(
+            np.arange(200), rng.integers(0, 10, 200), np.arange(200), n_users=200, n_items=10
+        )
+        tracemalloc.start()
+        try:
+            report = recall_precision_at(model, test, 20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.recall[-1] == 1.0
+        assert peak < 16 * 2**20
+
     @pytest.mark.parametrize("k", [20, 80])
     def test_one_user_scores_equal_the_vector_product(self, k):
         rng = np.random.default_rng(k)
         model = scoring_model(*(rng.normal(size=(k, s)) for s in (4, 50, 3)))
         states = [(2, 1.0), (0, 0.6)]
+        context, total = np.zeros(k), 0.0
+        for state, weight in states:
+            context += weight * model.factors[2][:, state]
+            total += weight
         for user in range(4):
-            weights = model.factors[0][:, user] * resolve_context_vector(model, states)
+            weights = model.factors[0][:, user] * (context / total)
             expected = weights @ model.factors[1]
             assert score_items(model, user, states).tobytes() == expected.tobytes()
 

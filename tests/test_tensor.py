@@ -165,6 +165,12 @@ class TestBuildTensor:
         with pytest.raises(TensorBuildError, match=f"tensor of {2**63} cells"):
             build_tensor(log, [[(0, 1.0)]], ctx_shape(2**21, 2**21, 2**21))
 
+    def test_small_relative_weight_under_a_low_base(self):
+        # 0.5 + 0.6 * 0.1 <= 1, though the scheme itself is valid
+        log = make_event_log([0], [0], [1])
+        with pytest.raises(TensorBuildError, match="cell weight <= 1"):
+            build_tensor(log, [[(0, 0.1)]], ctx_shape(1, 1, 1), WeightingScheme(0.5, 0.6))
+
     def test_alpha_zero_requires_bigger_base(self):
         log = make_event_log([0], [0], [1])
         obs = build_tensor(log, None, pair_shape(1, 1), WeightingScheme(base=2, alpha=0))
