@@ -5,25 +5,29 @@ Evaluation and serving rank through one scorer and one selection rule.
 model one matrix product of the user columns, weighted elementwise by
 the resolved request contexts, against the item factors; for a
 composite model the heaviest context state of each user picks the
-sub-model.  ``_top_n`` keeps a row's top N, ties broken by ascending
-item id, with excluded items dropped and NaN scores last.
+sub-model.  The selection rule keeps a row's top N, ties broken by
+ascending item id, with excluded items dropped and NaN scores last.
+Serving applies it to one row (``_top_n``), evaluation to every row of
+a block at once (``_top_n_rows``).
 
 A request context is a list of (state, weight) pairs per context axis.
 One rule holds for every pair, checked by ``_check_pair``: the state is
-an integer in [0, axis size) and the weight is finite and > 0; else
-ContextError names the first bad pair.  ``_resolve`` turns a block of
+a Python or numpy integer in [0, axis size) and the weight a Python or
+numpy number, finite and > 0 (a bool is neither, a string no number);
+else ContextError names the first bad pair.  ``_contexts`` normalizes
+the context input of a block of requests, ``_resolve`` turns a block of
 lists into weighted averages of the context factor columns, and the
 composite's selection takes the first pair of largest weight.
 
 ``score_items`` and ``recommend_topn`` are the one-user case.
 ``recall_precision_at`` groups the test and seen logs by user once and
 ranks the test users in blocks of at most ``RANK_BLOCK`` scores (or
-metric terms, when n_max exceeds the items): it
-resolves the block's contexts into one matrix, scores the block with
-one product, marks every seen item with one assignment, selects each
-row's top N and takes the hits from a boolean block of relevant items.
-The per-user sums run over users in order, so the metrics equal a loop
-over ``recommend_topn`` bit for bit.
+metric terms, when n_max exceeds the items): it normalizes and resolves
+the block's contexts, scores the block with one product, marks every
+seen item with one assignment, selects the top N of all rows with one
+partition and one sort, and takes the hits from a boolean block of
+relevant items.  The per-user sums run over users in order, so the
+metrics equal a loop over ``recommend_topn`` bit for bit.
 
 Recall@N and precision@N follow the per-user convention: relevant items
 are the distinct items the user touched in the test period, one ranking
@@ -128,37 +132,55 @@ class RankedList:
 StateInput = Union[int, Sequence, Mapping, None]
 
 
-def _states_per_axis(ctx_axes: tuple, states: StateInput) -> dict:
-    """Normalize context-state input to {axis: [(state, weight), ...]}.
+def _contexts(ctx_axes: tuple, requests: Sequence) -> dict:
+    """Normalize a block of context-state inputs to {axis: [pairs of each request]}.
 
     Every context axis of the model, ``ctx_axes``, and no other axis gets
-    a non-empty list; a bare state or list applies to the single context
-    axis.
+    a non-empty list of (state, weight) pairs per request; a bare state or
+    list applies to the single context axis.  The first bad request raises
+    EvalError.
     """
     if not ctx_axes:
         return {}
-    if states is None:
-        raise EvalError("model has a context axis; context states are required")
-    if isinstance(states, Mapping):
-        if set(states) != set(ctx_axes):
-            raise EvalError(f"context states must be keyed by the context axes {ctx_axes}")
-        per_axis = {axis: list(pairs) for axis, pairs in states.items()}
-    elif len(ctx_axes) != 1:
-        raise EvalError("pass a {axis: states} mapping for multi-context models")
-    elif isinstance(states, (int, np.integer)):
-        per_axis = {ctx_axes[0]: [(int(states), 1.0)]}
-    else:
-        per_axis = {ctx_axes[0]: list(states)}
-    if not all(per_axis.values()):
-        raise EvalError("empty context state list")
+    per_axis = {axis: [] for axis in ctx_axes}
+    for states in requests:
+        if states is None:
+            raise EvalError("model has a context axis; context states are required")
+        if isinstance(states, Mapping):
+            if set(states) != set(ctx_axes):
+                raise EvalError(f"context states must be keyed by the context axes {ctx_axes}")
+            by_axis = states.items()
+        elif len(ctx_axes) != 1:
+            raise EvalError("pass a {axis: states} mapping for multi-context models")
+        elif isinstance(states, (int, np.integer)):  # a bool too, which the rule refuses
+            by_axis = [(ctx_axes[0], [(states, 1.0)])]
+        else:
+            by_axis = [(ctx_axes[0], states)]
+        for axis, pairs in by_axis:
+            pairs = list(pairs)
+            if not pairs:
+                raise EvalError("empty context state list")
+            per_axis[axis].append(pairs)
     return per_axis
 
 
+# The types a request pair may hold; a bool is an int but neither a state
+# nor a weight.
+_STATE_TYPES = (int, np.integer)
+_WEIGHT_TYPES = (float, int, np.floating, np.integer)
+
+
+def _of_types(values, types) -> bool:
+    """Whether every value is an instance of ``types`` and none is a bool."""
+    kinds = set(map(type, values))
+    return bool not in kinds and all(issubclass(kind, types) for kind in kinds)
+
+
 def _check_pair(state, weight, size: int) -> None:
-    """The request rule: an integer state in [0, size) and a finite weight > 0."""
-    if not ((type(state) is int or isinstance(state, np.integer)) and 0 <= state < size):
+    """The request rule: an integer state in [0, size) and a finite number > 0 as weight."""
+    if not (isinstance(state, _STATE_TYPES) and type(state) is not bool and 0 <= state < size):
         raise ContextError(f"context state {state} out of bounds (size {size})")
-    if not 0 < weight < np.inf:
+    if not (isinstance(weight, _WEIGHT_TYPES) and type(weight) is not bool and 0 < weight < np.inf):
         raise ContextError(f"context weight {weight} of state {state} must be finite and > 0")
 
 
@@ -177,44 +199,78 @@ def _resolve(matrix: np.ndarray, lists: Sequence) -> np.ndarray:
 
     Every column sums its pairs in list order, so a block equals its lists
     resolved one at a time bit for bit.  One list is a loop over its pairs
-    (fewer numpy calls); a block sorts its pairs by list position once and
-    adds one position's pairs at a time across the block.  A pair that
-    breaks the request rule raises ContextError, the first one named.
+    (fewer numpy calls); a block adds one list position at a time across
+    the block (``_position_sums``) until only the longest list has pairs
+    left, which the one-list loop finishes.  A pair that breaks the
+    request rule raises ContextError, the first one named.
+    """
+    size, single = matrix.shape[1], len(lists) == 1
+    if single:
+        vec, total, tail = np.zeros(matrix.shape[0]), 0.0, lists[0]
+    else:
+        vecs, totals, longest, tail = _position_sums(matrix, lists)
+        # a contiguous vector adds faster than a column view
+        vec, total = vecs[:, longest].copy(), float(totals[longest])
+    for state, weight in tail:
+        # a valid pair of a Python int and float, the usual one, skips the call
+        if not (
+            type(state) is int and 0 <= state < size
+            and type(weight) is float and 0 < weight < np.inf
+        ):
+            _check_pair(state, weight, size)
+            weight = float(weight)  # a numpy float32 total would not sum as a block's
+        vec += weight * matrix[:, state]
+        total += weight
+    if single:
+        return (vec / total)[:, None]
+    vecs[:, longest], totals[longest] = vec, total
+    return vecs / totals
+
+
+def _position_sums(matrix: np.ndarray, lists: Sequence):
+    """A block's weighted column sums and weight totals up to the second-longest list's length.
+
+    Returns (vecs, totals, longest, tail): the (K, B) sums, the B totals,
+    the index of a longest list and its remaining (state, weight) pairs as
+    Python numbers.  The pairs are sorted by list position once, and each
+    position's pairs are one slice, added across the block.
     """
     size = matrix.shape[1]
-    if len(lists) == 1:
-        vec = np.zeros(matrix.shape[0])
-        total = 0.0
-        for state, weight in lists[0]:
-            # a valid pair with a Python int state, the usual one, skips the call
-            if not (type(state) is int and 0 <= state < size and 0 < weight < np.inf):
-                _check_pair(state, weight, size)
-            vec += weight * matrix[:, state]
-            total += weight
-        return (vec / total)[:, None]
     lengths = np.array([len(pairs) for pairs in lists], dtype=np.int64)
     pairs = [pair for states in lists for pair in states]
-    states = np.array([state for state, _ in pairs])
-    weights = np.array([weight for _, weight in pairs], dtype=np.float64)
-    if states.dtype.kind not in "iu" or not (
-        (states >= 0) & (states < size) & (weights > 0) & (weights < np.inf)
-    ).all():
+    states = [state for state, _ in pairs]
+    weights = [weight for _, weight in pairs]
+    # numpy would read a bool state as an integer and a string weight as a
+    # number, so only states and weights of the rule's types become arrays
+    typed = _of_types(states, _STATE_TYPES) and _of_types(weights, _WEIGHT_TYPES)
+    if typed:
+        states, weights = np.array(states), np.array(weights, dtype=np.float64)
+    if not (
+        typed
+        and states.dtype.kind in "iu"
+        and ((states >= 0) & (states < size) & (weights > 0) & (weights < np.inf)).all()
+    ):
         for state, weight in pairs:
             _check_pair(state, weight, size)
-        states = states.astype(np.int64)  # e.g. numpy ints of mixed signedness
+        states = states.astype(np.int64)  # numpy ints of mixed signedness, read as floats
     # pair p is at position rank[p] of the list of column col[p]; a stable sort
     # by position makes each position's pairs one slice, columns ascending
     col = np.repeat(np.arange(lengths.size), lengths)
-    rank = np.arange(len(pairs)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    starts = np.cumsum(lengths) - lengths
+    rank = np.arange(len(pairs)) - np.repeat(starts, lengths)
     vecs = np.zeros((matrix.shape[0], lengths.size))
     totals = np.zeros(lengths.size)
     by_rank = np.argsort(rank, kind="stable")
     ends = np.cumsum(np.bincount(rank)).tolist()
-    for lo, hi in zip([0, *ends], ends):
+    # past the second-longest list's length only the longest list has pairs
+    second = int(np.partition(lengths, -2)[-2])
+    for lo, hi in zip([0, *ends], ends[:second]):
         at = by_rank[lo:hi]
         vecs[:, col[at]] += weights[at] * matrix[:, states[at]]
         totals[col[at]] += weights[at]
-    return vecs / totals
+    longest = int(lengths.argmax())
+    tail = slice(starts[longest] + second, starts[longest] + lengths[longest])
+    return vecs, totals, longest, zip(states[tail].tolist(), weights[tail].tolist())
 
 
 def _score_rows(model, users: np.ndarray, contexts: dict) -> np.ndarray:
@@ -259,8 +315,7 @@ def score_items(model, user: int, states: StateInput = None, allow_unknown: bool
         if allow_unknown:
             return np.zeros(n_items)
         raise EvalError(f"unknown user {user} (model has {n_users})")
-    per_axis = _states_per_axis(model.shape.context_axes, states)
-    contexts = {axis: [pairs] for axis, pairs in per_axis.items()}
+    contexts = _contexts(model.shape.context_axes, [states])
     return _score_rows(model, np.array([user]), contexts)[0]
 
 
@@ -277,6 +332,30 @@ def _top_n(key: np.ndarray, n: int) -> np.ndarray:
     top = top[key[top] != np.inf]
     # a stable sort of ascending ids keeps the ascending-id tie-break
     return top[np.argsort(key[top], kind="stable")[:n]]
+
+
+def _top_n_rows(key: np.ndarray, n: int):
+    """(rows, ranks, indices) of every row's top n keys, by the rule of ``_top_n``.
+
+    One partition finds each row's n-th key.  The candidates not above it,
+    less the excluded +inf keys, are ordered by row, then key, then index,
+    and the first n of each row are kept, ``ranks`` counting from 0.
+    """
+    width = key.shape[1]
+    n = min(n, width)
+    nth = np.partition(key, n - 1, axis=1)[:, n - 1, None]
+    flat = np.flatnonzero(~(key > nth) & (key != np.inf))
+    rows, top = np.divmod(flat, width)
+    # dense ranks of the keys (equal keys share one, NaN ranks last) make
+    # (row, key, index) one distinct integer, so one unstable sort orders
+    # each row as the stable sort of _top_n does
+    distinct, dense = np.unique(key.ravel()[flat], return_inverse=True)
+    order = np.argsort((rows * distinct.size + dense) * width + top)
+    counts = np.bincount(rows, minlength=key.shape[0])
+    ranks = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    first = ranks < n
+    keep = order[first]
+    return rows[keep], ranks[first], top[keep]
 
 
 def recommend_topn(
@@ -329,7 +408,8 @@ class RankingReport:
 
 def _items_by_user(log: EventLog, users: np.ndarray):
     """(items, lo, hi): ``items[lo[j]:hi[j]]`` are the items of ``users[j]``."""
-    order = np.argsort(log.users, kind="stable")
+    # an item's place inside its user's group does not matter
+    order = np.argsort(log.users)
     grouped = log.users[order]
     lo = np.searchsorted(grouped, users, side="left")
     hi = np.searchsorted(grouped, users, side="right")
@@ -344,11 +424,13 @@ def _block_cells(items: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return rows, items[starts + np.arange(rows.size)]
 
 
-def _request(request_states: Mapping, user: int):
+def _requests(request_states: Mapping, users: list) -> list:
+    """The request context of each of ``users``; a user without one raises EvalError."""
     try:
-        return request_states[user]
+        return [request_states[user] for user in users]
     except KeyError:
-        raise EvalError(f"no request context for user {user}") from None
+        missing = next(user for user in users if user not in request_states)
+        raise EvalError(f"no request context for user {missing}") from None
 
 
 def recall_precision_at(
@@ -412,16 +494,14 @@ def recall_precision_at(
             ranked = block_users[known]
             states = [None] * known.size
             if request_states is not None:
-                states = [_request(request_states, user) for user in ranked.tolist()]
-            per_user = [_states_per_axis(ctx_axes, s) for s in states]
-            contexts = {axis: [p[axis] for p in per_user] for axis in ctx_axes}
-            key = -_score_rows(model, ranked, contexts)
+                states = _requests(request_states, ranked.tolist())
+            key = -_score_rows(model, ranked, _contexts(ctx_axes, states))
             if seen is not None:
                 lo, hi = seen_lo[rows][known], seen_hi[rows][known]
                 key[_block_cells(seen_items, lo, hi)] = np.inf
-            for j, row in zip(known.tolist(), key):
-                top = _top_n(row, n_max)
-                flags[j, : top.size] = relevant[j, top]
+            top_rows, ranks, top = _top_n_rows(key, n_max)
+            top_rows = known[top_rows]
+            flags[top_rows, ranks] = relevant[top_rows, top]
         hits = np.cumsum(flags, axis=1)
         n_relevant = relevant.sum(axis=1)
         total_relevant += int(n_relevant.sum())

@@ -342,6 +342,15 @@ class TestRequestRule:
         pytest.param(
             [(2, 0.5), (9, np.inf)], "context state 9 out of bounds (size 3)", id="state-before-weight"
         ),
+        # a block used to read a bool state next to int states as its integer
+        pytest.param(
+            [(0, 0.5), (True, 1.0)], "context state True out of bounds (size 3)", id="bool-state"
+        ),
+        # a block used to read a string weight as a number, one list raised TypeError
+        pytest.param(
+            [(0, 1.0), (1, "0.5")], "context weight 0.5 of state 1 must be finite and > 0",
+            id="string-weight",
+        ),
     ]
 
     def models(self):
@@ -385,6 +394,12 @@ class TestRequestRule:
         requests = {0: [(1, 1.0)], 1: [(0, 1.0), (1, np.nan)], 2: [(7, 1.0)], 3: [(1, 1.0)]}
         messages = self.errors(monkeypatch, requests)
         assert set(messages) == {"context weight nan of state 1 must be finite and > 0"}
+
+    def test_a_bare_bool_is_no_state(self):
+        for model in self.models():
+            with pytest.raises(ContextError, match="context state True out of bounds"):
+                score_items(model, 0, True)
+            assert score_items(model, 0, np.int64(1)).tobytes() == score_items(model, 0, 1).tobytes()
 
     def test_numpy_integer_states_are_integers(self, monkeypatch):
         test = make_event_log([0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 4], n_users=4, n_items=5)
@@ -580,9 +595,9 @@ class TestBlockRanking:
         }
         return model, test, seen, requests
 
-    def block_sizes(self, monkeypatch, test):
+    def block_sizes(self, monkeypatch, test, n_max=1):
         """Set the block cap to 1, 3 and all test users in turn."""
-        width = max(self.N_ITEMS, int(test.items.max()) + 1)
+        width = max(self.N_ITEMS, int(test.items.max()) + 1, n_max)
         for users in (1, 3, self.N_USERS + 3):
             monkeypatch.setattr(evaluation, "RANK_BLOCK", users * width)
             yield
@@ -602,6 +617,112 @@ class TestBlockRanking:
                         skip_unknown_users=skip, average=average,
                     )
                     assert_bitwise_report(report, reference)
+
+    def edge_instance(self, rng, composite):
+        """``instance`` with integer factors and NaN item columns.
+
+        User 0 has seen every item and user 1 all but two; both are in the
+        test log.  Integer factors make ties, and in a composite the null
+        state gives an all-zero row.
+        """
+        n_users, n_items, n_states = self.N_USERS, self.N_ITEMS, self.N_STATES
+        _, test, seen, requests = self.instance(rng, composite)
+
+        def item_matrix():
+            matrix = rng.integers(-1, 2, (2, n_items)).astype(float)
+            matrix[:, rng.choice(n_items, 2, replace=False)] = np.nan
+            return matrix
+
+        if composite:
+            model = composite_model(
+                [rng.integers(-1, 2, (2, n_users)) for _ in range(n_states - 1)] + [None],
+                [item_matrix() for _ in range(n_states)], n_users, n_items,
+            )
+        else:
+            model = scoring_model(
+                rng.integers(-1, 2, (2, n_users)), item_matrix(), rng.integers(1, 3, (2, n_states))
+            )
+        test = make_event_log(
+            np.r_[test.users, 0, 1], np.r_[test.items, 0, 1], np.arange(len(test) + 2),
+            n_users=test.n_users, n_items=test.n_items,
+        )
+        almost = np.delete(np.arange(n_items), rng.choice(n_items, 2, replace=False))
+        seen = make_event_log(
+            np.r_[seen.users, np.zeros(n_items, int), np.ones(n_items - 2, int)],
+            np.r_[seen.items, np.arange(n_items), almost], np.arange(len(seen) + 2 * n_items - 2),
+            n_users=n_users, n_items=n_items,
+        )
+        return model, test, seen, requests
+
+    def edge_features(self, model, test, seen, requests, n=4):
+        """Which selection edge cases the key rows of the known test users show."""
+        features = set()
+        for user in np.unique(test.users[test.users < self.N_USERS]).tolist():
+            key = -score_items(model, user, requests[user])
+            zero = (key == 0).all()
+            key[seen.items[seen.users == user]] = np.inf
+            ordered = np.sort(key)
+            candidates = np.count_nonzero(key != np.inf)
+            features |= {
+                name for name, shown in (
+                    ("nan", np.isnan(key).any()),
+                    ("all excluded", candidates == 0),
+                    ("fewer than n", 0 < candidates < n),
+                    ("tie at the n-th", candidates > n and ordered[n - 1] == ordered[n]),
+                    ("all-zero row", zero),
+                ) if shown
+            }
+        return features
+
+    @pytest.mark.parametrize("composite", [False, True])
+    @pytest.mark.parametrize("average", ["macro", "micro"])
+    def test_selection_edge_cases_give_the_looped_report(self, monkeypatch, composite, average):
+        rng = np.random.default_rng(55)
+        features = set()
+        for _ in range(6):
+            model, test, seen, requests = self.edge_instance(rng, composite)
+            features |= self.edge_features(model, test, seen, requests)
+            for n_max in (4, self.N_ITEMS, self.N_ITEMS + 3):
+                reference = looped_report(model, test, n_max, requests, seen, average)
+                for _ in self.block_sizes(monkeypatch, test, n_max):
+                    report = recall_precision_at(
+                        model, test, n_max, requests, seen=seen, average=average
+                    )
+                    assert_bitwise_report(report, reference)
+        expected = {"nan", "all excluded", "fewer than n", "tie at the n-th"}
+        assert features == expected | ({"all-zero row"} if composite else set())
+
+    def test_block_selection_equals_the_row_rule(self):
+        rng = np.random.default_rng(56)
+        for _ in range(300):
+            n_rows, width = int(rng.integers(1, 7)), int(rng.integers(1, 25))
+            key = rng.integers(-3, 4, (n_rows, width)).astype(float)
+            # NaN of either sign, zeros of either sign, excluded and -inf keys
+            marks = ((np.nan, 0.1), (-np.nan, 0.1), (-0.0, 0.1), (np.inf, 0.2), (-np.inf, 0.05))
+            for value, share in marks:
+                key[rng.random(key.shape) < share] = value
+            if rng.random() < 0.5:
+                key[rng.integers(0, n_rows)] = np.inf
+            for n in (1, 2, 5, width, width + 3):
+                rows, ranks, items = evaluation._top_n_rows(key, n)
+                for row in range(n_rows):
+                    expected = evaluation._top_n(key[row], n)
+                    assert items[rows == row].tolist() == expected.tolist()
+                    assert ranks[rows == row].tolist() == list(range(expected.size))
+
+    @pytest.mark.parametrize("composite", [False, True])
+    @pytest.mark.parametrize("average", ["macro", "micro"])
+    def test_event_order_does_not_matter(self, composite, average):
+        rng = np.random.default_rng(57)
+        for _ in range(4):
+            model, test, seen, requests = self.instance(rng, composite)
+            report = recall_precision_at(model, test, 4, requests, seen=seen, average=average)
+            shuffled = recall_precision_at(
+                model, test.select(rng.permutation(len(test))), 4, requests,
+                seen=seen.select(rng.permutation(len(seen))), average=average,
+            )
+            assert shuffled.n_users == report.n_users
+            assert_bitwise_report(shuffled, (report.recall, report.precision))
 
     def test_missing_request_context_in_any_block(self, monkeypatch):
         model, test, seen, requests = self.instance(np.random.default_rng(52), False)
