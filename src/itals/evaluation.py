@@ -199,43 +199,25 @@ def _resolve(matrix: np.ndarray, lists: Sequence) -> np.ndarray:
 
     Every column sums its pairs in list order, so a block equals its lists
     resolved one at a time bit for bit.  One list is a loop over its pairs
-    (fewer numpy calls); a block adds one list position at a time across
-    the block (``_position_sums``) until only the longest list has pairs
-    left, which the one-list loop finishes.  A pair that breaks the
-    request rule raises ContextError, the first one named.
-    """
-    size, single = matrix.shape[1], len(lists) == 1
-    if single:
-        vec, total, tail = np.zeros(matrix.shape[0]), 0.0, lists[0]
-    else:
-        vecs, totals, longest, tail = _position_sums(matrix, lists)
-        # a contiguous vector adds faster than a column view
-        vec, total = vecs[:, longest].copy(), float(totals[longest])
-    for state, weight in tail:
-        # a valid pair of a Python int and float, the usual one, skips the call
-        if not (
-            type(state) is int and 0 <= state < size
-            and type(weight) is float and 0 < weight < np.inf
-        ):
-            _check_pair(state, weight, size)
-            weight = float(weight)  # a numpy float32 total would not sum as a block's
-        vec += weight * matrix[:, state]
-        total += weight
-    if single:
-        return (vec / total)[:, None]
-    vecs[:, longest], totals[longest] = vec, total
-    return vecs / totals
-
-
-def _position_sums(matrix: np.ndarray, lists: Sequence):
-    """A block's weighted column sums and weight totals up to the second-longest list's length.
-
-    Returns (vecs, totals, longest, tail): the (K, B) sums, the B totals,
-    the index of a longest list and its remaining (state, weight) pairs as
-    Python numbers.  The pairs are sorted by list position once, and each
-    position's pairs are one slice, added across the block.
+    (fewer numpy calls); a block sorts its pairs by list position once and
+    adds one position's pairs at a time across the block.  A pair that
+    breaks the request rule raises ContextError, the first one named.
     """
     size = matrix.shape[1]
+    if len(lists) == 1:
+        vec = np.zeros(matrix.shape[0])
+        total = 0.0
+        for state, weight in lists[0]:
+            # a valid pair of a Python int and float, the usual one, skips the call
+            if not (
+                type(state) is int and 0 <= state < size
+                and type(weight) is float and 0 < weight < np.inf
+            ):
+                _check_pair(state, weight, size)
+                weight = float(weight)  # a numpy float32 total would not sum as a block's
+            vec += weight * matrix[:, state]
+            total += weight
+        return (vec / total)[:, None]
     lengths = np.array([len(pairs) for pairs in lists], dtype=np.int64)
     pairs = [pair for states in lists for pair in states]
     states = [state for state, _ in pairs]
@@ -256,21 +238,16 @@ def _position_sums(matrix: np.ndarray, lists: Sequence):
     # pair p is at position rank[p] of the list of column col[p]; a stable sort
     # by position makes each position's pairs one slice, columns ascending
     col = np.repeat(np.arange(lengths.size), lengths)
-    starts = np.cumsum(lengths) - lengths
-    rank = np.arange(len(pairs)) - np.repeat(starts, lengths)
+    rank = np.arange(len(pairs)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     vecs = np.zeros((matrix.shape[0], lengths.size))
     totals = np.zeros(lengths.size)
     by_rank = np.argsort(rank, kind="stable")
     ends = np.cumsum(np.bincount(rank)).tolist()
-    # past the second-longest list's length only the longest list has pairs
-    second = int(np.partition(lengths, -2)[-2])
-    for lo, hi in zip([0, *ends], ends[:second]):
+    for lo, hi in zip([0, *ends], ends):
         at = by_rank[lo:hi]
         vecs[:, col[at]] += weights[at] * matrix[:, states[at]]
         totals[col[at]] += weights[at]
-    longest = int(lengths.argmax())
-    tail = slice(starts[longest] + second, starts[longest] + lengths[longest])
-    return vecs, totals, longest, zip(states[tail].tolist(), weights[tail].tolist())
+    return vecs / totals
 
 
 def _score_rows(model, users: np.ndarray, contexts: dict) -> np.ndarray:
@@ -348,9 +325,11 @@ def _top_n_rows(key: np.ndarray, n: int):
     rows, top = np.divmod(flat, width)
     # dense ranks of the keys (equal keys share one, NaN ranks last) make
     # (row, key, index) one distinct integer, so one unstable sort orders
-    # each row as the stable sort of _top_n does
+    # each row as the stable sort of _top_n does; it is below key.size
+    # squared, as distinct.size <= key.size, so int64 holds it for any key
+    # under 3e9 entries (RANK_BLOCK sizing keeps key.size <= max(2**16, width))
     distinct, dense = np.unique(key.ravel()[flat], return_inverse=True)
-    order = np.argsort((rows * distinct.size + dense) * width + top)
+    order = np.argsort((rows * np.int64(distinct.size) + dense) * width + top)
     counts = np.bincount(rows, minlength=key.shape[0])
     ranks = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
     first = ranks < n

@@ -408,20 +408,6 @@ class TestResolveContextMatrix:
         for j, pairs in enumerate(lists):
             assert block[:, j].tobytes() == resolve_one(matrix, pairs).tobytes()
 
-    def test_long_lists_finish_one_at_a_time(self):
-        # past the second-longest list, the block form finishes the longest
-        # list with the one-list loop; the columns stay byte-identical
-        rng = np.random.default_rng(6)
-        matrix = rng.normal(size=(4, 25))
-        for lengths in ((40_000, 2, 1), (3, 1, 9_000), (1, 6_000, 700, 2), (500, 500, 1)):
-            lists = [
-                [(int(rng.integers(0, 25)), float(rng.uniform(0.1, 2.0))) for _ in range(length)]
-                for length in lengths
-            ]
-            block = _resolve(matrix, lists)
-            for j, pairs in enumerate(lists):
-                assert block[:, j].tobytes() == resolve_one(matrix, pairs).tobytes()
-
     def test_numpy_and_integer_weights_sum_as_floats(self):
         # a float32 weight used to make the one-list total a float32 sum
         matrix = np.random.default_rng(7).normal(size=(3, 4))
