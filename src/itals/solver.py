@@ -26,11 +26,22 @@ on one of two exact paths, chosen by flop count:
   axis, so with one eigendecomposition J = Q L Q^T per axis the
   push-through (Woodbury) identity needs only an n x n solve, about
   2 n K^2 + 2 n^2 K + 2 n^3 / 3 flop per column.
+
+What does not depend on the factors is an axis's solve plan
+(``_AxisPlan``), which ``fit`` builds once per axis before the first
+epoch: the empty columns, the column order and thin/thick split, the
+blocks, and per block the cell indices into each other axis (padding
+points at a zero sentinel row), the cell weights and the lambdas.  An
+epoch only forms the Gram product (and its eigendecomposition when a
+thin column exists), copies the other axes' factors into row tables,
+gathers, accumulates and solves the systems, and refreshes the Gram.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -76,18 +87,18 @@ class TrainConfig:
     init_scale: Optional[float] = None
 
     def __post_init__(self):
-        if self.features < 1:
-            raise ValueError("features must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.reg < 0:
-            raise ValueError("reg must be >= 0")
+        for name in ("features", "epochs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (math.isfinite(self.reg) and self.reg >= 0):
+            raise ValueError(f"reg must be finite and >= 0, got {self.reg!r}")
         if self.reg_mode not in REG_MODES:
             raise ValueError(f"reg_mode must be one of {REG_MODES}")
         if self.init_scale is None:
             self.init_scale = 1.0 / np.sqrt(self.features)
-        if self.init_scale <= 0:
-            raise ValueError("init_scale must be > 0")
+        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
+            raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale!r}")
 
 
 @dataclass
@@ -164,6 +175,103 @@ def _column_blocks(counts: np.ndarray, n_thin: int, max_cells: int, max_cols: in
     return blocks
 
 
+class _AxisPlan:
+    """The part of one axis solve that does not depend on the factors.
+
+    Thin columns come first, each part in ascending cell count, cut into
+    ``_column_blocks`` blocks.  A block is (column ids, one (cols, width)
+    row index per other axis whose padding points at the sentinel row
+    S_a, cell weights, lambdas, thin or not).  The work counts are
+    ``n_thin``, ``n_thick``, ``padded_cells`` and ``flop``, the module
+    docstring's per-column estimate summed over the axis.
+    """
+
+    def __init__(self, obs: ObservationTensor, axis: int, k: int, lambda_eff):
+        dims = obs.shape.dims
+        self.axis = axis
+        self.others = [a for a in range(obs.ndim) if a != axis]
+        lam = np.broadcast_to(np.asarray(lambda_eff, dtype=np.float64), (dims[axis],))
+        order, starts = obs.axis_groups(axis)
+        counts = np.diff(starts)
+        self.empty = counts == 0
+        cols = np.flatnonzero(counts)
+        # flop crossover of the two paths (in float: n^3 overflows int64)
+        sizes = counts[cols].astype(np.float64)
+        thin = (3.0 * sizes**2 * k + sizes**3 < float(k) ** 3) & (lam[cols] > 0)
+        cols = cols[np.lexsort((sizes, ~thin))]
+        self.n_thin = int(thin.sum())
+        self.n_thick = len(cols) - self.n_thin
+        thin_sizes = sizes[thin]
+        self.flop = float(
+            2.0 * k * k * sizes.sum()
+            + 2.0 * k**3 / 3.0 * self.n_thick
+            + (2.0 * thin_sizes**2 * k + 2.0 * thin_sizes**3 / 3.0).sum()
+        )
+
+        self.blocks = []
+        for b0, b1 in _column_blocks(counts[cols], self.n_thin, CELL_BLOCK, SOLVE_BLOCK):
+            block = cols[b0:b1]
+            n = counts[block]
+            offsets = np.arange(n[-1])
+            pad = offsets >= n[:, None]
+            cells = order[np.minimum(starts[block, None] + offsets, starts[block + 1, None] - 1)]
+            index = [np.where(pad, dims[a], obs.coords[cells, a]) for a in self.others]
+            self.blocks.append((block, index, obs.weights[cells], lam[block, None], b0 < self.n_thin))
+        self.padded_cells = sum(w.size for _, _, w, _, _ in self.blocks)
+
+    def solve(self, model: Model) -> None:
+        """Solve every column of the axis against the current factors, then refresh its Gram."""
+        k = model.features
+        base = model.grams[self.others[0]].copy()
+        for a in self.others[1:]:
+            base *= model.grams[a]
+
+        matrix = model.factors[self.axis]
+        matrix[:, self.empty] = 0.0
+        if self.n_thin:
+            spectrum, basis = np.linalg.eigh(base)
+            # the Gram product is PSD (Schur product theorem): clip roundoff
+            # below 0 so every thin column's L + lambda is positive
+            np.maximum(spectrum, 0.0, out=spectrum)
+        # row-major (S_a + 1, K) copies so a gather yields contiguous
+        # K-vectors; the zero last row is what padding cells gather
+        rows = []
+        for a in self.others:
+            factor = model.factors[a]
+            table = np.zeros((factor.shape[1] + 1, k))
+            table[:-1] = factor.T
+            rows.append(table)
+        eye = np.arange(k)
+
+        for block, index, w, lam, thin in self.blocks:
+            # Hadamard product of the other axes' columns, one K-vector per
+            # stored cell; w splits as 1 + (w - 1) so the zero cells are
+            # already covered by the Gram product in `base`.  Padding cells
+            # gather the zero row, so they get v = 0 and contribute nothing.
+            v = np.take(rows[0], index[0], axis=0)
+            for r, idx in zip(rows[1:], index[1:]):
+                v *= np.take(r, idx, axis=0)
+
+            if thin:
+                matrix[:, block] = _solve_thin(v, w, spectrum + lam, basis)
+                continue
+            vt = v.transpose(0, 2, 1)
+            systems = np.matmul(vt * (w - 1.0)[:, None, :], v)
+            systems += base
+            systems[:, eye, eye] += lam
+            rhs = np.matmul(vt, w[:, :, None])
+            try:
+                solution = np.linalg.solve(systems, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(
+                    "singular normal equations; use a regularization value > 0 "
+                    "that the cell weights do not dwarf"
+                ) from exc
+            matrix[:, block] = solution[:, :, 0].T
+
+        model.grams[self.axis] = matrix @ matrix.T
+
+
 def solve_axis(
     model: Model,
     obs: ObservationTensor,
@@ -187,71 +295,13 @@ def solve_axis(
     n x n system against the eigendecomposition of the Gram product,
     made once per call and only when a thin column exists,
     O(n K^2 + n^2 K + n^3) per column.
+
+    The sort, the split, the blocks and their cell indices, weights and
+    lambdas form the axis's plan; this call builds one and solves with it
+    once, while ``fit`` builds it once per fit and solves with it every
+    epoch.
     """
-    d = model.ndim
-    size = obs.shape.dims[axis]
-    k = model.features
-    others = [a for a in range(d) if a != axis]
-
-    base = model.grams[others[0]].copy()
-    for a in others[1:]:
-        base *= model.grams[a]
-
-    lam = np.broadcast_to(np.asarray(lambda_eff, dtype=np.float64), (size,))
-    order, starts = obs.axis_groups(axis)
-    counts = np.diff(starts)
-    matrix = model.factors[axis]
-    matrix[:, counts == 0] = 0.0
-    cols = np.flatnonzero(counts)
-    # flop crossover of the two paths (in float: n^3 overflows int64)
-    sizes = counts[cols].astype(np.float64)
-    thin = (3.0 * sizes**2 * k + sizes**3 < float(k) ** 3) & (lam[cols] > 0)
-    cols = cols[np.lexsort((sizes, ~thin))]
-    n_thin = int(thin.sum())
-    if n_thin:
-        spectrum, basis = np.linalg.eigh(base)
-        # the Gram product is PSD (Schur product theorem): clip roundoff
-        # below 0 so every thin column's L + lambda is positive
-        np.maximum(spectrum, 0.0, out=spectrum)
-    # row-major (S_a, K) copies so a gather yields contiguous K-vectors
-    rows = [np.ascontiguousarray(model.factors[a].T) for a in others]
-    eye = np.arange(k)
-
-    for b0, b1 in _column_blocks(counts[cols], n_thin, CELL_BLOCK, SOLVE_BLOCK):
-        block = cols[b0:b1]
-        n = counts[block]
-        offsets = np.arange(n[-1])
-        pad = offsets >= n[:, None]
-        cells = order[np.minimum(starts[block, None] + offsets, starts[block + 1, None] - 1)]
-
-        # Hadamard product of the other axes' columns, one K-vector per
-        # stored cell; w splits as 1 + (w - 1) so the zero cells are
-        # already covered by the Gram product in `base`.  Padding cells
-        # get v = 0 and contribute nothing.
-        v = rows[0][obs.coords[cells, others[0]]]
-        for a, r in zip(others[1:], rows[1:]):
-            v *= r[obs.coords[cells, a]]
-        v[pad] = 0.0
-        w = obs.weights[cells]
-
-        if b0 < n_thin:
-            matrix[:, block] = _solve_thin(v, w, spectrum + lam[block, None], basis)
-            continue
-        vt = v.transpose(0, 2, 1)
-        systems = np.matmul(vt * (w - 1.0)[:, None, :], v)
-        systems += base
-        systems[:, eye, eye] += lam[block, None]
-        rhs = np.matmul(vt, w[:, :, None])
-        try:
-            solution = np.linalg.solve(systems, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                "singular normal equations; use a regularization value > 0 "
-                "that the cell weights do not dwarf"
-            ) from exc
-        matrix[:, block] = solution[:, :, 0].T
-
-    model.grams[axis] = matrix @ matrix.T
+    _AxisPlan(obs, axis, model.features, lambda_eff).solve(model)
 
 
 def _solve_thin(v: np.ndarray, w: np.ndarray, delta: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -299,13 +349,25 @@ def fit(
     grams = [m @ m.T for m in factors]
     model = Model(obs.shape, factors, grams, config, id_maps)
 
-    lams = [effective_lambdas(config, obs, axis) for axis in range(d)]
+    plans = [
+        _AxisPlan(obs, axis, config.features, effective_lambdas(config, obs, axis))
+        for axis in range(d)
+    ]
+    log.info(
+        "solve plan: %d thick and %d thin columns, %d padded cells for %d stored, "
+        "%.3g flop per epoch",
+        sum(p.n_thick for p in plans),
+        sum(p.n_thin for p in plans),
+        sum(p.padded_cells for p in plans),
+        d * obs.n_nonzero,
+        sum(p.flop for p in plans),
+    )
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        for axis in range(d):
+        for axis, plan in enumerate(plans):
             # overflow shows as a non-finite Gram, checked in O(K^2)
             with np.errstate(over="ignore", invalid="ignore"):
-                solve_axis(model, obs, axis, lams[axis])
+                plan.solve(model)
             if not np.isfinite(model.grams[axis]).all():
                 raise SolverError(
                     f"non-finite factors in epoch {epoch + 1}, axis {axis} "

@@ -196,6 +196,16 @@ class TestTrain:
         assert message in caplog.text
         assert capsys.readouterr().out == "" and not model.exists()
 
+    def test_infinite_lambda_exits_1(self, workdir, capsys, caplog):
+        # it used to train an all-zero model
+        src = write_events(workdir / "ev.tsv")
+        model = workdir / "m.itals"
+        assert run(
+            "train", "--input", src, "--output", model, "--lambda", "inf", "--k", 2, "--epochs", 1,
+        ) == 1
+        assert "reg must be finite and >= 0, got inf" in caplog.text
+        assert capsys.readouterr().out == "" and not model.exists()
+
     def test_empty_split_exits_1(self, workdir, capsys, caplog):
         src = write_events(workdir / "ev.tsv")
         model = workdir / "m.itals"

@@ -15,7 +15,7 @@ from itals import (
     solve_axis,
 )
 from itals import solver
-from itals.solver import init_factors
+from itals.solver import REG_MODES, _AxisPlan, init_factors
 
 from conftest import random_observation, synthetic_tensor
 
@@ -41,6 +41,20 @@ class TestTrainConfig:
             TrainConfig(reg_mode="weird")
         with pytest.raises(ValueError):
             TrainConfig(init_scale=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("reg", float("inf")),
+        ("reg", float("nan")),
+        ("init_scale", float("inf")),
+        ("init_scale", float("nan")),
+        ("features", 2.5),
+        ("features", True),
+        ("epochs", 2.5),
+        ("epochs", True),
+    ])
+    def test_rejects_non_finite_and_non_integer_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            TrainConfig(**{field: value})
 
     def test_default_init_scale(self):
         assert TrainConfig(features=16).init_scale == pytest.approx(0.25)
@@ -272,3 +286,107 @@ class TestFit:
         maps = [["a", "b", "c"], ["x", "y", "z"]]
         model = fit(obs, TrainConfig(features=1, epochs=1, reg=0.1), id_maps=maps)
         assert model.id_maps == maps
+
+
+def signed_factors(config, dims):
+    """Seeded factors of both signs in (-init_scale, init_scale)."""
+    rng = np.random.default_rng(config.seed)
+    return [rng.uniform(-config.init_scale, config.init_scale, size=(config.features, int(s))) for s in dims]
+
+
+def zipf_tensor(n_users, n_items, a, seed):
+    """User x item tensor whose item columns hold Zipf(a) cells, capped at n_users."""
+    rng = np.random.default_rng(seed)
+    counts = np.minimum(rng.zipf(a, size=n_items), n_users)
+    items = np.repeat(np.arange(n_items), counts)
+    # each item's cells are consecutive users from a random start, so distinct
+    starts = np.repeat(rng.integers(0, n_users, size=n_items), counts)
+    ranks = np.arange(items.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    coords = np.stack([(starts + ranks) % n_users, items], axis=1)
+    shape = TensorShape((n_users, n_items), ("user", "item"))
+    return ObservationTensor(shape, coords, rng.uniform(2.0, 50.0, size=items.size))
+
+
+class TestAxisPlan:
+    @pytest.fixture(scope="class")
+    def zipf_obs(self):
+        return zipf_tensor(2000, 200_000, 3.0, seed=5)
+
+    @pytest.mark.parametrize("k", [20, 80])
+    def test_padding_stays_small_on_zipf_columns(self, zipf_obs, k):
+        # a block pads its columns to its widest one; sorted columns and
+        # the CELL_BLOCK budget keep that within 10% of the stored cells
+        obs = zipf_obs
+        for axis in range(2):
+            plan = _AxisPlan(obs, axis, k, 0.1)
+            assert plan.n_thin + plan.n_thick == (obs.support[axis] > 0).sum()
+            assert obs.n_nonzero <= plan.padded_cells <= 1.1 * obs.n_nonzero
+
+    def test_flop_estimate_is_affine_in_stored_cells(self):
+        # every column thick and stored in at every size, so each cell adds
+        # 2 K^2 per axis and each column a fixed 2 K^3 / 3
+        k, dims = 4, (40, 50, 8)
+        sizes = [1000, 2000, 4000, 8000]
+        flop = []
+        for n_plus in sizes:
+            obs = synthetic_tensor(dims, n_plus, seed=2)
+            plans = [_AxisPlan(obs, axis, k, 0.1) for axis in range(obs.ndim)]
+            assert sum(p.n_thick for p in plans) == sum(dims)
+            flop.append(sum(p.flop for p in plans))
+        slopes = np.diff(flop) / np.diff(sizes)
+        np.testing.assert_allclose(slopes, 2 * obs.ndim * k * k, rtol=1e-12)
+
+    def test_counts_follow_the_solvers_split(self):
+        obs = synthetic_tensor((12, 30, 3), 80, seed=4)
+        assert (obs.support[1] == 0).any()
+        k = 6
+        for axis in range(obs.ndim):
+            lams = effective_lambdas(TrainConfig(reg=0.1, reg_mode="support"), obs, axis)
+            plan = _AxisPlan(obs, axis, k, lams)
+            counts = obs.support[axis]
+            thin = TestSolveAxis.thin_columns(k, counts, lams)
+            assert plan.n_thin == thin.sum()
+            assert plan.n_thick == ((counts > 0) & ~thin).sum()
+            n = counts[counts > 0].astype(np.float64)
+            n_thin = counts[thin].astype(np.float64)
+            expected = (
+                2 * n.sum() * k * k + plan.n_thick * 2 * k**3 / 3
+                + (2 * n_thin**2 * k + 2 * n_thin**3 / 3).sum()
+            )
+            assert plan.flop == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_fit_builds_each_plan_once(self, monkeypatch, epochs):
+        calls = []
+        column_blocks = solver._column_blocks
+
+        def counted(*args):
+            calls.append(args)
+            return column_blocks(*args)
+
+        monkeypatch.setattr(solver, "_column_blocks", counted)
+        obs = synthetic_tensor((6, 8, 3), 40, seed=4)
+        fit(obs, TrainConfig(features=3, epochs=epochs, reg=0.1))
+        assert len(calls) == obs.ndim
+
+    @pytest.mark.parametrize("reg_mode", REG_MODES)
+    @pytest.mark.parametrize("dims, n_plus", [((12, 30, 3), 80), ((25, 30), 150)])
+    def test_fit_equals_a_loop_of_solve_axis(self, monkeypatch, reg_mode, dims, n_plus):
+        # signed factors: a padding cell must add exactly zero whatever the
+        # signs of the rows it would otherwise have gathered
+        monkeypatch.setattr(solver, "init_factors", signed_factors)
+        obs = synthetic_tensor(dims, n_plus, seed=4)
+        config = TrainConfig(features=6, epochs=3, reg=0.1, reg_mode=reg_mode, seed=5)
+        plans = [_AxisPlan(obs, a, 6, effective_lambdas(config, obs, a)) for a in range(obs.ndim)]
+        assert any(p.empty.any() for p in plans) or len(dims) == 2
+        assert sum(p.n_thin for p in plans) and sum(p.n_thick for p in plans)
+
+        fitted = fit(obs, config)
+        factors = signed_factors(config, obs.shape.dims)
+        assert (factors[0] < 0).any()
+        model = Model(obs.shape, factors, [m @ m.T for m in factors], config)
+        for _ in range(config.epochs):
+            for axis in range(obs.ndim):
+                solve_axis(model, obs, axis, effective_lambdas(config, obs, axis))
+        for got, want in zip(fitted.factors + fitted.grams, model.factors + model.grams):
+            assert got.tobytes() == want.tobytes()
