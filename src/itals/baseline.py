@@ -58,6 +58,13 @@ class CompositeModel:
         return self.config.features
 
 
+def submodel_id_maps(shape: TensorShape, id_maps: Optional[list]) -> Optional[list]:
+    """The id maps every sub-model of a composite shares: its user and item maps."""
+    if id_maps is None:
+        return None
+    return [id_maps[shape.user_axis], id_maps[shape.item_axis]]
+
+
 def slice_by_state(obs: ObservationTensor, state: int) -> ObservationTensor:
     """The (user, item) sub-tensor of the cells in one context state, in tensor order."""
     if obs.ndim != 3:
@@ -86,9 +93,7 @@ def fit_ica(
         raise SolverError("the composite baseline requires user, item and one context axis")
     ctx_axis = obs.shape.context_axes[0]
     n_states = obs.shape.dims[ctx_axis]
-    pair_maps = None
-    if id_maps is not None:
-        pair_maps = [id_maps[obs.shape.user_axis], id_maps[obs.shape.item_axis]]
+    pair_maps = submodel_id_maps(obs.shape, id_maps)
 
     submodels: list = []
     for state in range(n_states):

@@ -17,6 +17,7 @@ user and timestamp) begins, a request's at the end of the user's history.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -118,8 +119,9 @@ class SequenceSpec:
     cold_state: int = 0
 
     def __post_init__(self):
-        if self.history_depth < 1:
-            raise ContextError("history_depth must be >= 1")
+        depth = self.history_depth
+        if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < 1:
+            raise ContextError(f"history_depth must be an integer >= 1, got {depth!r}")
         if not (0.0 < self.decay <= 1.0):
             raise ContextError("decay must lie in (0, 1]")
         if self.category_count < 1:

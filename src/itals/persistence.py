@@ -17,21 +17,31 @@ tensor, state count (u64), then per state a u8 presence flag followed by
 the sub-model's D/K/dims/roles/factors (sub-models share the id-maps and
 config stored once at the end).
 
+One reader, ``_Reader``, reads every field by its struct format and
+raises "truncated model file" before it reads or allocates for more
+bytes than the file has left.  Every malformed file, also one with bytes
+after its config trailer, is a ``PersistenceError`` or another
+``ValueError`` (a string that is not UTF-8, a shape or config its
+constructor rejects).
+
 Reload reproduces predictions bit-exactly: float64 bytes round-trip
-unchanged.  Saving and loading reject factors that hold NaN or infinity,
-which no trained model has, id maps of the wrong length, and composite
-sub-models whose user count, item count or K differ from the composite's.
+unchanged.  Saving and loading reject what no trained model has: factors
+that hold NaN or infinity or overflow their Grams, id maps of the wrong
+length, a config trailer whose K is not the factors', and a composite
+whose context axis is not one or whose sub-models' user count, item
+count or K differ from its own.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import IO, Union
 
 import numpy as np
 
-from .baseline import CompositeModel
+from .baseline import CompositeModel, submodel_id_maps
 from .solver import Model, TrainConfig
 from .tensor import TensorShape
 
@@ -47,45 +57,70 @@ class PersistenceError(ValueError):
     pass
 
 
+class _Reader:
+    """Reads a model file's fields in order, never past the end it had when opened."""
+
+    def __init__(self, fh: IO[bytes]):
+        self._fh = fh
+        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
+
+    def _claim(self, count: int) -> int:
+        if count > self.left:
+            raise PersistenceError("truncated model file")
+        self.left -= count
+        return count
+
+    def field(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self._fh.read(self._claim(struct.calcsize(fmt))))
+
+    def text(self) -> str:
+        (length,) = self.field("<I")
+        return self._fh.read(self._claim(length)).decode("utf-8")
+
+    def matrix(self, rows: int, cols: int) -> np.ndarray:
+        """An owned, writable, C-ordered float64 (rows, cols) matrix."""
+        self._claim(rows * cols * struct.calcsize("<d"))
+        out = np.empty((rows, cols), dtype="<f8")
+        self._fh.readinto(out)
+        return out
+
+
 def _write_str(fh: IO[bytes], text: str) -> None:
     data = text.encode("utf-8")
-    fh.write(struct.pack("<I", len(data)))
-    fh.write(data)
-
-
-def _read_str(fh: IO[bytes]) -> str:
-    (length,) = struct.unpack("<I", _read_exact(fh, 4))
-    return _read_exact(fh, length).decode("utf-8")
-
-
-def _read_exact(fh: IO[bytes], count: int) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise PersistenceError("truncated model file")
-    return data
+    fh.write(struct.pack("<I", len(data)) + data)
 
 
 def _write_shape(fh: IO[bytes], shape: TensorShape, k: int) -> None:
-    fh.write(struct.pack("<II", shape.ndim, k))
-    for s in shape.dims:
-        fh.write(struct.pack("<Q", s))
+    fh.write(struct.pack(f"<II{shape.ndim}Q", shape.ndim, k, *shape.dims))
     for role in shape.axis_roles:
         _write_str(fh, role)
 
 
-def _read_shape(fh: IO[bytes]):
-    d, k = struct.unpack("<II", _read_exact(fh, 8))
-    dims = [struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(d)]
-    roles = [_read_str(fh) for _ in range(d)]
-    return TensorShape(dims, roles), k
+def _read_shape(reader: _Reader):
+    d, k = reader.field("<II")
+    dims = reader.field(f"<{d}Q")
+    return TensorShape(dims, [reader.text() for _ in range(d)]), k
 
 
-def _check_factors(shape: TensorShape, k: int, factors: list) -> None:
+def _check_factors(shape: TensorShape, k: int, factors: list) -> list:
+    """Raise unless the factors fit the shape and K and have finite Grams; return the Grams."""
+    grams = []
     for axis, matrix in enumerate(factors):
         if matrix.shape != (k, shape.dims[axis]):
             raise PersistenceError(f"factor matrix {axis} has shape {matrix.shape}")
-        if not np.isfinite(matrix).all():
-            raise PersistenceError(f"factor matrix {axis} holds non-finite values")
+        # NaN, infinity and overflow all show in the Gram, as in fit
+        with np.errstate(over="ignore", invalid="ignore"):
+            grams.append(matrix @ matrix.T)
+        if not np.isfinite(grams[-1]).all():
+            raise PersistenceError(
+                f"factor matrix {axis} holds non-finite values or overflows its Gram"
+            )
+    return grams
+
+
+def _check_features(config: TrainConfig, k: int) -> None:
+    if config.features != k:
+        raise PersistenceError(f"the config trailer has K = {config.features}, the factors K = {k}")
 
 
 def _check_id_maps(shape: TensorShape, id_maps) -> None:
@@ -101,12 +136,12 @@ def _check_id_maps(shape: TensorShape, id_maps) -> None:
 
 
 def _check_submodels(model: CompositeModel) -> None:
-    """Every sub-model must score the composite's users and items with its K."""
-    shape = model.shape
-    if model.n_states != shape.dims[model.context_axis]:
-        raise PersistenceError(
-            f"{model.n_states} sub-models for {shape.dims[model.context_axis]} context states"
-        )
+    """Require a context axis, and sub-models with the composite's users, items and K."""
+    shape, axis = model.shape, model.context_axis
+    if axis not in shape.context_axes:
+        raise PersistenceError(f"axis {axis} is not a context axis of roles {shape.axis_roles}")
+    if model.n_states != shape.dims[axis]:
+        raise PersistenceError(f"{model.n_states} sub-models for {shape.dims[axis]} context states")
     want = (shape.dims[shape.user_axis], shape.dims[shape.item_axis], model.features)
     for state, sub in enumerate(model.submodels):
         if sub is None:
@@ -126,67 +161,43 @@ def _write_core(fh: IO[bytes], shape: TensorShape, k: int, factors: list) -> Non
         fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
 
 
-def _read_core(fh: IO[bytes]):
-    shape, k = _read_shape(fh)
-    factors = [
-        np.frombuffer(_read_exact(fh, 8 * k * s), dtype="<f8").reshape(k, s).copy()
-        for s in shape.dims
-    ]
-    _check_factors(shape, k, factors)
-    return shape, k, factors
+def _read_core(reader: _Reader):
+    shape, k = _read_shape(reader)
+    factors = [reader.matrix(k, s) for s in shape.dims]
+    return shape, factors, _check_factors(shape, k, factors)
 
 
 def _write_id_maps(fh: IO[bytes], ndim: int, id_maps) -> None:
-    for axis in range(ndim):
-        ids = None if id_maps is None else id_maps[axis]
-        if ids is None:
-            fh.write(struct.pack("<B", 0))
-            continue
-        fh.write(struct.pack("<B", 1))
-        fh.write(struct.pack("<Q", len(ids)))
-        for original in ids:
-            _write_str(fh, str(original))
+    for ids in id_maps or [None] * ndim:
+        fh.write(struct.pack("<B", ids is not None))
+        if ids is not None:
+            fh.write(struct.pack("<Q", len(ids)))
+            for original in ids:
+                _write_str(fh, str(original))
 
 
-def _read_id_maps(fh: IO[bytes], shape: TensorShape):
+def _read_id_maps(reader: _Reader, shape: TensorShape):
     maps = []
-    any_present = False
     for _ in range(shape.ndim):
-        (present,) = struct.unpack("<B", _read_exact(fh, 1))
-        if not present:
-            maps.append(None)
-            continue
-        any_present = True
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8))
-        maps.append([_read_str(fh) for _ in range(count)])
-    if not any_present:
+        (present,) = reader.field("<B")
+        maps.append([reader.text() for _ in range(reader.field("<Q")[0])] if present else None)
+    if all(ids is None for ids in maps):
         return None
     _check_id_maps(shape, maps)
     return maps
 
 
 def _write_config(fh: IO[bytes], config: TrainConfig) -> None:
-    fh.write(struct.pack("<II", config.features, config.epochs))
-    fh.write(struct.pack("<d", config.reg))
+    fh.write(struct.pack("<IId", config.features, config.epochs, config.reg))
     _write_str(fh, config.reg_mode)
-    fh.write(struct.pack("<q", config.seed))
-    fh.write(struct.pack("<d", config.init_scale))
+    fh.write(struct.pack("<qd", config.seed, config.init_scale))
 
 
-def _read_config(fh: IO[bytes]) -> TrainConfig:
-    features, epochs = struct.unpack("<II", _read_exact(fh, 8))
-    (reg,) = struct.unpack("<d", _read_exact(fh, 8))
-    reg_mode = _read_str(fh)
-    (seed,) = struct.unpack("<q", _read_exact(fh, 8))
-    (init_scale,) = struct.unpack("<d", _read_exact(fh, 8))
-    return TrainConfig(
-        features=features,
-        epochs=epochs,
-        reg=reg,
-        reg_mode=reg_mode,
-        seed=seed,
-        init_scale=init_scale,
-    )
+def _read_config(reader: _Reader) -> TrainConfig:
+    features, epochs, reg = reader.field("<IId")
+    reg_mode = reader.text()
+    seed, init_scale = reader.field("<qd")
+    return TrainConfig(features, epochs, reg, reg_mode, seed, init_scale)
 
 
 def save_model(model, path: Union[str, Path]) -> None:
@@ -201,20 +212,18 @@ def save_model(model, path: Union[str, Path]) -> None:
         _check_factors(core.shape, core.features, core.factors)
     if composite:
         _check_submodels(model)
+    _check_features(model.config, model.features)
     _check_id_maps(model.shape, model.id_maps)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         if composite:
-            fh.write(struct.pack("<II", FORMAT_VERSION, KIND_COMPOSITE))
-            fh.write(struct.pack("<I", model.context_axis))
+            fh.write(struct.pack("<III", FORMAT_VERSION, KIND_COMPOSITE, model.context_axis))
             _write_shape(fh, model.shape, model.features)
             fh.write(struct.pack("<Q", model.n_states))
             for sub in model.submodels:
-                if sub is None:
-                    fh.write(struct.pack("<B", 0))
-                    continue
-                fh.write(struct.pack("<B", 1))
-                _write_core(fh, sub.shape, sub.features, sub.factors)
+                fh.write(struct.pack("<B", sub is not None))
+                if sub is not None:
+                    _write_core(fh, sub.shape, sub.features, sub.factors)
         else:
             fh.write(struct.pack("<II", FORMAT_VERSION, KIND_SINGLE))
             _write_core(fh, model.shape, model.features, model.factors)
@@ -228,40 +237,29 @@ def load_model(path: Union[str, Path]):
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise PersistenceError(f"not a model file (magic {magic!r})")
-        version, kind = struct.unpack("<II", _read_exact(fh, 8))
+        reader = _Reader(fh)
+        version, kind = reader.field("<II")
         if version != FORMAT_VERSION:
             raise PersistenceError(f"unsupported format version {version}")
-
         if kind == KIND_SINGLE:
-            shape, k, factors = _read_core(fh)
-            id_maps = _read_id_maps(fh, shape)
-            config = _read_config(fh)
-            grams = [m @ m.T for m in factors]
-            return Model(shape, factors, grams, config, id_maps)
-
-        if kind == KIND_COMPOSITE:
-            (ctx_axis,) = struct.unpack("<I", _read_exact(fh, 4))
-            shape, _ = _read_shape(fh)
-            (n_states,) = struct.unpack("<Q", _read_exact(fh, 8))
-            submodels = []
-            sub_cores = []
-            for _ in range(n_states):
-                (present,) = struct.unpack("<B", _read_exact(fh, 1))
-                sub_cores.append(_read_core(fh) if present else None)
-            id_maps = _read_id_maps(fh, shape)
-            config = _read_config(fh)
-            pair_maps = None
-            if id_maps is not None:
-                pair_maps = [id_maps[shape.user_axis], id_maps[shape.item_axis]]
-            for core in sub_cores:
-                if core is None:
-                    submodels.append(None)
-                    continue
-                sub_shape, sub_k, sub_factors = core
-                grams = [m @ m.T for m in sub_factors]
-                submodels.append(Model(sub_shape, sub_factors, grams, config, pair_maps))
-            model = CompositeModel(ctx_axis, shape, submodels, config, id_maps)
-            _check_submodels(model)
-            return model
-
-    raise PersistenceError(f"unknown model kind {kind}")
+            shape, factors, grams = _read_core(reader)
+            k = factors[0].shape[0]
+        elif kind == KIND_COMPOSITE:
+            (ctx_axis,) = reader.field("<I")
+            shape, k = _read_shape(reader)
+            (n_states,) = reader.field("<Q")
+            cores = [_read_core(reader) if reader.field("<B")[0] else None for _ in range(n_states)]
+        else:
+            raise PersistenceError(f"unknown model kind {kind}")
+        id_maps = _read_id_maps(reader, shape)
+        config = _read_config(reader)
+        if reader.left:
+            raise PersistenceError(f"stray bytes after the config trailer ({reader.left})")
+    _check_features(config, k)
+    if kind == KIND_SINGLE:
+        return Model(shape, factors, grams, config, id_maps)
+    pair_maps = submodel_id_maps(shape, id_maps)
+    submodels = [None if core is None else Model(*core, config, pair_maps) for core in cores]
+    model = CompositeModel(ctx_axis, shape, submodels, config, id_maps)
+    _check_submodels(model)
+    return model

@@ -8,6 +8,7 @@ instead of touching the full tensor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
@@ -74,14 +75,16 @@ class TensorShape:
 class WeightingScheme:
     """Affine cell weighting: w = base + alpha * (weighted event count).
 
-    Guarantees w > 1 on observed cells provided alpha >= 0 and
-    base + alpha > 1, which the constructor enforces.
+    Guarantees w > 1 on observed cells provided base and alpha are
+    finite, alpha >= 0 and base + alpha > 1, which the constructor enforces.
     """
 
     base: float = 1.0
     alpha: float = 100.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.base) and math.isfinite(self.alpha)):
+            raise ValueError(f"base and alpha must be finite, got {self.base!r} and {self.alpha!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.base + self.alpha <= 1.0:
@@ -176,7 +179,8 @@ def build_tensor(
     """Aggregate events into an observation tensor.
 
     ``context_states[e]`` lists (state, relative-weight) pairs for event e
-    on the single context axis; relative weights must lie in (0, 1].  With
+    on the single context axis; states must be integers (a bool reads as 0
+    or 1) and relative weights must lie in (0, 1].  With
     a 2-dimensional shape the context input is ignored and cells are keyed
     (user, item).  Repeat events on one cell merge into its weight:
     w = base + alpha * sum of contributing relative weights, summed in
@@ -198,16 +202,22 @@ def build_tensor(
             raise TensorBuildError("context_states must provide one entry per event")
         counts = np.fromiter(map(len, context_states), dtype=np.int64, count=n_events)
         pairs = np.array(list(chain.from_iterable(context_states)), dtype=np.float64).reshape(-1, 2)
-        contributions = pairs[:, 1]
-        bad = np.flatnonzero(~((contributions > 0) & (contributions <= 1.0)))
+        states, contributions = pairs[:, 0], pairs[:, 1]
+        # NaN and infinity fail the range test, so the int64 cast cannot warn
+        integral = (states == np.trunc(states)) & (np.abs(states) < 2.0**63)
+        bad = np.flatnonzero(~(integral & (contributions > 0) & (contributions <= 1.0)))
         if bad.size:
-            e = int(np.searchsorted(np.cumsum(counts), bad[0], side="right"))
-            rel = next(r for _, r in context_states[e] if not (0 < r <= 1.0))
-            raise TensorBuildError(f"relative weight must be in (0, 1], got {rel} for event {e}")
+            ends = np.cumsum(counts)
+            e = int(np.searchsorted(ends, bad[0], side="right"))
+            state, rel = context_states[e][bad[0] - ends[e] + counts[e]]
+            what = f"relative weight must be in (0, 1], got {rel}"
+            if not integral[bad[0]]:
+                what = f"context state must be an int64 integer, got {state!r}"
+            raise TensorBuildError(f"{what} for event {e}")
         columns = [None] * 3
         columns[shape.user_axis] = np.repeat(events.users, counts)
         columns[shape.item_axis] = np.repeat(events.items, counts)
-        columns[shape.context_axes[0]] = pairs[:, 0].astype(np.int64)
+        columns[shape.context_axes[0]] = states.astype(np.int64)
 
     # np.unique returns the cells in canonical order; bincount sums each
     # cell's contributions in event order

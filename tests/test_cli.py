@@ -1,4 +1,6 @@
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from itals import cli, persistence
 from itals.cli import build_parser, main
 
 from conftest import DAY, overwrite_float64, synthetic_tensor, write_events
+
+V1 = Path(__file__).parent / "fixtures" / "v1"
 
 
 @pytest.fixture
@@ -204,6 +208,17 @@ class TestTrain:
             "train", "--input", src, "--output", model, "--lambda", "inf", "--k", 2, "--epochs", 1,
         ) == 1
         assert "reg must be finite and >= 0, got inf" in caplog.text
+        assert capsys.readouterr().out == "" and not model.exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_1(self, workdir, capsys, caplog, alpha):
+        # nan and inf used to fail later, as a cell weight <= 1 or not finite
+        src = write_events(workdir / "ev.tsv")
+        model = workdir / "m.itals"
+        assert run(
+            "train", "--input", src, "--output", model, "--alpha", alpha, "--k", 2, "--epochs", 1,
+        ) == 1
+        assert f"base and alpha must be finite, got 1.0 and {alpha}" in caplog.text
         assert capsys.readouterr().out == "" and not model.exists()
 
     def test_empty_split_exits_1(self, workdir, capsys, caplog):
@@ -595,6 +610,21 @@ class TestRecommendCommand:
         assert run("recommend", "--model", model, "--user", "a", "--topn", 4) == 1
         assert capsys.readouterr().out == ""
         assert "id map of axis 1 holds 2 ids, the axis has 4" in caplog.text
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--input", V1 / "events.tsv", "--split-ts", 27 * DAY, "--context", "timeband"],
+    ["recommend", "--user", "u0"],
+])
+def test_a_model_file_whose_k_exceeds_its_bytes_exits_1(workdir, capsys, caplog, command):
+    # a K of 2**31 used to die with a MemoryError or OverflowError traceback
+    raw = bytearray((V1 / "timeband-itals.itals").read_bytes())
+    raw[17:21] = struct.pack("<I", 2**31)  # after the magic, version, kind and D
+    model = workdir / "m.itals"
+    model.write_bytes(raw)
+    assert run(command[0], "--model", model, *command[1:]) == 1
+    assert "truncated model file" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 class TestConfigFile:

@@ -136,6 +136,14 @@ class TestSequenceSpec:
         with pytest.raises(ContextError):
             SequenceSpec(history_depth=1, category_count=2, cold_state=2)
 
+    @pytest.mark.parametrize("depth", [2.5, True, 0, "2"])
+    def test_history_depth_is_an_integer_of_at_least_one(self, depth):
+        # 2.5 used to raise a TypeError inside the window rule, True to act as 1
+        message = f"history_depth must be an integer >= 1, got {depth!r}"
+        with pytest.raises(ContextError, match=message):
+            SequenceSpec(history_depth=depth, category_count=2, cold_state=1)
+        assert SequenceSpec(history_depth=np.int64(2), category_count=2, cold_state=1)
+
 
 def brute_force_window(earlier, spec):
     """The context of a user's categories ``earlier`` (oldest first), merged pair by pair.
@@ -272,6 +280,19 @@ class TestSequentialContext:
             assert 1 <= len(pairs) <= 3
             weights = [w for _, w in pairs]
             assert all(0 < w <= 1 for w in weights)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5])
+    def test_pairs_per_event_stay_at_most_the_depth(self, depth):
+        # 8 categories, 30 purchases per user in tied baskets, repeats common
+        rng = np.random.default_rng(11)
+        users = np.repeat(np.arange(6), 30)
+        stamps = np.concatenate([np.sort(rng.integers(0, 12, 30)) for _ in range(6)])
+        log = make_event_log(users, rng.integers(0, 12, users.size), stamps, n_users=6, n_items=12)
+        mapping = {i: i % 8 for i in range(12)}
+        spec = self.spec(depth=depth, decay=0.8, cats=8)
+        sizes = [len(pairs) for pairs in sequential_context(log, mapping, spec)]
+        sizes += [len(pairs) for pairs in last_category_states(log, mapping, spec).values()]
+        assert max(sizes) == depth
 
     def test_depth_beyond_the_history_builds_no_more_weights(self):
         # the window weights used to be built for the whole depth on every call

@@ -1,3 +1,7 @@
+import struct
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,8 @@ from itals import persistence
 
 from conftest import overwrite_float64, synthetic_tensor
 from test_baseline import band_tensor
+
+V1 = Path(__file__).parent / "fixtures" / "v1"
 
 
 def random_trained(seed, dims=(5, 6, 3)):
@@ -196,3 +202,82 @@ class TestErrors:
         model = CompositeModel(2, shape, [None, sub((4, 5), 2), None], config)
         with pytest.raises(PersistenceError, match="3 sub-models for 2 context states"):
             save_model(model, path)
+
+
+class TestMalformedFiles:
+    def test_every_changed_header_byte_loads_or_is_a_value_error(self, tmp_path):
+        # counts and sizes read as 0xFF... used to raise MemoryError or
+        # OverflowError, and a context axis past the shape IndexError
+        path = tmp_path / "m"
+        started = time.perf_counter()
+        for fixture in sorted(V1.glob("*.itals")):
+            raw = fixture.read_bytes()
+            for pos in range(64):
+                for value in (0x00, 0xFF):
+                    changed = bytearray(raw)
+                    changed[pos] = value
+                    path.write_bytes(changed)
+                    try:
+                        load_model(path)
+                    except ValueError:
+                        pass
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("axis", [7, 0])
+    def test_composite_context_axis_must_be_a_context_axis(self, tmp_path, axis):
+        raw = bytearray((V1 / "timeband-ica.itals").read_bytes())
+        raw[13:17] = struct.pack("<I", axis)  # after the magic, version and kind
+        path = tmp_path / "c"
+        path.write_bytes(raw)
+        with pytest.raises(PersistenceError, match=f"axis {axis} is not a context axis"):
+            load_model(path)
+        model = load_model(V1 / "timeband-ica.itals")
+        model.context_axis = axis
+        with pytest.raises(PersistenceError, match=f"axis {axis} is not a context axis"):
+            save_model(model, tmp_path / "saved")
+        assert not (tmp_path / "saved").exists()
+
+    def test_bytes_after_the_config_trailer_are_rejected(self, tmp_path):
+        path = tmp_path / "m"
+        path.write_bytes((V1 / "timeband-itals.itals").read_bytes() + b"\0\0")
+        with pytest.raises(PersistenceError, match=r"stray bytes after the config trailer \(2\)"):
+            load_model(path)
+
+    def test_config_trailer_k_must_be_the_factors_k(self, tmp_path):
+        # a trailer saying K = 9 over K = 3 factors used to load silently
+        _, model = random_trained(16)
+        path = tmp_path / "m"
+        save_model(model, path)
+        trailer = struct.pack("<IId", 3, 1, 0.1)
+        raw = path.read_bytes()
+        assert raw.count(trailer) == 1
+        path.write_bytes(raw.replace(trailer, struct.pack("<IId", 9, 1, 0.1)))
+        with pytest.raises(PersistenceError, match="config trailer has K = 9, the factors K = 3"):
+            load_model(path)
+        path.unlink()
+        model.config = TrainConfig(features=9, epochs=1, reg=0.1)
+        with pytest.raises(PersistenceError, match="config trailer has K = 9"):
+            save_model(model, path)
+        assert not path.exists()
+
+    def test_factors_whose_gram_overflows_are_rejected(self, tmp_path):
+        # finite factors this large used to warn in m @ m.T and load infinite Grams
+        _, model = random_trained(17)
+        path = tmp_path / "m"
+        save_model(model, path)
+        overwrite_float64(path, model.factors[2][1, 0], 1e200)
+        with pytest.raises(PersistenceError, match="factor matrix 2 .* overflows its Gram"):
+            load_model(path)
+        path.unlink()
+        model.factors[2][1, 0] = 1e200
+        with pytest.raises(PersistenceError, match="overflows its Gram"):
+            save_model(model, path)
+        assert not path.exists()
+
+    def test_loaded_factors_are_owned_writable_float64(self, tmp_path):
+        _, model = random_trained(18)
+        path = tmp_path / "m"
+        save_model(model, path)
+        for matrix in load_model(path).factors:
+            assert matrix.dtype == np.float64
+            assert matrix.flags.owndata and matrix.flags.c_contiguous and matrix.flags.writeable

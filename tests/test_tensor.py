@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,12 @@ class TestWeightingScheme:
         with pytest.raises(ValueError, match="exceed 1"):
             WeightingScheme(base=0.5, alpha=0.5)
 
+    @pytest.mark.parametrize("base, alpha", [(1.0, np.nan), (1.0, np.inf), (-np.inf, np.inf)])
+    def test_rejects_non_finite_base_or_alpha(self, base, alpha):
+        # they used to fail only when the tensor was built
+        with pytest.raises(ValueError, match="base and alpha must be finite"):
+            WeightingScheme(base=base, alpha=alpha)
+
 
 class TestBuildTensor:
     def test_single_event_weight(self):
@@ -104,6 +112,23 @@ class TestBuildTensor:
             build_tensor(log, [[(0, 1.5)]], ctx_shape(1, 1, 1))
         with pytest.raises(TensorBuildError, match="relative weight"):
             build_tensor(log, [[(0, 0.0)]], ctx_shape(1, 1, 1))
+
+    @pytest.mark.parametrize("state", [1.7, np.nan, np.inf, -np.inf, 1e30])
+    def test_context_state_must_be_an_integer(self, state):
+        # 1.7 used to train as state 1, and NaN to warn and then fail as out of bounds
+        log = make_event_log([0, 0, 0], [0, 1, 0], [1, 2, 3])
+        states = [[(0, 1.0)], [(1, 0.5), (state, 0.5)], [(state, 2.0)]]
+        message = f"context state must be an int64 integer, got {state!r} for event 1"
+        with pytest.raises(TensorBuildError, match=re.escape(message) + "$"):
+            build_tensor(log, states, ctx_shape(1, 2, 2))
+
+    def test_integral_float_and_bool_states_read_as_integers(self):
+        log = make_event_log([0, 0], [0, 1], [1, 2])
+        want = build_tensor(log, [[(1, 1.0)], [(0, 0.5)]], ctx_shape(1, 2, 2))
+        for states in ([[(1.0, 1.0)], [(0.0, 0.5)]], [[(True, 1.0)], [(False, 0.5)]]):
+            got = build_tensor(log, states, ctx_shape(1, 2, 2))
+            assert np.array_equal(got.coords, want.coords)
+            assert np.array_equal(got.weights, want.weights)
 
     def test_relative_weight_error_names_first_bad_event(self):
         log = make_event_log([0, 0, 0, 0], [0, 1, 0, 1], [1, 2, 3, 4])
