@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .solver import Model, SolverError, TrainConfig, fit
+from .solver import Model, SolverError, TrainConfig, _each, fit
 from .tensor import ObservationTensor, TensorShape
 
 __all__ = ["CompositeModel", "fit_ials", "fit_ica"]
@@ -88,6 +88,9 @@ def fit_ica(
 
     States with no stored cells get a null model that scores everything
     zero.  Sub-models share hyperparameters and the global vocabularies.
+    The states are fitted on the solver's lanes, one per CPU, and each
+    sub-model's axis solves run inline in its lane; every sub-model has
+    the bits a plain loop over the states would give.
     """
     if obs.ndim != 3:
         raise SolverError("the composite baseline requires user, item and one context axis")
@@ -95,13 +98,15 @@ def fit_ica(
     n_states = obs.shape.dims[ctx_axis]
     pair_maps = submodel_id_maps(obs.shape, id_maps)
 
-    submodels: list = []
-    for state in range(n_states):
+    submodels: list = [None] * n_states
+    obs.axis_groups(ctx_axis)  # cached here, so no lane fills the shared cache
+
+    def fit_state(state: int) -> None:
         part = slice_by_state(obs, state)
-        if part.n_nonzero == 0:
-            submodels.append(None)
-            continue
-        log.info("composite state %d/%d: %d cells", state + 1, n_states, part.n_nonzero)
-        submodels.append(fit_ials(part, config, pair_maps))
+        if part.n_nonzero:
+            log.info("composite state %d/%d: %d cells", state + 1, n_states, part.n_nonzero)
+            submodels[state] = fit_ials(part, config, pair_maps)
+
+    _each(range(n_states), fit_state)
     return CompositeModel(ctx_axis, obs.shape, submodels, config, id_maps)
 

@@ -124,6 +124,10 @@ class SequenceSpec:
             raise ContextError(f"history_depth must be an integer >= 1, got {depth!r}")
         if not (0.0 < self.decay <= 1.0):
             raise ContextError("decay must lie in (0, 1]")
+        for name in ("category_count", "cold_state"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ContextError(f"{name} must be an integer, got {value!r}")
         if self.category_count < 1:
             raise ContextError("category_count must be >= 1")
         if not (0 <= self.cold_state < self.category_count):

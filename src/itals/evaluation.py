@@ -142,6 +142,9 @@ def _contexts(ctx_axes: tuple, requests: Sequence) -> dict:
     """
     if not ctx_axes:
         return {}
+    if len(ctx_axes) == 1 and all(type(states) is list and states for states in requests):
+        # the usual input, a non-empty list per request, is only read: no copies
+        return {ctx_axes[0]: list(requests)}
     per_axis = {axis: [] for axis in ctx_axes}
     for states in requests:
         if states is None:
@@ -215,9 +218,10 @@ def _resolve(matrix: np.ndarray, lists: Sequence) -> np.ndarray:
             ):
                 _check_pair(state, weight, size)
                 weight = float(weight)  # a numpy float32 total would not sum as a block's
-            vec += weight * matrix[:, state]
+            # multiplying or dividing by exactly 1.0 changes no bit, so it is skipped
+            vec += matrix[:, state] if weight == 1.0 else weight * matrix[:, state]
             total += weight
-        return (vec / total)[:, None]
+        return (vec if total == 1.0 else vec / total)[:, None]
     lengths = np.array([len(pairs) for pairs in lists], dtype=np.int64)
     pairs = [pair for states in lists for pair in states]
     states = [state for state, _ in pairs]

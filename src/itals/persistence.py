@@ -20,9 +20,9 @@ config stored once at the end).
 One reader, ``_Reader``, reads every field by its struct format and
 raises "truncated model file" before it reads or allocates for more
 bytes than the file has left.  Every malformed file, also one with bytes
-after its config trailer, is a ``PersistenceError`` or another
-``ValueError`` (a string that is not UTF-8, a shape or config its
-constructor rejects).
+after its config trailer or a presence flag other than 0 or 1, is a
+``PersistenceError`` or another ``ValueError`` (a string that is not
+UTF-8, a shape or config its constructor rejects).
 
 Reload reproduces predictions bit-exactly: float64 bytes round-trip
 unchanged.  Saving and loading reject what no trained model has: factors
@@ -72,6 +72,13 @@ class _Reader:
 
     def field(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self._fh.read(self._claim(struct.calcsize(fmt))))
+
+    def flag(self) -> bool:
+        """A u8 presence flag: 0 or 1, any other value is malformed."""
+        (value,) = self.field("<B")
+        if value > 1:
+            raise PersistenceError(f"presence flag must be 0 or 1, got {value}")
+        return value == 1
 
     def text(self) -> str:
         (length,) = self.field("<I")
@@ -179,7 +186,7 @@ def _write_id_maps(fh: IO[bytes], ndim: int, id_maps) -> None:
 def _read_id_maps(reader: _Reader, shape: TensorShape):
     maps = []
     for _ in range(shape.ndim):
-        (present,) = reader.field("<B")
+        present = reader.flag()
         maps.append([reader.text() for _ in range(reader.field("<Q")[0])] if present else None)
     if all(ids is None for ids in maps):
         return None
@@ -248,7 +255,7 @@ def load_model(path: Union[str, Path]):
             (ctx_axis,) = reader.field("<I")
             shape, k = _read_shape(reader)
             (n_states,) = reader.field("<Q")
-            cores = [_read_core(reader) if reader.field("<B")[0] else None for _ in range(n_states)]
+            cores = [_read_core(reader) if reader.flag() else None for _ in range(n_states)]
         else:
             raise PersistenceError(f"unknown model kind {kind}")
         id_maps = _read_id_maps(reader, shape)

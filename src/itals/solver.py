@@ -35,13 +35,28 @@ points at a zero sentinel row), the cell weights and the lambdas.  An
 epoch only forms the Gram product (and its eigendecomposition when a
 thin column exists), copies the other axes' factors into row tables,
 gathers, accumulates and solves the systems, and refreshes the Gram.
+
+Training runs on every CPU the process may use.  Once the Gram product
+is formed, the columns of an axis are independent systems, so ``_each``
+hands an axis's blocks, each cut into one column slice per CPU, to that
+many lanes: the calling thread and threads started for the call.  A
+slice keeps its block's padded width and a thin block's last product
+spans the whole block, so every column's arithmetic, and so every factor
+bit, is the same on any number of CPUs (the BLAS library's own thread
+count is another matter).  The iCA baseline (``baseline.fit_ica``) hands
+its sub-models to the lanes instead, and each sub-model's axis solves
+run inline in its lane.  A single CPU runs the plain loop and starts no
+thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import logging
 import math
 import numbers
+import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -142,6 +157,71 @@ def effective_lambdas(config: TrainConfig, obs: ObservationTensor, axis: int) ->
     return config.reg * np.maximum(obs.support[axis], 1).astype(np.float64)
 
 
+# set inside a lane of ``_each``, so that a call made there runs inline
+_in_lane = threading.local()
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _lanes() -> int:
+    """The lanes ``_each`` runs on: one per CPU, or one inside a lane."""
+    return 1 if getattr(_in_lane, "on", False) else _cpu_count()
+
+
+def _each(items: Sequence, work: Callable) -> None:
+    """Run ``work(item)`` for every item, on up to ``_lanes()`` lanes.
+
+    The calling thread is one lane and the others are threads started for
+    this call, each in a copy of the caller's context (so the caller's
+    ``np.errstate`` holds there too).  Every lane takes the next item from
+    one shared iterator, and none takes another once an item has failed.
+    When all lanes have stopped, the exception of the earliest failed
+    item is raised: the one a plain loop would raise.  On one lane this is
+    a plain loop and starts no thread.
+    """
+    lanes = min(_lanes(), len(items))
+    if lanes <= 1:
+        for item in items:
+            work(item)
+        return
+    queue = iter(enumerate(items))
+    lock = threading.Lock()
+    failed: list = []
+
+    def lane() -> None:
+        _in_lane.on = True
+        try:
+            while True:
+                with lock:
+                    taken = None if failed else next(queue, None)
+                if taken is None:
+                    return
+                try:
+                    work(taken[1])
+                except BaseException as exc:
+                    with lock:
+                        failed.append((taken[0], exc))
+        finally:
+            _in_lane.on = False
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(lane,))
+        for _ in range(lanes - 1)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        lane()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise min(failed, key=lambda entry: entry[0])[1]
+
+
 # block limits for the batched axis solve: padded cells per block keep the
 # gathered (cols, width, K) stack cache-sized, columns per block bound the
 # stacked (cols, K, K) system buffer
@@ -220,7 +300,12 @@ class _AxisPlan:
         self.padded_cells = sum(w.size for _, _, w, _, _ in self.blocks)
 
     def solve(self, model: Model) -> None:
-        """Solve every column of the axis against the current factors, then refresh its Gram."""
+        """Solve every column of the axis against the current factors, then refresh its Gram.
+
+        The blocks are solved on ``_each``'s lanes, each block cut into one
+        column slice per lane.  A slice keeps its block's padded width, so
+        every column sees the same arithmetic on any number of lanes.
+        """
         k = model.features
         base = model.grams[self.others[0]].copy()
         for a in self.others[1:]:
@@ -243,18 +328,42 @@ class _AxisPlan:
             rows.append(table)
         eye = np.arange(k)
 
-        for block, index, w, lam, thin in self.blocks:
+        lanes = _lanes()
+        slices = []
+        for b, (block, *_) in enumerate(self.blocks):
+            cuts = sorted({len(block) * j // lanes for j in range(lanes + 1)})
+            slices += [(b, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        # a thin block's columns come from one product over the whole block,
+        # whose bits depend on the block's width: the lane that solves the
+        # block's last slice makes it
+        lock = threading.Lock()
+        thin = {
+            b: [np.empty((len(block), k)), 0]
+            for b, (block, *_, is_thin) in enumerate(self.blocks)
+            if is_thin
+        }
+
+        def work(piece) -> None:
+            b, lo, hi = piece
+            block, index, w, lam, _ = self.blocks[b]
+            w, lam = w[lo:hi], lam[lo:hi]
             # Hadamard product of the other axes' columns, one K-vector per
             # stored cell; w splits as 1 + (w - 1) so the zero cells are
             # already covered by the Gram product in `base`.  Padding cells
             # gather the zero row, so they get v = 0 and contribute nothing.
-            v = np.take(rows[0], index[0], axis=0)
+            v = np.take(rows[0], index[0][lo:hi], axis=0)
             for r, idx in zip(rows[1:], index[1:]):
-                v *= np.take(r, idx, axis=0)
+                v *= np.take(r, idx[lo:hi], axis=0)
 
-            if thin:
-                matrix[:, block] = _solve_thin(v, w, spectrum + lam, basis)
-                continue
+            if b in thin:
+                solved = thin[b]
+                solved[0][lo:hi] = _solve_thin(v, w, spectrum + lam, basis)
+                with lock:
+                    solved[1] += hi - lo
+                    last = solved[1] == len(block)
+                if last:
+                    matrix[:, block] = basis @ solved[0].T
+                return
             vt = v.transpose(0, 2, 1)
             systems = np.matmul(vt * (w - 1.0)[:, None, :], v)
             systems += base
@@ -267,8 +376,9 @@ class _AxisPlan:
                     "singular normal equations; use a regularization value > 0 "
                     "that the cell weights do not dwarf"
                 ) from exc
-            matrix[:, block] = solution[:, :, 0].T
+            matrix[:, block[lo:hi]] = solution[:, :, 0].T
 
+        _each(slices, work)
         model.grams[self.axis] = matrix @ matrix.T
 
 
@@ -312,7 +422,8 @@ def _solve_thin(v: np.ndarray, w: np.ndarray, delta: np.ndarray, basis: np.ndarr
     row per column), U = V Q and E = diag(sqrt(w - 1)) U.  With g = U^T w,
     its solution is m = Q D^-1 (g - E^T z), where z solves the n x n SPD
     system (I + E D^-1 E^T) z = E D^-1 g.  Padding cells have U = 0, so
-    they add identity rows with z = 0.  Returns the (K, cols) solutions.
+    they add identity rows with z = 0.  Returns the (cols, K) rows y = Q^T m,
+    so the solutions are ``basis @ y.T``.
     """
     e = np.matmul(v, basis)  # U, scaled into E once g is formed
     g = np.matmul(w[:, None, :], e)[:, 0, :]
@@ -323,8 +434,7 @@ def _solve_thin(v: np.ndarray, w: np.ndarray, delta: np.ndarray, basis: np.ndarr
     diag = np.arange(small.shape[1])
     small[:, diag, diag] += 1.0
     z = np.linalg.solve(small, np.matmul(scaled, g[:, :, None]))
-    y = inv * (g - np.matmul(e.transpose(0, 2, 1), z)[:, :, 0])
-    return basis @ y.T
+    return inv * (g - np.matmul(e.transpose(0, 2, 1), z)[:, :, 0])
 
 
 def fit(
@@ -336,7 +446,9 @@ def fit(
     """Train a model by alternating exact axis solves.
 
     Factors start from a seeded uniform init, Grams are precomputed, and
-    each epoch sweeps axes in order.  Deterministic given seed, data and
+    each epoch sweeps axes in order.  Each axis solve runs on one lane per
+    CPU of the process (module docstring); the factors are the same bits
+    whatever the number of CPUs.  Deterministic given seed, data and
     config.  ``after_axis(model, epoch, axis)`` is invoked after every
     axis update when provided (used for loss tracing).  Raises
     ``SolverError`` naming the epoch and axis as soon as an axis update

@@ -32,7 +32,11 @@ class TensorBuildError(ValueError):
 
 @dataclass(frozen=True)
 class TensorShape:
-    """Dimension sizes and axis roles; exactly one user and one item axis."""
+    """Dimension sizes and axis roles; exactly one user and one item axis.
+
+    ``user_axis`` and ``item_axis`` index those two roles and
+    ``context_axes`` is the tuple of the other axes, in order.
+    """
 
     dims: tuple
     axis_roles: tuple
@@ -48,24 +52,16 @@ class TensorShape:
             raise ValueError("axis_roles must match dims in length")
         if self.axis_roles.count("user") != 1 or self.axis_roles.count("item") != 1:
             raise ValueError("axis_roles needs exactly one 'user' and one 'item' entry")
+        # the role lookups, set once: scoring one user reads them on every call
+        roles = self.axis_roles
+        object.__setattr__(self, "user_axis", roles.index("user"))
+        object.__setattr__(self, "item_axis", roles.index("item"))
+        context = tuple(i for i, r in enumerate(roles) if r not in ("user", "item"))
+        object.__setattr__(self, "context_axes", context)
 
     @property
     def ndim(self) -> int:
         return len(self.dims)
-
-    @property
-    def user_axis(self) -> int:
-        return self.axis_roles.index("user")
-
-    @property
-    def item_axis(self) -> int:
-        return self.axis_roles.index("item")
-
-    @property
-    def context_axes(self) -> tuple:
-        return tuple(
-            i for i, r in enumerate(self.axis_roles) if r not in ("user", "item")
-        )
 
     def n_cells(self) -> int:
         return int(np.prod([int(s) for s in self.dims], dtype=object))

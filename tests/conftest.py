@@ -26,6 +26,25 @@ def synthetic_tensor(dims, n_plus, seed=0):
     return ObservationTensor(TensorShape(dims, roles), coords, weights)
 
 
+@pytest.fixture
+def lanes(monkeypatch):
+    """``lanes(check)`` runs ``check()`` at 1 and at 2 solver lanes and returns both results.
+
+    The lane count is set in place of the process's CPU count, so a
+    one-CPU runner also takes the threaded path.
+    """
+    from itals import solver
+
+    def at_each_count(check):
+        results = []
+        for count in (1, 2):
+            monkeypatch.setattr(solver, "_cpu_count", lambda: count)
+            results.append(check())
+        return results
+
+    return at_each_count
+
+
 def overwrite_float64(path, value, replacement):
     """Replace the one little-endian float64 equal to value in a file."""
     raw = path.read_bytes()

@@ -58,20 +58,22 @@ class TestFitIals:
         with pytest.raises(SolverError, match="2-dimensional"):
             fit_ials(obs, TrainConfig(features=2, epochs=1))
 
-    def test_matches_generic_solver_on_two_dims(self):
+    def test_matches_generic_solver_on_two_dims(self, lanes):
         for seed in (0, 1, 2):
             obs = synthetic_tensor((8, 9), 30, seed=seed)
             config = TrainConfig(features=3, epochs=3, reg=0.1, seed=seed)
             expected = dense_als(obs, config)
-            for ma, mb in zip(fit_ials(obs, config).factors, expected):
-                np.testing.assert_allclose(ma, mb, atol=1e-10, rtol=1e-10)
+            for model in lanes(lambda: fit_ials(obs, config)):
+                for ma, mb in zip(model.factors, expected):
+                    np.testing.assert_allclose(ma, mb, atol=1e-10, rtol=1e-10)
 
-    def test_support_mode_also_matches(self):
+    def test_support_mode_also_matches(self, lanes):
         obs = synthetic_tensor((6, 10), 25, seed=5)
         config = TrainConfig(features=2, epochs=2, reg=0.05, reg_mode="support", seed=3)
         expected = dense_als(obs, config)
-        for ma, mb in zip(fit_ials(obs, config).factors, expected):
-            np.testing.assert_allclose(ma, mb, atol=1e-10)
+        for model in lanes(lambda: fit_ials(obs, config)):
+            for ma, mb in zip(model.factors, expected):
+                np.testing.assert_allclose(ma, mb, atol=1e-10)
 
 
 class TestFitIca:
@@ -87,6 +89,16 @@ class TestFitIca:
         assert model.submodels[1] is None
         assert model.submodels[3] is None
         assert model.submodels[0] is not None
+
+    def test_same_submodels_on_one_and_two_lanes(self, lanes):
+        # seven states, one of them empty, are more states than lanes
+        obs = band_tensor(7, seed=4, n_users=12, n_items=15, n_cells=160, skip_states=(3,))
+        config = TrainConfig(features=4, epochs=2, reg=0.1, seed=1)
+        one, two = lanes(lambda: fit_ica(obs, config))
+        assert one.submodels[3] is None and two.submodels[3] is None
+        for a, b in zip(one.submodels, two.submodels):
+            if a is not None:
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(a.factors + a.grams, b.factors + b.grams))
 
     def test_requires_three_dims(self):
         obs = synthetic_tensor((4, 4), 5, seed=3)

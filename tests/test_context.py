@@ -144,6 +144,21 @@ class TestSequenceSpec:
             SequenceSpec(history_depth=depth, category_count=2, cold_state=1)
         assert SequenceSpec(history_depth=np.int64(2), category_count=2, cold_state=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("category_count", 2.5),
+        ("category_count", True),
+        ("category_count", "3"),
+        ("cold_state", 0.5),
+        ("cold_state", False),
+    ])
+    def test_category_count_and_cold_state_are_integers(self, field, value):
+        # a cold state of 0.5 used to construct and fail later in build_tensor,
+        # naming an event instead of the spec
+        args = {"history_depth": 1, "category_count": 3, "cold_state": 0, field: value}
+        with pytest.raises(ContextError, match=f"^{field} must be an integer, got {value!r}$"):
+            SequenceSpec(**args)
+        assert SequenceSpec(history_depth=1, category_count=np.int64(3), cold_state=np.int32(2))
+
 
 def brute_force_window(earlier, spec):
     """The context of a user's categories ``earlier`` (oldest first), merged pair by pair.

@@ -281,3 +281,30 @@ class TestMalformedFiles:
         for matrix in load_model(path).factors:
             assert matrix.dtype == np.float64
             assert matrix.flags.owndata and matrix.flags.c_contiguous and matrix.flags.writeable
+
+
+def shape_bytes(shape):
+    """Bytes of a shape record: D, K, the dims and the role strings."""
+    return 8 + 8 * shape.ndim + sum(4 + len(role.encode()) for role in shape.axis_roles)
+
+
+class TestPresenceFlags:
+    # a flag byte of 2 used to read as present and save back as 1, so the
+    # file did not round-trip byte for byte
+    @pytest.mark.parametrize("value", [2, 0xFF])
+    @pytest.mark.parametrize("name", ["timeband-itals.itals", "timeband-ica.itals"])
+    def test_a_flag_other_than_0_or_1_is_rejected(self, tmp_path, name, value):
+        model = load_model(V1 / name)
+        if isinstance(model, CompositeModel):
+            # the first state's flag follows the context axis, the shape and the state count
+            at = 5 + 12 + shape_bytes(model.shape) + 8
+        else:
+            # the user map's flag follows the factors
+            at = 5 + 8 + shape_bytes(model.shape) + 8 * model.features * sum(model.shape.dims)
+        raw = bytearray((V1 / name).read_bytes())
+        assert raw[at] in (0, 1)
+        raw[at] = value
+        path = tmp_path / name
+        path.write_bytes(raw)
+        with pytest.raises(PersistenceError, match=f"presence flag must be 0 or 1, got {value}"):
+            load_model(path)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -186,10 +189,11 @@ class TestSolveAxis:
         assert ((counts > 0) & ~thin).any()
         return counts
 
-    def test_matches_dense_normal_equations(self):
-        self.check_both_paths_ran(self.check_against_dense_solves())
+    def test_matches_dense_normal_equations(self, lanes):
+        for instances in lanes(self.check_against_dense_solves):
+            self.check_both_paths_ran(instances)
 
-    def test_matches_dense_normal_equations_in_tiny_blocks(self, monkeypatch):
+    def test_matches_dense_normal_equations_in_tiny_blocks(self, monkeypatch, lanes):
         # many blocks per axis, and columns wider than CELL_BLOCK in blocks
         # of their own
         monkeypatch.setattr(solver, "CELL_BLOCK", 5)
@@ -203,7 +207,8 @@ class TestSolveAxis:
             return blocks
 
         monkeypatch.setattr(solver, "_column_blocks", recorded)
-        instances = self.check_against_dense_solves()
+        one, two = lanes(self.check_against_dense_solves)
+        instances = one + two
         counts = self.check_both_paths_ran(instances)
         assert (counts > 5).any()
         assert len(calls) == len(instances)
@@ -390,3 +395,160 @@ class TestAxisPlan:
                 solve_axis(model, obs, axis, effective_lambdas(config, obs, axis))
         for got, want in zip(fitted.factors + fitted.grams, model.factors + model.grams):
             assert got.tobytes() == want.tobytes()
+
+
+def same_bits(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+class TestLanes:
+    """Training on 1 and on 2 lanes gives the same factor bits."""
+
+    @pytest.mark.parametrize("k", [20, 80])
+    def test_fit_on_thin_and_thick_columns(self, lanes, k):
+        # item columns hold about 10 cells, thin at both K; users about 75,
+        # thick at both; the 3 context columns are thick
+        obs = synthetic_tensor((40, 300, 3), 3000, seed=11)
+        config = TrainConfig(features=k, epochs=2, reg=0.1, seed=2)
+        plans = [_AxisPlan(obs, a, k, 0.1) for a in range(obs.ndim)]
+        assert plans[1].n_thin and plans[0].n_thick and not plans[0].n_thin
+        # a thin block wide enough to be cut into one slice per lane
+        assert any(thin and len(block) > 1 for block, *_, thin in plans[1].blocks)
+        one, two = lanes(lambda: fit(obs, config))
+        assert same_bits(one.factors + one.grams, two.factors + two.grams)
+
+    @pytest.mark.parametrize("max_cols", [3, 7])
+    def test_fit_in_tiny_blocks(self, lanes, monkeypatch, max_cols):
+        # blocks of 3 columns are cut into slices of 1 and 2 columns
+        monkeypatch.setattr(solver, "CELL_BLOCK", 40)
+        monkeypatch.setattr(solver, "SOLVE_BLOCK", max_cols)
+        obs = synthetic_tensor((40, 300, 3), 3000, seed=12)
+        config = TrainConfig(features=20, epochs=2, reg=0.1, reg_mode="support", seed=3)
+        one, two = lanes(lambda: fit(obs, config))
+        assert same_bits(one.factors + one.grams, two.factors + two.grams)
+
+    def test_solve_axis(self, lanes):
+        obs = synthetic_tensor((30, 200, 4), 2500, seed=13)
+        config = TrainConfig(features=24, epochs=1, reg=0.1, seed=4)
+
+        def solved():
+            factors = init_factors(config, obs.shape.dims)
+            model = Model(obs.shape, factors, [m @ m.T for m in factors], config)
+            for axis in range(obs.ndim):
+                solve_axis(model, obs, axis, effective_lambdas(config, obs, axis))
+            return model
+
+        one, two = lanes(solved)
+        assert same_bits(one.factors + one.grams, two.factors + two.grams)
+
+    def test_singular_system_in_a_lane_is_a_solver_error(self, lanes):
+        # every user column's system is 0: all item factors are zero and lambda is 0
+        shape = TensorShape((6, 2), ("user", "item"))
+        obs = ObservationTensor(shape, [[u, 0] for u in range(6)], np.full(6, 3.0))
+
+        def solve():
+            model = make_model([np.zeros((2, 6)), np.zeros((2, 2))])
+            with pytest.raises(SolverError, match="regularization"):
+                solve_axis(model, obs, 0, 0.0)
+
+        lanes(solve)
+
+    def test_overflow_names_epoch_and_axis_on_two_lanes(self, monkeypatch):
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
+        obs = synthetic_tensor((5, 6, 3), 20, seed=1)
+        huge = ObservationTensor(obs.shape, obs.coords, np.full(obs.n_nonzero, 1e300))
+        with pytest.raises(SolverError, match=r"non-finite factors in epoch 1, axis 0 \(user\)"):
+            fit(huge, TrainConfig(features=3, epochs=2, reg=0.1))
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_threads_started(self, monkeypatch, count):
+        monkeypatch.setattr(solver, "_cpu_count", lambda: count)
+        started, alive = [], []
+        start = threading.Thread.start
+        solve_thin = solver._solve_thin
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        def watched(*args):
+            alive.append(threading.active_count())
+            return solve_thin(*args)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        monkeypatch.setattr(solver, "_solve_thin", watched)
+        before = threading.active_count()
+        fit(synthetic_tensor((40, 300, 3), 3000, seed=11), TrainConfig(features=20, epochs=1, reg=0.1))
+        assert alive and threading.active_count() == before
+        if count == 1:
+            assert not started and set(alive) == {before}
+        else:
+            assert started and not any(thread.is_alive() for thread in started)
+
+
+class TestEach:
+    def test_runs_every_item_once(self, monkeypatch):
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
+        seen = []
+        solver._each(range(50), seen.append)
+        assert sorted(seen) == list(range(50))
+
+    def test_more_lanes_than_cores_under_frequent_switches(self, monkeypatch):
+        # a lost update of the shared queue or of a thin block's slice count
+        # would skip or repeat an item, or leave a block's columns unsolved
+        monkeypatch.setattr(solver, "CELL_BLOCK", 40)
+        monkeypatch.setattr(solver, "SOLVE_BLOCK", 9)
+        obs = synthetic_tensor((40, 300, 3), 3000, seed=14)
+        config = TrainConfig(features=20, epochs=1, reg=0.1, seed=6)
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 1)
+        expected = fit(obs, config)
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            seen = []
+            solver._each(range(2000), seen.append)
+            model = fit(obs, config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(range(2000))
+        assert same_bits(model.factors + model.grams, expected.factors + expected.grams)
+
+    @pytest.mark.parametrize("first_to_fail", [0, 1])
+    def test_raises_the_earliest_failed_items_exception(self, monkeypatch, first_to_fail):
+        # each lane holds one of the first two items before either fails, so
+        # both run, one in a started thread; whichever fails first, the
+        # exception raised is item 0's, as in a plain loop
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
+        both = threading.Barrier(2, timeout=10)
+        failed_first = threading.Event()
+        ran = []
+
+        def work(item):
+            if item < 2:
+                both.wait()
+                ran.append((item, threading.current_thread() is threading.main_thread()))
+                if item == first_to_fail:
+                    failed_first.set()
+                else:
+                    assert failed_first.wait(timeout=10)
+                raise SolverError(f"item {item}")
+            ran.append((item, None))
+
+        with pytest.raises(SolverError, match="^item 0$"):
+            solver._each(range(10), work)
+        assert sorted(item for item, _ in ran) == [0, 1]
+        assert {on_main for _, on_main in ran} == {True, False}
+
+    def test_nested_calls_run_inline(self, monkeypatch):
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
+        started, inner = [], []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        solver._each(range(4), lambda _: solver._each(range(3), inner.append))
+        assert len(started) == 1 and sorted(inner) == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
