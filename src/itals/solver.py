@@ -51,7 +51,7 @@ thread.
 
 from __future__ import annotations
 
-import contextvars
+import contextlib
 import logging
 import math
 import numbers
@@ -162,8 +162,10 @@ _in_lane = threading.local()
 
 
 def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """The CPUs this process may run on (all of the machine's where the OS has no affinity call)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _lanes() -> int:
@@ -175,12 +177,12 @@ def _each(items: Sequence, work: Callable) -> None:
     """Run ``work(item)`` for every item, on up to ``_lanes()`` lanes.
 
     The calling thread is one lane and the others are threads started for
-    this call, each in a copy of the caller's context (so the caller's
-    ``np.errstate`` holds there too).  Every lane takes the next item from
-    one shared iterator, and none takes another once an item has failed.
-    When all lanes have stopped, the exception of the earliest failed
-    item is raised: the one a plain loop would raise.  On one lane this is
-    a plain loop and starts no thread.
+    this call; every lane takes the next item from one shared iterator,
+    under the caller's ``np.errstate`` (numpy before 2.0 keeps it per
+    thread), and stops taking items once one has failed.  When all lanes
+    have stopped, the exception of the earliest failed item is raised:
+    the one a plain loop would raise.  On one lane this is a plain loop
+    and starts no thread.
     """
     lanes = min(_lanes(), len(items))
     if lanes <= 1:
@@ -190,27 +192,25 @@ def _each(items: Sequence, work: Callable) -> None:
     queue = iter(enumerate(items))
     lock = threading.Lock()
     failed: list = []
+    errors = np.geterr()
 
     def lane() -> None:
         _in_lane.on = True
         try:
-            while True:
-                with lock:
-                    taken = None if failed else next(queue, None)
-                if taken is None:
-                    return
-                try:
-                    work(taken[1])
-                except BaseException as exc:
+            with np.errstate(**errors):
+                while not failed:
                     with lock:
+                        taken = next(queue, None)
+                    if taken is None:
+                        return
+                    try:
+                        work(taken[1])
+                    except BaseException as exc:
                         failed.append((taken[0], exc))
         finally:
             _in_lane.on = False
 
-    threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(lane,))
-        for _ in range(lanes - 1)
-    ]
+    threads = [threading.Thread(target=lane) for _ in range(lanes - 1)]
     for thread in threads:
         thread.start()
     try:
@@ -334,18 +334,23 @@ class _AxisPlan:
             cuts = sorted({len(block) * j // lanes for j in range(lanes + 1)})
             slices += [(b, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
         # a thin block's columns come from one product over the whole block,
-        # whose bits depend on the block's width: the lane that solves the
-        # block's last slice makes it
+        # whose bits depend on the block's width: a block cut into slices
+        # gathers them in a buffer, and the lane that solves its last slice
+        # makes the product and drops the buffer
         lock = threading.Lock()
-        thin = {
-            b: [np.empty((len(block), k)), 0]
-            for b, (block, *_, is_thin) in enumerate(self.blocks)
-            if is_thin
-        }
+        pending: dict = {}
+        # a column wider than CELL_BLOCK is a block of its own and cannot be
+        # cut, so only one lane at a time solves such a block: the lanes hold
+        # at most the widest block and a slice of another one
+        wide = threading.Lock()
 
         def work(piece) -> None:
             b, lo, hi = piece
-            block, index, w, lam, _ = self.blocks[b]
+            with wide if self.blocks[b][2].size > CELL_BLOCK else contextlib.nullcontext():
+                solve_slice(b, lo, hi)
+
+        def solve_slice(b: int, lo: int, hi: int) -> None:
+            block, index, w, lam, thin = self.blocks[b]
             w, lam = w[lo:hi], lam[lo:hi]
             # Hadamard product of the other axes' columns, one K-vector per
             # stored cell; w splits as 1 + (w - 1) so the zero cells are
@@ -355,14 +360,20 @@ class _AxisPlan:
             for r, idx in zip(rows[1:], index[1:]):
                 v *= np.take(r, idx[lo:hi], axis=0)
 
-            if b in thin:
-                solved = thin[b]
-                solved[0][lo:hi] = _solve_thin(v, w, spectrum + lam, basis)
-                with lock:
-                    solved[1] += hi - lo
-                    last = solved[1] == len(block)
-                if last:
-                    matrix[:, block] = basis @ solved[0].T
+            if thin:
+                y = _solve_thin(v, w, spectrum + lam, basis)
+                if hi - lo < len(block):
+                    with lock:
+                        if b not in pending:
+                            pending[b] = [np.empty((len(block), k)), 0]
+                        solved = pending[b]
+                        solved[0][lo:hi] = y
+                        solved[1] += hi - lo
+                        if solved[1] < len(block):
+                            return
+                        del pending[b]
+                    y = solved[0]
+                matrix[:, block] = basis @ y.T
                 return
             vt = v.transpose(0, 2, 1)
             systems = np.matmul(vt * (w - 1.0)[:, None, :], v)
@@ -448,8 +459,8 @@ def fit(
     Factors start from a seeded uniform init, Grams are precomputed, and
     each epoch sweeps axes in order.  Each axis solve runs on one lane per
     CPU of the process (module docstring); the factors are the same bits
-    whatever the number of CPUs.  Deterministic given seed, data and
-    config.  ``after_axis(model, epoch, axis)`` is invoked after every
+    whatever the number of lanes, for a given BLAS thread count.
+    Deterministic given seed, data and config.  ``after_axis(model, epoch, axis)`` is invoked after every
     axis update when provided (used for loss tracing).  Raises
     ``SolverError`` naming the epoch and axis as soon as an axis update
     leaves non-finite factors.

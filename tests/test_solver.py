@@ -1,5 +1,7 @@
+import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -441,6 +443,32 @@ class TestLanes:
         one, two = lanes(solved)
         assert same_bits(one.factors + one.grams, two.factors + two.grams)
 
+    def test_one_lane_at_a_time_solves_a_column_wider_than_a_block(self, monkeypatch):
+        # every user column holds more cells than CELL_BLOCK, so each is a
+        # block of its own that cannot be cut; two of them solved at once
+        # would hold two blocks' gathers
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(solver, "CELL_BLOCK", 8)
+        obs = synthetic_tensor((6, 40), 150, seed=15)
+        plan = _AxisPlan(obs, 0, 4, 0.1)
+        assert len(plan.blocks) == 6 and all(w.size > 8 for _, _, w, _, _ in plan.blocks)
+        lock, running, most = threading.Lock(), [0], [0]
+        solve = np.linalg.solve
+
+        def watched(*args):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.02)  # room for the other lane to start its own block
+            with lock:
+                running[0] -= 1
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", watched)
+        factors = init_factors(TrainConfig(features=4, seed=1), obs.shape.dims)
+        plan.solve(Model(obs.shape, factors, [m @ m.T for m in factors], TrainConfig(features=4)))
+        assert most == [1]
+
     def test_singular_system_in_a_lane_is_a_solver_error(self, lanes):
         # every user column's system is 0: all item factors are zero and lambda is 0
         shape = TensorShape((6, 2), ("user", "item"))
@@ -518,7 +546,8 @@ class TestEach:
     def test_raises_the_earliest_failed_items_exception(self, monkeypatch, first_to_fail):
         # each lane holds one of the first two items before either fails, so
         # both run, one in a started thread; whichever fails first, the
-        # exception raised is item 0's, as in a plain loop
+        # exception raised is item 0's, as in a plain loop, and no lane
+        # takes another item
         monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
         both = threading.Barrier(2, timeout=10)
         failed_first = threading.Event()
@@ -552,3 +581,16 @@ class TestEach:
         monkeypatch.setattr(threading.Thread, "start", counted_start)
         solver._each(range(4), lambda _: solver._each(range(3), inner.append))
         assert len(started) == 1 and sorted(inner) == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for machine, lanes in ((2, 2), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: machine)
+            assert solver._cpu_count() == lanes
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        obs = synthetic_tensor((40, 300, 3), 3000, seed=11)
+        config = TrainConfig(features=20, epochs=1, reg=0.1, seed=2)
+        model = fit(obs, config)
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 1)
+        assert same_bits(model.factors, fit(obs, config).factors)
