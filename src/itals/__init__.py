@@ -17,6 +17,7 @@ ranking evaluation harness and an `itals` command-line front end.
 from .baseline import CompositeModel, fit_ials, fit_ica
 from .context import (
     ContextError,
+    ContextPairs,
     SeasonSpec,
     SequenceSpec,
     assign_time_band,
@@ -74,6 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CompositeModel",
     "ContextError",
+    "ContextPairs",
     "DenseCapError",
     "EvalError",
     "EventLog",

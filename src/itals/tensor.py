@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .context import ContextError, ContextPairs
 from .events import EventLog
 
 __all__ = [
@@ -174,9 +174,11 @@ def build_tensor(
 ) -> ObservationTensor:
     """Aggregate events into an observation tensor.
 
-    ``context_states[e]`` lists (state, relative-weight) pairs for event e
-    on the single context axis; states must be integers (a bool reads as 0
-    or 1) and relative weights must lie in (0, 1].  With
+    ``context_states`` gives event e's (state, relative-weight) pairs on
+    the single context axis: a ``ContextPairs``, whose columns are read
+    as they are, or a list of pair lists, one per event, which goes
+    through ``ContextPairs.from_lists``.  States must be integers (a bool
+    reads as 0 or 1) and relative weights must lie in (0, 1].  With
     a 2-dimensional shape the context input is ignored and cells are keyed
     (user, item).  Repeat events on one cell merge into its weight:
     w = base + alpha * sum of contributing relative weights, summed in
@@ -196,24 +198,18 @@ def build_tensor(
     else:
         if context_states is None or len(context_states) != n_events:
             raise TensorBuildError("context_states must provide one entry per event")
-        counts = np.fromiter(map(len, context_states), dtype=np.int64, count=n_events)
-        pairs = np.array(list(chain.from_iterable(context_states)), dtype=np.float64).reshape(-1, 2)
-        states, contributions = pairs[:, 0], pairs[:, 1]
-        # NaN and infinity fail the range test, so the int64 cast cannot warn
-        integral = (states == np.trunc(states)) & (np.abs(states) < 2.0**63)
-        bad = np.flatnonzero(~(integral & (contributions > 0) & (contributions <= 1.0)))
-        if bad.size:
-            ends = np.cumsum(counts)
-            e = int(np.searchsorted(ends, bad[0], side="right"))
-            state, rel = context_states[e][bad[0] - ends[e] + counts[e]]
-            what = f"relative weight must be in (0, 1], got {rel}"
-            if not integral[bad[0]]:
-                what = f"context state must be an int64 integer, got {state!r}"
-            raise TensorBuildError(f"{what} for event {e}")
+        pairs = context_states
+        if not isinstance(pairs, ContextPairs):
+            try:
+                pairs = ContextPairs.from_lists(pairs)
+            except ContextError as exc:
+                raise TensorBuildError(str(exc)) from None
+        counts = np.diff(pairs.offsets)
         columns = [None] * 3
         columns[shape.user_axis] = np.repeat(events.users, counts)
         columns[shape.item_axis] = np.repeat(events.items, counts)
-        columns[shape.context_axes[0]] = states.astype(np.int64)
+        columns[shape.context_axes[0]] = pairs.states
+        contributions = pairs.weights
 
     # np.unique returns the cells in canonical order; bincount sums each
     # cell's contributions in event order

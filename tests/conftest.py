@@ -155,3 +155,61 @@ def seasonal_dataset(
     log = make_event_log(users, items, stamps, n_users=n_users, n_items=n_items)
     return log, train_days * DAY
 
+
+
+def basket_dataset(seed=0, n_users=150, n_categories=13, variants=24, trips=14, train_days=60):
+    """Synthetic grocery log: multi-item baskets that share one timestamp.
+
+    Item ``c * variants + v`` is variant v of category c; variant v has
+    taste v % 4, and each user draws 90% of their items from one taste.
+    A trip's main category follows one of two fixed successors of the
+    previous trip's (90%), so the last purchases' categories predict the
+    next basket.  A trip buys two items of its main category (four on the
+    test trip) and, 60% of the time, one item of a staple category 0-2
+    ahead of them; categories 3 and 4 are durables, bought once at most.
+    Every user makes ``trips`` trips on distinct training days and one on
+    the day after.  Rows are in time order, so users interleave.
+
+    Returns (log, split timestamp, {item: category}).
+    """
+    rng = np.random.default_rng(seed)
+    tastes, staples, durables = 4, 3, {3, 4}
+    regular = np.arange(staples, n_categories)
+    successors = [
+        (regular[(3 * c + 1) % regular.size], regular[(5 * c + 2) % regular.size])
+        for c in range(n_categories)
+    ]
+    users, items, stamps = [], [], []
+    for u in range(n_users):
+        taste = int(rng.integers(tastes))
+
+        def variant():
+            if rng.random() < 0.9:
+                return taste + tastes * int(rng.integers(variants // tastes))
+            return int(rng.integers(variants))
+
+        days = [*np.sort(rng.choice(train_days, size=trips, replace=False)).tolist(), train_days]
+        main, owned = int(rng.choice(regular)), set()
+        for day in days:
+            if rng.random() < 0.9:
+                main = int(successors[main][int(rng.integers(2))])
+            else:
+                main = int(rng.choice(regular))
+            while main in owned:
+                main = int(rng.choice(regular))
+            if main in durables:
+                owned.add(main)
+            basket = [(int(rng.integers(staples)), variant())] if rng.random() < 0.6 else []
+            basket += [(main, variant()) for _ in range(4 if day == train_days else 2)]
+            ts = day * DAY + int(rng.integers(DAY))
+            for cat, v in basket:
+                users.append(u)
+                items.append(cat * variants + v)
+                stamps.append(ts)
+    order = np.argsort(stamps, kind="stable")
+    n_items = n_categories * variants
+    log = make_event_log(
+        np.asarray(users)[order], np.asarray(items)[order], np.asarray(stamps)[order],
+        n_users=n_users, n_items=n_items,
+    )
+    return log, train_days * DAY, {i: i // variants for i in range(n_items)}

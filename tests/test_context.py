@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,18 +6,22 @@ import pytest
 
 from itals import (
     ContextError,
+    ContextPairs,
     EvalError,
     Model,
     SeasonSpec,
     SequenceSpec,
     TensorShape,
     TrainConfig,
+    WeightingScheme,
     assign_time_band,
+    build_tensor,
     last_category_states,
     recall_precision_at,
     sequential_context,
     time_band_states,
 )
+from itals import context
 from itals.evaluation import _resolve, score_items
 
 from conftest import make_event_log
@@ -124,7 +129,7 @@ class TestAssignTimeBand:
     def test_states_helper(self):
         spec = SeasonSpec.uniform(DAY, 24)
         states = time_band_states([0, 3600, 7200], spec)
-        assert states == [[(0, 1.0)], [(1, 1.0)], [(2, 1.0)]]
+        assert list(states) == [[(0, 1.0)], [(1, 1.0)], [(2, 1.0)]]
 
 
 class TestSequenceSpec:
@@ -271,7 +276,7 @@ class TestSequentialContext:
 
     def test_empty_log(self):
         log = make_event_log([], [], [], n_users=0, n_items=0)
-        assert sequential_context(log, {}, self.spec(depth=3)) == []
+        assert list(sequential_context(log, {}, self.spec(depth=3))) == []
         assert last_category_states(log, {}, self.spec(depth=3)) == {}
 
     def test_many_tied_events_are_all_cold(self):
@@ -316,7 +321,7 @@ class TestSequentialContext:
 
         def contexts(depth):
             spec = self.spec(depth=depth, decay=0.5)
-            return sequential_context(log, mapping, spec), last_category_states(log, mapping, spec)
+            return list(sequential_context(log, mapping, spec)), last_category_states(log, mapping, spec)
 
         assert contexts(10**12) == contexts(3)
         tracemalloc.start()
@@ -358,6 +363,192 @@ class TestLastCategoryStates:
         spec = SequenceSpec(history_depth=1, category_count=3, cold_state=2)
         with pytest.raises(ContextError, match="reserved"):
             last_category_states(log, {0: 2}, spec)
+
+
+def random_baskets(rng, n_users, trips, n_items):
+    """Columns of a log whose users make ``trips`` trips of 1-4 items each.
+
+    A user's trips may share a timestamp (one basket), user 0 makes none
+    (a cold user), and the rows are in time order, so users interleave.
+    """
+    users, items, stamps = [], [], []
+    for user in range(1, n_users):
+        ts = 0
+        for _ in range(int(rng.integers(0, trips + 1))):
+            ts += int(rng.integers(0, 3))  # 0 joins the previous basket
+            for _ in range(int(rng.integers(1, 5))):
+                users.append(user)
+                items.append(int(rng.integers(0, n_items)))
+                stamps.append(ts)
+    order = np.argsort(stamps, kind="stable")
+    return [np.asarray(seq, dtype=np.int64)[order] for seq in (users, items, stamps)]
+
+
+class TestWindowKernel:
+    """The vectorized window rule equals a scan of the module docstring's rule, weights by ==."""
+
+    # depth 1, depths around and beyond every history, decay 1.0, and
+    # decays at which repeats stay below the cap of 1 or reach it
+    SPECS = ((1, 0.5), (2, 1.0), (3, 0.9), (4, 0.6), (5, 0.3), (60, 0.7), (10**9, 1.0))
+
+    @pytest.mark.parametrize("cells", [None, 5], ids=["one-block", "blocks-of-5-cells"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_a_scan_of_the_rule(self, seed, cells, monkeypatch):
+        if cells is not None:  # many row blocks, and rows wider than a block
+            monkeypatch.setattr(context, "_WINDOW_CELLS", cells)
+        rng = np.random.default_rng(seed)
+        users, items, stamps = random_baskets(rng, n_users=6, trips=14, n_items=10)
+        log = make_event_log(users, items, stamps, n_users=6, n_items=10)
+        mapping = {i: (i * 7) % 5 for i in range(10)}
+        users, items, stamps = users.tolist(), items.tolist(), stamps.tolist()
+        repeats = {"below the cap": 0, "at the cap": 0}
+        for depth, decay in self.SPECS:
+            spec = SequenceSpec(history_depth=depth, decay=decay, category_count=6, cold_state=5)
+            states = sequential_context(log, mapping, spec)
+            assert len(states) == len(log)
+            for e in range(len(log)):
+                earlier = [
+                    mapping[items[p]] for p in range(len(log))
+                    if users[p] == users[e] and stamps[p] < stamps[e]
+                ]
+                assert states[e] == brute_force_window(earlier, spec)
+            per_user = last_category_states(log, mapping, spec)
+            assert 0 not in per_user  # the cold user has no history
+            for user in range(1, 6):
+                history = [mapping[i] for u, i in zip(users, items) if u == user]
+                assert per_user.get(user) == (brute_force_window(history, spec) if history else None)
+                recent = history[::-1][:depth]
+                for cat, weight in per_user.get(user, []):
+                    if recent.count(cat) > 1:
+                        repeats["at the cap" if weight == 1.0 else "below the cap"] += 1
+        assert min(repeats.values()) > 0, repeats
+
+
+class TestWindowDepthGuard:
+    """Adversarial depths stay bounded in memory and time."""
+
+    def test_a_huge_depth_on_a_short_log(self):
+        # the matrix is as wide as the longest window, not as the depth
+        log = make_event_log(
+            [0, 0, 0, 1, 1, 0, 2, 2, 1, 0], [0, 1, 2, 3, 0, 1, 2, 3, 0, 1], [1, 2, 2, 3, 4, 5, 6, 7, 8, 9]
+        )
+        mapping = {i: i for i in range(4)}
+
+        def contexts(depth):
+            spec = SequenceSpec(history_depth=depth, decay=0.5, category_count=5, cold_state=4)
+            return list(sequential_context(log, mapping, spec)), last_category_states(log, mapping, spec)
+
+        tracemalloc.start()
+        try:
+            got = contexts(10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == contexts(10)
+        assert peak < 200_000
+
+    def test_one_deep_user_among_many_short_ones(self):
+        # 12.5 million window cells, merged in row blocks: the peak read
+        # 6.1 MiB here, and 9.1 MiB for a per-window Python loop
+        rng = np.random.default_rng(0)
+        users = np.concatenate([np.zeros(5000, np.int64), np.repeat(np.arange(1, 1001), 5)])
+        stamps = np.concatenate([np.arange(5000), np.tile(np.arange(5), 1000)])
+        log = make_event_log(users, rng.integers(0, 40, users.size), stamps, n_items=40)
+        spec = SequenceSpec(history_depth=5000, decay=0.9, category_count=15, cold_state=14)
+        mapping = {i: i % 14 for i in range(40)}
+        tracemalloc.start()
+        began = time.perf_counter()
+        try:
+            states = sequential_context(log, mapping, spec)
+            per_user = last_category_states(log, mapping, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - began < 20.0
+        assert peak < 12 * 2**20
+        # the deep user's last window holds every category, most recent first
+        last = [mapping[i] for i in log.items[:5000][::-1].tolist()]
+        assert per_user[0] == brute_force_window(last[::-1], spec)
+        assert states[4999] == brute_force_window(last[:0:-1], spec)
+
+
+class TestContextPairs:
+    LISTS = [[(3, 1.0), (1, 0.5)], [], [(0, 0.25)], [(2, 1.0), (0, 0.75), (4, 0.125)]]
+
+    def test_columns(self):
+        pairs = ContextPairs.from_lists(self.LISTS)
+        assert len(pairs) == 4
+        assert pairs.offsets.dtype == np.int64 and pairs.offsets.tolist() == [0, 2, 2, 3, 6]
+        assert pairs.states.dtype == np.int64 and pairs.states.tolist() == [3, 1, 0, 2, 0, 4]
+        assert pairs.weights.dtype == np.float64
+        assert pairs.weights.tolist() == [1.0, 0.5, 0.25, 1.0, 0.75, 0.125]
+        for column in (pairs.offsets, pairs.states, pairs.weights):
+            assert column.ndim == 1 and not column.flags.writeable
+
+    def test_a_sequence_of_pair_lists(self):
+        pairs = ContextPairs.from_lists(self.LISTS)
+        assert list(pairs) == self.LISTS
+        assert [pairs[e] for e in range(4)] == self.LISTS
+        for index in (np.int64(3), np.int32(3), np.uint8(3), -1):
+            assert pairs[index] == self.LISTS[3]
+        assert all(type(s) is int and type(w) is float for s, w in pairs[3])
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                pairs[index]
+        with pytest.raises(TypeError):
+            pairs[1.0]
+        assert list(ContextPairs.from_lists([])) == []
+
+    def test_extractors_return_columns(self):
+        log = make_event_log([0, 0, 1, 0], [0, 1, 2, 2], [1, 1, 2, 5])
+        spec = SequenceSpec(history_depth=2, decay=0.5, category_count=4, cold_state=3)
+        states = sequential_context(log, {0: 0, 1: 1, 2: 2}, spec)
+        assert isinstance(states, ContextPairs)
+        assert list(states) == [[(3, 1.0)], [(3, 1.0)], [(3, 1.0)], [(1, 1.0), (0, 0.5)]]
+        bands = time_band_states([0, 3600, 7200], SeasonSpec.uniform(DAY, 24))
+        assert isinstance(bands, ContextPairs)
+        assert bands.offsets.tolist() == [0, 1, 2, 3] and bands.states.tolist() == [0, 1, 2]
+
+    def test_build_tensor_reads_the_columns_as_it_reads_the_lists(self):
+        rng = np.random.default_rng(2)
+        users, items, stamps = random_baskets(rng, n_users=8, trips=10, n_items=9)
+        log = make_event_log(users, items, stamps, n_users=8, n_items=9)
+        spec = SequenceSpec(history_depth=3, decay=0.7, category_count=5, cold_state=4)
+        pairs = sequential_context(log, {i: i % 4 for i in range(9)}, spec)
+        shape = TensorShape((8, 9, 5), ("user", "item", "category"))
+        want = build_tensor(log, list(pairs), shape, WeightingScheme(1, 10))
+        got = build_tensor(log, pairs, shape, WeightingScheme(1, 10))
+        assert got.coords.tobytes() == want.coords.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+    def test_from_lists_names_the_first_bad_pair(self):
+        with pytest.raises(ContextError, match=r"^relative weight must be in \(0, 1\], got 2 for event 2$"):
+            ContextPairs.from_lists([[(0, 1.0)], [], [(1, 1.0), (0, 2)], [(0.5, 1.0)]])
+        with pytest.raises(ContextError, match=r"^context state must be an int64 integer, got 0.5 for event 1$"):
+            ContextPairs.from_lists([[(0, 1.0)], [(0.5, 1.0)], [(1, 2.0)]])
+
+    @pytest.mark.parametrize("offsets, states, weights, message", [
+        ([1, 2], [0], [1.0], "start at 0"),
+        ([0, 2, 1], [0, 1], [1.0, 1.0], "never fall"),
+        ([], [], [], "start at 0"),
+        ([0, 1], [0, 1], [1.0, 1.0], "end at the number"),
+        ([0, 2], [0, 1], [1.0], "end at the number"),
+        ([0, 1], [0.5], [1.0], "states must be a 1-D array castable to int64"),
+        ([0.0, 1.0], [0], [1.0], "offsets must be"),
+        ([[0, 1]], [0], [1.0], "offsets must be"),
+        ([0, 1, 2], [0, 1], [1.0, 0.0], r"got 0.0 for event 1$"),
+        ([0, 2], [0, 1], [np.nan, 1.0], r"got nan for event 0$"),
+        ([0, 0, 1], [0], [1.5], r"got 1.5 for event 1$"),
+    ])
+    def test_constructor_checks_the_columns(self, offsets, states, weights, message):
+        with pytest.raises(ContextError, match=message):
+            ContextPairs(offsets, states, weights)
+
+    def test_constructor_leaves_the_callers_arrays_writeable(self):
+        offsets, states, weights = np.array([0, 1]), np.array([2]), np.array([0.5])
+        pairs = ContextPairs(offsets, states, weights)
+        assert offsets.flags.writeable and states.flags.writeable and weights.flags.writeable
+        assert pairs[0] == [(2, 0.5)]
 
 
 def context_model(matrix):

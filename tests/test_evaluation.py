@@ -12,6 +12,7 @@ from itals import (
     Model,
     RankingReport,
     SeasonSpec,
+    SequenceSpec,
     SplitSpec,
     TensorShape,
     TrainConfig,
@@ -23,15 +24,17 @@ from itals import (
     fit_ica,
     implicitize,
     ingest_ratings,
+    last_category_states,
     recall_precision_at,
     recommend_topn,
+    sequential_context,
     split_by_date,
     time_band_states,
 )
 from itals import evaluation
 from itals.evaluation import score_items
 
-from conftest import DAY, make_event_log, seasonal_dataset
+from conftest import DAY, basket_dataset, make_event_log, seasonal_dataset
 
 
 def scoring_model(user_matrix, item_matrix, context_matrix=None):
@@ -814,6 +817,31 @@ class TestQualityGate:
         assert itals > recall_at_20(fit_ials(obs2, config), None)
         assert itals > recall_at_20(fit_ica(obs3, config), first)
 
+
+
+class TestSequentialQualityGate:
+    def test_itals_beats_both_baselines_on_basket_log(self):
+        # the paper's sequential result: the categories of the last
+        # purchases, as a context axis, beat a context-free model and
+        # per-category models
+        log, split_ts, mapping = basket_dataset(seed=0, n_users=150)
+        train, test = split_by_date(log, SplitSpec(split_ts))
+        cold = 13  # categories 0..12, then the state of no prior purchase
+        spec = SequenceSpec(history_depth=4, decay=0.6, category_count=cold + 1, cold_state=cold)
+        ordered = train.sorted_by_user_time()
+        shape3 = TensorShape((log.n_users, log.n_items, cold + 1), ("user", "item", "category"))
+        obs3 = build_tensor(ordered, sequential_context(ordered, mapping, spec), shape3)
+        obs2 = build_tensor(train, None, TensorShape(shape3.dims[:2], ("user", "item")))
+        last = last_category_states(train, mapping, spec)
+        requests = {u: last.get(u, [(cold, 1.0)]) for u in np.unique(test.users).tolist()}
+        config = TrainConfig(features=20, epochs=3, reg=0.1)
+
+        def recall_at_20(model, requests):
+            return recall_precision_at(model, test, 20, requests, seen=train).at(20)[0]
+
+        itals = recall_at_20(fit(obs3, config), requests)
+        assert itals > recall_at_20(fit_ials(obs2, config), None)
+        assert itals > recall_at_20(fit_ica(obs3, config), requests)
 
 class TestPrCurve:
     def test_row_count_and_header(self):
