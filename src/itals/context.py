@@ -370,10 +370,13 @@ def last_category_states(
     map to the cold state implicitly (they are simply missing from the
     dict).
     """
-    ordered = train.sorted_by_user_time()
-    users, starts, counts = np.unique(ordered.users, return_index=True, return_counts=True)
-    categories, codes = _category_codes(ordered.items, item_to_category, spec, ordered.item_ids)
-    offsets, states, weights = _windows(categories, codes, starts, starts + counts, spec)
+    order = np.lexsort((train.timestamps, train.users))
+    users = train.users[order]
+    # the bounds of the sorted list's user runs; user indices are >= 0
+    runs = np.flatnonzero(np.diff(users, prepend=-1, append=-1))
+    categories, codes = _category_codes(train.items[order], item_to_category, spec, train.item_ids)
+    offsets, states, weights = _windows(categories, codes, runs[:-1], runs[1:], spec)
+    users = users[runs[:-1]]
     # the scorer checks request pairs, so these lists are built as they are
     bounds, states, weights = offsets.tolist(), states.tolist(), weights.tolist()
     return {

@@ -1,4 +1,33 @@
-"""Raw event ingestion: TSV parsing and string-to-dense-index mapping."""
+"""Raw event ingestion: TSV parsing and string-to-dense-index mapping.
+
+Every TSV reader here goes through one block reader.  A source is read in
+blocks of about ``_BLOCK_CHARS`` characters of whole lines (a line longer
+than a block makes a longer block), and each block is parsed with numpy
+over its UTF-8 bytes:
+
+- A path or a byte stream is decoded in universal newlines mode and read
+  in chunks, so a block ends at its last ``\\n``.  A text stream is read
+  with its own ``readlines``, so its newline rule splits its lines as
+  iterating it does (``StringIO`` splits only on ``\\n``), and an iterable
+  of str gives one line per element.  Trailing ``\\r`` and ``\\n``
+  characters are cut off each line, as ``rstrip("\\r\\n")`` does.
+- Blank lines, lines starting with '#' and whitespace-only lines
+  (``str.isspace``) are skipped; the last are found among the lines whose
+  first and last bytes can belong to whitespace, and only those few are
+  decoded.  Fields are split at tabs, and a line whose field count the
+  reader does not take is a ParseError.
+- Equal fields of a block are grouped exactly, by all their bytes and
+  their length: the key is the field's 8-byte words, masked past its
+  end, sorted once per word count, so a long field widens no other
+  field's key.  Only the first field of each group is decoded, and ids
+  get dense indices in first-seen order.
+- A timestamp of fewer than 19 ASCII digits is parsed in int64, one digit
+  column at a time; any other goes through ``_parse_timestamp``.
+- A ParseError names the first bad line in file order, whatever the
+  reason and whichever block it is in.
+
+Memory is O(block + events); time is linear in the input.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +35,7 @@ import io
 import math
 from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -95,39 +125,277 @@ class RatingLog:
         return len(self.users)
 
 
-def _open_lines(source: Source) -> Iterable[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8")
-    if isinstance(source, io.TextIOBase):
-        return source
-    if hasattr(source, "read"):  # byte stream
-        return io.TextIOWrapper(source, encoding="utf-8")
-    return source
+# characters read from a stream at a time; a block holds whole lines
+_BLOCK_CHARS = 1 << 18
+# zero bytes after a block, so 8-byte words may be read past a field's end
+_PAD = 8
+# bytes a whitespace-only line can start or end with: ASCII whitespace
+# and every byte of a multi-byte UTF-8 character
+_MAYBE_SPACE = np.zeros(256, dtype=bool)
+_MAYBE_SPACE[[9, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_MAYBE_SPACE[0x80:] = True
+# _LOW_BYTES[r] keeps the r low bytes of a little-endian word
+_LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
 
-def _rows(source: Source, counts: tuple) -> Iterator[tuple]:
-    """(line number, fields) of each line; blank lines and '#' lines are skipped.
+def _blocks(source: Source) -> Iterator[tuple]:
+    """(UTF-8 bytes, line starts, line ends) of each block of the source.
 
-    A line with a field count not in ``counts`` raises ParseError.  A stream
-    opened here is closed here; callers wrap the call in ``closing`` so that
-    also happens when they stop early.
+    The bytes end in _PAD zero bytes that belong to no line.  A stream
+    opened here is closed here; callers wrap the call in ``closing`` so
+    that also happens when they stop early.
     """
-    lines = _open_lines(source)
-    try:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            if not line or line[0] == "#" or line.isspace():
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as stream:
+            yield from _stream_blocks(stream)
+    elif isinstance(source, io.TextIOBase):
+        # its own readlines splits the lines, by the stream's newline rule
+        for lines in iter(lambda: source.readlines(_BLOCK_CHARS), []):
+            yield _line_block(lines)
+    elif hasattr(source, "read"):  # byte stream
+        with io.TextIOWrapper(source, encoding="utf-8") as stream:
+            yield from _stream_blocks(stream)
+    else:
+        batch: list = []
+        size = 0
+        for line in source:
+            batch.append(line)
+            size += len(line)
+            if size >= _BLOCK_CHARS:
+                yield _line_block(batch)
+                batch, size = [], 0
+        if batch:
+            yield _line_block(batch)
+
+
+def _stream_blocks(stream) -> Iterator[tuple]:
+    """Blocks of a stream opened in universal newlines mode: its lines end at "\\n"."""
+    pieces: list = []  # the text read since the last block
+    while True:
+        chunk = stream.read(_BLOCK_CHARS)
+        if not chunk:
+            break
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            pieces.append(chunk[:cut])
+            yield _text_block(pieces)
+        pieces.append(chunk[cut:])
+    if any(pieces):
+        yield _text_block(pieces)
+
+
+def _text_block(pieces: list) -> tuple:
+    """The block of the text pieces, which it empties (so a long line is held once)."""
+    pieces.append("\0" * _PAD)
+    text = "".join(pieces)
+    pieces.clear()
+    data = text.encode("utf-8", "surrogatepass")
+    del text
+    size = len(data) - _PAD
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8, count=size) == 10)
+    if data[size - 1] != 10:
+        ends = np.append(ends, size)
+    return data, np.concatenate(([0], ends[:-1] + 1)), ends
+
+
+def _line_block(lines: list) -> tuple:
+    """The block of a list of lines, each with its line end or none; empties the list."""
+    count = len(lines)
+    lines.append("\0" * _PAD)
+    text = "".join(lines)
+    data = text.encode("utf-8", "surrogatepass")
+    if len(data) == len(text):  # ASCII: a line's characters are its bytes
+        lengths = np.fromiter(map(len, lines), dtype=np.int64, count=count)
+    else:
+        encoded = (line.encode("utf-8", "surrogatepass") for line in lines)
+        lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=count)
+    lines.clear()
+    ends = np.cumsum(lengths)
+    return data, ends - lengths, ends
+
+
+class _Table:
+    """The lines of one block that hold fields, split at their tabs.
+
+    Rows are the kept lines (not blank, '#' or whitespace-only) before the
+    first one whose field count is not in ``counts``; that line's
+    ParseError is ``error``.  ``line_no`` holds each row's line number.
+    """
+
+    def __init__(self, data: bytes, starts, ends, first_line: int, counts: tuple):
+        self.data = data
+        self.buf = buf = np.frombuffer(data, dtype=np.uint8)
+        size = len(data) - _PAD
+        # the little-endian 8-byte word at every byte offset
+        self.words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
+        self.nul = data.find(b"\0", 0, size) >= 0
+        # cut the line ends as rstrip("\r\n") does: a "\n", a "\r", then
+        # what is left, line by line (only odd text ends in more)
+        for byte in b"\n\r":
+            ends = ends - ((ends > starts) & (buf[ends - 1] == byte))
+        last = buf[ends - 1]
+        for i in np.flatnonzero((ends > starts) & ((last == 10) | (last == 13))).tolist():
+            ends[i] = starts[i] + len(data[starts[i]:ends[i]].rstrip(b"\r\n"))
+        first, last = buf[starts], buf[ends - 1]
+        kept = (ends > starts) & (first != ord("#"))
+        for i in np.flatnonzero(kept & _MAYBE_SPACE[first] & _MAYBE_SPACE[last]).tolist():
+            kept[i] = not data[starts[i]:ends[i]].decode("utf-8", "surrogatepass").isspace()
+        rows = np.flatnonzero(kept)
+        self.tabs = np.flatnonzero(buf[:size] == 9)
+        self.first_tab = np.searchsorted(self.tabs, starts[rows])
+        self.n_fields = np.searchsorted(self.tabs, ends[rows]) - self.first_tab + 1
+        self.error = None
+        bad = np.logical_and.reduce([self.n_fields != count for count in counts])
+        if bad.any():
+            b = int(np.argmax(bad))
+            expected = " or ".join(map(str, counts))
+            self.error = ParseError(
+                first_line + int(rows[b]),
+                f"expected {expected} tab-separated fields, got {self.n_fields[b]}",
+            )
+            rows, self.first_tab, self.n_fields = rows[:b], self.first_tab[:b], self.n_fields[:b]
+        self.starts, self.ends = starts[rows], ends[rows]
+        self.line_no = first_line + rows
+
+    def __len__(self) -> int:
+        return self.starts.size
+
+    def field(self, col: int, rows=None) -> tuple:
+        """Byte offsets (starts, ends) of field ``col`` in ``rows`` (default: all)."""
+        pick = slice(None) if rows is None else rows
+        tab, n_fields = self.first_tab[pick] + col, self.n_fields[pick]
+        starts = self.starts[pick] if col == 0 else self.tabs[tab - 1] + 1
+        ends = np.where(n_fields == col + 1, self.ends[pick], np.take(self.tabs, tab, mode="clip"))
+        return starts, ends
+
+    def texts(self, starts, ends) -> list:
+        data = self.data
+        return [
+            data[a:b].decode("utf-8", "surrogatepass")
+            for a, b in zip(starts.tolist(), ends.tolist())
+        ]
+
+    def grouped(self, starts, ends) -> tuple:
+        """(group of each field, text of each group): equal fields share a group.
+
+        Groups are numbered in the order of their first fields.
+        """
+        label, first = _group(self.words, starts, ends - starts, self.nul)
+        return label, self.texts(starts[first], ends[first])
+
+
+def _group(words, starts, lengths, nul: bool) -> tuple:
+    """(group of each field, first field of each group), groups in first-field order.
+
+    Two fields are equal when they have the same length and bytes: the key
+    is the field's words, the last one masked to its bytes, and its length
+    when ``nul`` says a field may hold a zero byte (else the masked words
+    fix the length).  Fields are keyed in classes of equal word count, so
+    no key is wider than its own field.
+    """
+    widths = (lengths + 7) >> 3
+    if widths.size and widths.min() == widths.max():
+        classes = [np.arange(widths.size)]
+    else:
+        by_width = np.argsort(widths, kind="stable")
+        classes = np.split(by_width, np.flatnonzero(np.diff(widths[by_width])) + 1)
+    label = np.empty(lengths.size, dtype=np.int64)
+    firsts = []
+    n_groups = 0
+    for rows in classes:
+        if rows.size == 0:
+            continue
+        width = int(widths[rows[0]])
+        if width == 0 or rows.size == 1:
+            label[rows] = n_groups
+            firsts.append(rows[:1])
+            n_groups += 1
+            continue
+        keys = np.empty((width + nul, rows.size), dtype=np.uint64)
+        keys[:width] = words[starts[rows] + 8 * np.arange(width)[:, None]]
+        keys[width - 1] &= _LOW_BYTES[lengths[rows] - 8 * (width - 1)]
+        if nul:
+            keys[width] = lengths[rows]
+        order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+        keys = keys[:, order]
+        new = np.empty(rows.size, dtype=bool)
+        new[0] = True
+        np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=new[1:])
+        label[rows[order]] = n_groups + np.cumsum(new) - 1
+        # the sort need not be stable: a group's first field is its lowest
+        firsts.append(np.minimum.reduceat(rows[order], np.flatnonzero(new)))
+        n_groups += firsts[-1].size
+    if not firsts:
+        return label, np.empty(0, dtype=np.int64)
+    first = np.concatenate(firsts)
+    by_first = np.argsort(first)
+    rank = np.empty(n_groups, dtype=np.int64)
+    rank[by_first] = np.arange(n_groups)
+    return rank[label], first[by_first]
+
+
+def _intern(table: _Table, col: int, index: dict, rows=None) -> np.ndarray:
+    """Dense index of field ``col`` in ``rows``, new ids added to ``index`` in first-seen order."""
+    label, texts = table.grouped(*table.field(col, rows))
+    dense = [index.setdefault(text, len(index)) for text in texts]
+    return np.array(dense, dtype=np.int64)[label]
+
+
+def _stamps(table: _Table, col: int) -> tuple:
+    """(timestamps, first ParseError or None) of field ``col``."""
+    starts, ends = table.field(col)
+    lengths = ends - starts
+    # up to 18 ASCII digits, the common case, fit int64 and need no call
+    plain = (lengths > 0) & (lengths < 19)
+    stamps = np.zeros(len(table), dtype=np.int64)
+    for place in range(int(lengths[plain].max(initial=0))):
+        held = lengths > place
+        digit = np.take(table.buf, ends - 1 - place, mode="clip") - np.uint8(ord("0"))
+        plain &= (digit < 10) | ~held
+        stamps += np.where(held, digit, 0) * np.int64(10**place)
+    other = np.flatnonzero(~plain)
+    texts = table.texts(starts[other], ends[other])
+    for row, text in zip(other.tolist(), texts):
+        try:
+            stamps[row] = _parse_timestamp(text, int(table.line_no[row]))
+        except ParseError as err:
+            return stamps, err
+    return stamps, None
+
+
+def _ratings(table: _Table, col: int) -> tuple:
+    """(ratings, first ParseError or None) of field ``col``; each distinct text is parsed once."""
+    label, texts = table.grouped(*table.field(col))
+    values = []
+    for text in texts:
+        try:
+            value = float(text)
+        except ValueError:
+            message = f"rating not parseable: {text!r}"
+        else:
+            if np.isfinite(value):
+                values.append(value)
                 continue
-            fields = line.split("\t")
-            if len(fields) not in counts:
-                expected = " or ".join(map(str, counts))
-                raise ParseError(
-                    line_no, f"expected {expected} tab-separated fields, got {len(fields)}"
-                )
-            yield line_no, fields
-    finally:
-        if lines is not source and hasattr(lines, "close"):
-            lines.close()
+            message = f"rating not finite: {text!r}"
+        # groups are in first-seen order: this one's first row is the first bad row
+        row = int(np.argmax(label == len(values)))
+        return None, ParseError(int(table.line_no[row]), message)
+    return np.array(values, dtype=np.float64)[label], None
+
+
+def _raise_first(*errors) -> None:
+    """Raise the error of the earliest line; on one line, the earliest argument's."""
+    found = [err for err in errors if err is not None]
+    if found:
+        raise min(found, key=lambda err: err.line_no)
+
+
+def _tables(source: Source, counts: tuple) -> Iterator[_Table]:
+    line_no = 1
+    with closing(_blocks(source)) as blocks:
+        for data, starts, ends in blocks:
+            yield _Table(data, starts, ends, line_no, counts)
+            line_no += starts.size
 
 
 def _parse_timestamp(text: str, line_no: int) -> int:
@@ -149,6 +417,10 @@ def _parse_timestamp(text: str, line_no: int) -> int:
     return value
 
 
+def _column(parts: list, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+
 def ingest_events(source: Source) -> EventLog:
     """Parse a UTF-8 TSV event log into a dense-indexed EventLog.
 
@@ -162,25 +434,25 @@ def ingest_events(source: Source) -> EventLog:
     users, items, stamps, cats = [], [], [], []
     saw_category = False
 
-    with closing(_rows(source, (3, 4))) as rows:
-        for line_no, fields in rows:
-            uid, iid, ts = fields[0], fields[1], fields[2]
-            users.append(user_index.setdefault(uid, len(user_index)))
-            items.append(item_index.setdefault(iid, len(item_index)))
-            # up to 18 plain digits, the common case, fit int64 and need no call
-            plain = ts.isdecimal() and len(ts) < 19
-            stamps.append(int(ts) if plain else _parse_timestamp(ts, line_no))
-            if len(fields) == 4:
+    with closing(_tables(source, (3, 4))) as tables:
+        for table in tables:
+            stamp, bad_stamp = _stamps(table, 2)
+            _raise_first(bad_stamp, table.error)
+            users.append(_intern(table, 0, user_index))
+            items.append(_intern(table, 1, item_index))
+            stamps.append(stamp)
+            four = np.flatnonzero(table.n_fields == 4)
+            cat = np.full(len(table), -1, dtype=np.int64)
+            if four.size:
                 saw_category = True
-                cats.append(cat_index.setdefault(fields[3], len(cat_index)))
-            else:
-                cats.append(-1)
+                cat[four] = _intern(table, 3, cat_index, four)
+            cats.append(cat)
 
     return EventLog(
-        users=np.asarray(users, dtype=np.int64),
-        items=np.asarray(items, dtype=np.int64),
-        timestamps=np.asarray(stamps, dtype=np.int64),
-        categories=np.asarray(cats, dtype=np.int64) if saw_category else None,
+        users=_column(users, np.int64),
+        items=_column(items, np.int64),
+        timestamps=_column(stamps, np.int64),
+        categories=_column(cats, np.int64) if saw_category else None,
         user_ids=list(user_index),
         item_ids=list(item_index),
         category_ids=list(cat_index) if saw_category else None,
@@ -193,24 +465,21 @@ def ingest_ratings(source: Source) -> RatingLog:
     item_index: dict = {}
     users, items, ratings, stamps = [], [], [], []
 
-    with closing(_rows(source, (4,))) as rows:
-        for line_no, fields in rows:
-            try:
-                rating = float(fields[2])
-            except ValueError:
-                raise ParseError(line_no, f"rating not parseable: {fields[2]!r}") from None
-            if not np.isfinite(rating):
-                raise ParseError(line_no, f"rating not finite: {fields[2]!r}")
-            users.append(user_index.setdefault(fields[0], len(user_index)))
-            items.append(item_index.setdefault(fields[1], len(item_index)))
+    with closing(_tables(source, (4,))) as tables:
+        for table in tables:
+            rating, bad_rating = _ratings(table, 2)
+            stamp, bad_stamp = _stamps(table, 3)
+            _raise_first(bad_rating, bad_stamp, table.error)
+            users.append(_intern(table, 0, user_index))
+            items.append(_intern(table, 1, item_index))
             ratings.append(rating)
-            stamps.append(_parse_timestamp(fields[3], line_no))
+            stamps.append(stamp)
 
     return RatingLog(
-        users=np.asarray(users, dtype=np.int64),
-        items=np.asarray(items, dtype=np.int64),
-        ratings=np.asarray(ratings, dtype=np.float64),
-        timestamps=np.asarray(stamps, dtype=np.int64),
+        users=_column(users, np.int64),
+        items=_column(items, np.int64),
+        ratings=_column(ratings, np.float64),
+        timestamps=_column(stamps, np.int64),
         user_ids=list(user_index),
         item_ids=list(item_index),
     )
@@ -218,12 +487,13 @@ def ingest_ratings(source: Source) -> RatingLog:
 
 def write_events_tsv(log: EventLog, path: Union[str, Path]) -> None:
     """Write events in canonical form (dense indices as ids), one per line."""
+    columns = [log.users.tolist(), log.items.tolist(), log.timestamps.tolist()]
+    if log.categories is None:
+        tails = repeat("")
+    else:
+        tails = ["" if cat < 0 else f"\t{cat}" for cat in log.categories.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(log)):
-            row = f"{log.users[i]}\t{log.items[i]}\t{log.timestamps[i]}"
-            if log.categories is not None and log.categories[i] >= 0:
-                row += f"\t{log.categories[i]}"
-            fh.write(row + "\n")
+        fh.write("".join(map("{}\t{}\t{}{}\n".format, *columns, tails)))
 
 
 def write_id_map(ids: list, path: Union[str, Path]) -> None:
@@ -244,9 +514,12 @@ def read_category_map(source: Source, item_ids: list) -> tuple:
     item_lookup = {orig: idx for idx, orig in enumerate(item_ids)}
     cat_index: dict = {}
     mapping: dict = {}
-    with closing(_rows(source, (2,))) as rows:
-        for _, (item, category) in rows:
-            item_idx = item_lookup.get(item)
-            if item_idx is not None:
-                mapping[item_idx] = cat_index.setdefault(category, len(cat_index))
+    with closing(_tables(source, (2,))) as tables:
+        for table in tables:
+            _raise_first(table.error)
+            label, texts = table.grouped(*table.field(0))
+            items = np.array([item_lookup.get(text, -1) for text in texts], dtype=np.int64)[label]
+            known = np.flatnonzero(items >= 0)
+            cats = _intern(table, 1, cat_index, known)
+            mapping.update(zip(items[known].tolist(), cats.tolist()))
     return mapping, list(cat_index)

@@ -364,6 +364,34 @@ class TestLastCategoryStates:
         with pytest.raises(ContextError, match="reserved"):
             last_category_states(log, {0: 2}, spec)
 
+    @staticmethod
+    def sorted_copy_rule(train, item_to_category, spec):
+        """The rule as it was: a sorted copy of the whole log, users found by np.unique."""
+        ordered = train.sorted_by_user_time()
+        users, starts, counts = np.unique(ordered.users, return_index=True, return_counts=True)
+        categories, codes = context._category_codes(ordered.items, item_to_category, spec, ordered.item_ids)
+        offsets, states, weights = context._windows(categories, codes, starts, starts + counts, spec)
+        bounds, states, weights = offsets.tolist(), states.tolist(), weights.tolist()
+        return {
+            user: list(zip(states[start:end], weights[start:end]))
+            for user, start, end in zip(users.tolist(), bounds, bounds[1:])
+        }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_sorted_copy_rule(self, seed):
+        rng = np.random.default_rng(seed)
+        users, items, stamps = random_baskets(rng, n_users=40, trips=12, n_items=30)
+        # rows in no order: the rule sorts by user and time itself
+        shuffle = rng.permutation(users.size)
+        log = make_event_log(users[shuffle], items[shuffle], stamps[shuffle], n_users=40, n_items=30)
+        mapping = {i: (i * 5) % 9 for i in range(30)}
+        for depth, decay in ((1, 0.5), (3, 0.7), (50, 1.0)):
+            spec = SequenceSpec(history_depth=depth, decay=decay, category_count=10, cold_state=9)
+            got = last_category_states(log, mapping, spec)
+            assert repr(got) == repr(self.sorted_copy_rule(log, mapping, spec))
+        empty = make_event_log([], [], [], n_users=0, n_items=0)
+        assert last_category_states(empty, mapping, spec) == {}
+
 
 def random_baskets(rng, n_users, trips, n_items):
     """Columns of a log whose users make ``trips`` trips of 1-4 items each.
