@@ -349,6 +349,7 @@ def cmd_eval(args) -> int:
     requests = None
     if model.shape.context_axes:  # a model without one ignores --context
         requests = _model_context(model, args, train).requests(test)
+    ranking = time.perf_counter()
     report = recall_precision_at(
         model,
         test,
@@ -360,6 +361,8 @@ def cmd_eval(args) -> int:
         average=args.average,
     )
     wall = time.perf_counter() - started
+    # the ranking alone, without the request contexts
+    rank = time.perf_counter() - ranking
 
     # the fields that label both the per-N records and the summary
     label = {
@@ -389,6 +392,8 @@ def cmd_eval(args) -> int:
                 f"precision@{headline_n}": p20,
                 "n_max": n_max,
                 "wall_time": round(wall, 3),
+                "rank_seconds": round(rank, 6),
+                "users_per_second": round(report.n_users / rank, 1),
             }
         )
     )

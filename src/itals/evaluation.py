@@ -8,26 +8,36 @@ composite model the heaviest context state of each user picks the
 sub-model.  The selection rule keeps a row's top N, ties broken by
 ascending item id, with excluded items dropped and NaN scores last.
 Serving applies it to one row (``_top_n``), evaluation to every row of
-a block at once (``_top_n_rows``).
+a block at once (``_top_n_rows``).  A row whose n-th smallest key is
+finite takes the keys at or below it as its candidates, since every
+excluded (+inf) and NaN key lies above; a row with fewer than n finite
+keys also keeps its NaN keys, which sort last.
 
 A request context is a list of (state, weight) pairs per context axis.
 One rule holds for every pair, checked by ``_check_pair``: the state is
 a Python or numpy integer in [0, axis size) and the weight a Python or
 numpy number, finite and > 0 (a bool is neither, a string no number);
 else ContextError names the first bad pair.  ``_contexts`` normalizes
-the context input of a block of requests, ``_resolve`` turns a block of
-lists into weighted averages of the context factor columns, and the
-composite's selection takes the first pair of largest weight.
+the context input of a block of requests, ``_pairs`` checks a block's
+pairs with one vectorized test, ``_resolve`` turns a block of lists into
+weighted averages of the context factor columns (one gather when every
+list has one pair), and the composite's selection takes the first pair
+of largest weight of every list at once.
 
 ``score_items`` and ``recommend_topn`` are the one-user case.
-``recall_precision_at`` groups the test and seen logs by user once and
-ranks the test users in blocks of at most ``RANK_BLOCK`` scores (or
-metric terms, when n_max exceeds the items): it normalizes and resolves
-the block's contexts, scores the block with one product, marks every
-seen item with one assignment, selects the top N of all rows with one
-partition and one sort, and takes the hits from a boolean block of
-relevant items.  The per-user sums run over users in order, so the
-metrics equal a loop over ``recommend_topn`` bit for bit.
+``recall_precision_at`` refuses negative ids in either log and seen
+items outside the model before it ranks anyone.  It takes the distinct
+test users from one ``bincount`` and ranks them in ascending order, in
+blocks of at most ``RANK_BLOCK`` scores; a user -> (block, row) map and
+one counting sort on the block number put every test and seen event
+into its block, so no log is sorted by comparison and none is read once
+per block.  A block resolves its contexts, scores its rows with one
+product, marks its seen items with one assignment, selects the top N of
+all rows with one partition and one sort, and takes the hits from a
+boolean block of relevant items.  No item is ranked past the row width,
+so blocks rank at most that many positions and the hits of the rest are
+filled in.  The per-user sums run over users in order, so the metrics
+equal a loop over ``recommend_topn`` bit for bit.
 
 Recall@N and precision@N follow the per-user convention: relevant items
 are the distinct items the user touched in the test period, one ranking
@@ -66,8 +76,9 @@ __all__ = [
 log = logging.getLogger("itals")
 
 # A ranking block holds at most this many entries per array: its rows
-# are max(items, n_max) wide (136 users at 480 items and N = 20), so its
-# score, key, relevance and metric arrays stay under about 1 MB each.
+# are as wide as the items (136 users at 480 items), and it ranks at most
+# that many positions, so its score, key, relevance and metric arrays
+# stay under about 1 MB each whatever n_max.
 RANK_BLOCK = 1 << 16
 
 
@@ -187,14 +198,41 @@ def _check_pair(state, weight, size: int) -> None:
         raise ContextError(f"context weight {weight} of state {state} must be finite and > 0")
 
 
-def _heaviest(pairs, size: int) -> int:
-    """The state of the first pair of largest weight; every pair is checked."""
-    best, heaviest = None, 0.0
-    for state, weight in pairs:
-        _check_pair(state, weight, size)
-        if weight > heaviest:
-            best, heaviest = state, weight
-    return best
+def _pairs(lists: Sequence, size: int):
+    """(states, weights, lengths) of a block of pair lists, each pair checked by the request rule.
+
+    ``states`` (integers) and ``weights`` (float64) hold every pair in list
+    order, ``lengths`` the pair count of each list.  One vectorized test
+    passes a valid block; otherwise every pair goes through
+    ``_check_pair``, so ContextError names the first bad one.
+    """
+    lengths = np.array([len(pairs) for pairs in lists], dtype=np.int64)
+    pairs = [pair for states in lists for pair in states]
+    states = [state for state, _ in pairs]
+    weights = [weight for _, weight in pairs]
+    # numpy would read a bool state as an integer and a string weight as a
+    # number, so only states and weights of the rule's types become arrays
+    typed = _of_types(states, _STATE_TYPES) and _of_types(weights, _WEIGHT_TYPES)
+    if typed:
+        states, weights = np.array(states), np.array(weights, dtype=np.float64)
+    if not (
+        typed
+        and states.dtype.kind in "iu"
+        and ((states >= 0) & (states < size) & (weights > 0) & (weights < np.inf)).all()
+    ):
+        for state, weight in pairs:
+            _check_pair(state, weight, size)
+        states = states.astype(np.int64)  # numpy ints of mixed signedness, read as floats
+    return states, weights, lengths
+
+
+def _heaviest(lists: Sequence, size: int) -> np.ndarray:
+    """The state of each list's first pair of largest weight; every pair is checked."""
+    states, weights, lengths = _pairs(lists, size)
+    col = np.repeat(np.arange(lengths.size), lengths)
+    top = np.flatnonzero(weights == np.maximum.reduceat(weights, np.cumsum(lengths) - lengths)[col])
+    # ``top`` holds the heaviest pairs in list order; keep each list's first
+    return states[top[np.r_[True, col[top[1:]] != col[top[:-1]]]]]
 
 
 def _resolve(matrix: np.ndarray, lists: Sequence) -> np.ndarray:
@@ -202,8 +240,9 @@ def _resolve(matrix: np.ndarray, lists: Sequence) -> np.ndarray:
 
     Every column sums its pairs in list order, so a block equals its lists
     resolved one at a time bit for bit.  One list is a loop over its pairs
-    (fewer numpy calls); a block sorts its pairs by list position once and
-    adds one position's pairs at a time across the block.  A pair that
+    (fewer numpy calls).  A block gathers every list's first pair in one
+    pass, which is all a block of one-pair lists needs, then adds one
+    later list position's pairs at a time across the block.  A pair that
     breaks the request rule raises ContextError, the first one named.
     """
     size = matrix.shape[1]
@@ -222,35 +261,23 @@ def _resolve(matrix: np.ndarray, lists: Sequence) -> np.ndarray:
             vec += matrix[:, state] if weight == 1.0 else weight * matrix[:, state]
             total += weight
         return (vec if total == 1.0 else vec / total)[:, None]
-    lengths = np.array([len(pairs) for pairs in lists], dtype=np.int64)
-    pairs = [pair for states in lists for pair in states]
-    states = [state for state, _ in pairs]
-    weights = [weight for _, weight in pairs]
-    # numpy would read a bool state as an integer and a string weight as a
-    # number, so only states and weights of the rule's types become arrays
-    typed = _of_types(states, _STATE_TYPES) and _of_types(weights, _WEIGHT_TYPES)
-    if typed:
-        states, weights = np.array(states), np.array(weights, dtype=np.float64)
-    if not (
-        typed
-        and states.dtype.kind in "iu"
-        and ((states >= 0) & (states < size) & (weights > 0) & (weights < np.inf)).all()
-    ):
-        for state, weight in pairs:
-            _check_pair(state, weight, size)
-        states = states.astype(np.int64)  # numpy ints of mixed signedness, read as floats
-    # pair p is at position rank[p] of the list of column col[p]; a stable sort
-    # by position makes each position's pairs one slice, columns ascending
-    col = np.repeat(np.arange(lengths.size), lengths)
-    rank = np.arange(len(pairs)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    vecs = np.zeros((matrix.shape[0], lengths.size))
-    totals = np.zeros(lengths.size)
-    by_rank = np.argsort(rank, kind="stable")
-    ends = np.cumsum(np.bincount(rank)).tolist()
-    for lo, hi in zip([0, *ends], ends):
-        at = by_rank[lo:hi]
-        vecs[:, col[at]] += weights[at] * matrix[:, states[at]]
-        totals[col[at]] += weights[at]
+    states, weights, lengths = _pairs(lists, size)
+    first = np.cumsum(lengths) - lengths
+    totals = weights[first]
+    # adding the first pair to a zero column, as a list's sum starts, turns -0.0 into +0.0
+    vecs = totals * matrix[:, states[first]] + 0.0
+    if lengths.max() > 1:
+        # pair p is at position rank[p] of the list of column col[p]; a stable
+        # sort by position makes each position's pairs one slice, columns
+        # ascending, the first slice being the first pairs
+        col = np.repeat(np.arange(lengths.size), lengths)
+        rank = np.arange(states.size) - np.repeat(first, lengths)
+        by_rank = np.argsort(rank, kind="stable")
+        ends = np.cumsum(np.bincount(rank)).tolist()
+        for lo, hi in zip(ends, ends[1:]):
+            at = by_rank[lo:hi]
+            vecs[:, col[at]] += weights[at] * matrix[:, states[at]]
+            totals[col[at]] += weights[at]
     return vecs / totals
 
 
@@ -266,7 +293,7 @@ def _score_rows(model, users: np.ndarray, contexts: dict) -> np.ndarray:
     """
     if isinstance(model, CompositeModel):
         (lists,) = contexts.values()
-        states = np.array([_heaviest(pairs, model.n_states) for pairs in lists], dtype=np.int64)
+        states = _heaviest(lists, model.n_states)
         scores = np.zeros((users.size, model.shape.dims[model.shape.item_axis]))
         for state in np.unique(states).tolist():
             sub = model.submodels[state]
@@ -307,10 +334,16 @@ def _top_n(key: np.ndarray, n: int) -> np.ndarray:
     out, so fewer than n indices come back when fewer candidates remain.
     """
     n = min(n, key.size)
-    # the candidates with keys at or below the n-th; "not above" also
-    # keeps NaN keys, which then sort last as in a full sort
-    top = (~(key > np.partition(key, n - 1)[n - 1])).nonzero()[0]
-    top = top[key[top] != np.inf]
+    nth = np.partition(key, n - 1)[n - 1]
+    if nth < np.inf:
+        # the candidates: keys at or below a finite n-th, above which lie
+        # every excluded and NaN key
+        top = (key <= nth).nonzero()[0]
+    else:
+        # fewer than n finite keys: "not above" the n-th also keeps NaN
+        # keys, which then sort last as in a full sort
+        top = (~(key > nth)).nonzero()[0]
+        top = top[key[top] != np.inf]
     # a stable sort of ascending ids keeps the ascending-id tie-break
     return top[np.argsort(key[top], kind="stable")[:n]]
 
@@ -318,14 +351,19 @@ def _top_n(key: np.ndarray, n: int) -> np.ndarray:
 def _top_n_rows(key: np.ndarray, n: int):
     """(rows, ranks, indices) of every row's top n keys, by the rule of ``_top_n``.
 
-    One partition finds each row's n-th key.  The candidates not above it,
-    less the excluded +inf keys, are ordered by row, then key, then index,
-    and the first n of each row are kept, ``ranks`` counting from 0.
+    One partition finds each row's n-th key.  The candidates, chosen as
+    ``_top_n`` chooses them, are ordered by row, then key, then index, and
+    the first n of each row are kept, ``ranks`` counting from 0.
     """
     width = key.shape[1]
     n = min(n, width)
-    nth = np.partition(key, n - 1, axis=1)[:, n - 1, None]
-    flat = np.flatnonzero(~(key > nth) & (key != np.inf))
+    nth = np.partition(key, n - 1, axis=1)[:, [n - 1]]  # a copy: the partition is freed
+    candidates = key <= nth
+    short = np.flatnonzero(~(nth[:, 0] < np.inf))
+    if short.size:  # rows with fewer than n finite keys
+        keys = key[short]
+        candidates[short] = ~(keys > nth[short]) & (keys != np.inf)
+    flat = np.flatnonzero(candidates)
     rows, top = np.divmod(flat, width)
     # dense ranks of the keys (equal keys share one, NaN ranks last) make
     # (row, key, index) one distinct integer, so one unstable sort orders
@@ -389,22 +427,32 @@ class RankingReport:
         return float(self.recall[n - 1]), float(self.precision[n - 1])
 
 
-def _items_by_user(log: EventLog, users: np.ndarray):
-    """(items, lo, hi): ``items[lo[j]:hi[j]]`` are the items of ``users[j]``."""
-    # an item's place inside its user's group does not matter
-    order = np.argsort(log.users)
-    grouped = log.users[order]
-    lo = np.searchsorted(grouped, users, side="left")
-    hi = np.searchsorted(grouped, users, side="right")
-    return log.items[order], lo, hi
+def _counting_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """A stable order of integer keys in [0, n_keys), in time linear in their count.
+
+    numpy's stable sort of 16-bit integers is a radix sort; wider keys
+    take one such pass per 16 bits, least significant first.
+    """
+    order = np.argsort(keys.astype(np.uint16, copy=False), kind="stable")
+    for shift in range(16, (n_keys - 1).bit_length(), 16):
+        order = order[np.argsort((keys[order] >> shift).astype(np.uint16), kind="stable")]
+    return order
 
 
-def _block_cells(items: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """(rows, items) of ``items[lo[r]:hi[r]]`` for every row r, for fancy indexing."""
-    counts = hi - lo
-    rows = np.repeat(np.arange(counts.size), counts)
-    starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return rows, items[starts + np.arange(rows.size)]
+def _cells_by_block(log: EventLog, block_of: np.ndarray, base_of: np.ndarray, n_blocks: int):
+    """(cells, ends): the flat cell index of each of ``log``'s events in its ranking block.
+
+    ``block_of[u]`` is user u's block (``n_blocks`` for a user not ranked,
+    whose events drop out) and ``base_of[u]`` the flat index of the first
+    cell of u's row in it; the maps' last entries stand for every larger
+    id.  One counting sort on the block number groups the events, so
+    block b's cells are ``cells[ends[b]:ends[b + 1]]``.
+    """
+    blocks = block_of.take(log.users, mode="clip")
+    counts = np.bincount(blocks, minlength=n_blocks + 1)
+    kept = _counting_order(blocks, n_blocks + 1)[: blocks.size - counts[n_blocks]]
+    cells = base_of.take(log.users, mode="clip") + log.items
+    return cells[kept], np.r_[0, np.cumsum(counts[:n_blocks])]
 
 
 def _requests(request_states: Mapping, users: list) -> list:
@@ -444,59 +492,98 @@ def recall_precision_at(
     n_users_model = model.shape.dims[model.shape.user_axis]
     n_items = model.shape.dims[model.shape.item_axis]
     ctx_axes = model.shape.context_axes
+    for kind, ids in (("user", test.users), ("item", test.items)):
+        if ids.min() < 0:
+            raise EvalError(f"test log holds a negative {kind} id, {ids.min()}")
     if seen is not None and seen.items.size:
+        if seen.users.min() < 0:
+            raise EvalError(f"seen log holds a negative user id, {seen.users.min()}")
         if seen.items.min() < 0 or seen.items.max() >= n_items:
             raise _exclude_error(n_items)
-    users = np.unique(test.users)
+    counts = np.bincount(test.users)
+    users = np.flatnonzero(counts)
+    # the users ascend, so the ones the model knows come first
+    n_known = int(np.searchsorted(users, n_users_model))
     n_skipped = 0
     if skip_unknown_users:
-        n_skipped = int(np.count_nonzero(users >= n_users_model))
-        users = users[users < n_users_model]
+        n_skipped = users.size - n_known
+        users = users[:n_known]
     if users.size == 0:
         raise EvalError("no evaluable users in the test log")
-    test_items, test_lo, test_hi = _items_by_user(test, users)
-    if seen is not None:
-        seen_items, seen_lo, seen_hi = _items_by_user(seen, users)
     # a test item the model does not know is relevant but never ranked
     width = max(n_items, int(test.items.max()) + 1)
-    block = max(1, RANK_BLOCK // max(width, n_max))
+    # no item is ranked past the width, so blocks rank at most width positions
+    depth = min(n_max, width)
+    block = max(1, RANK_BLOCK // width)
+    n_blocks = -(-users.size // block)
+    rows = np.arange(users.size)
+    block_of = np.full(counts.size + 1, n_blocks, dtype=np.uint16 if n_blocks < 1 << 16 else np.int64)
+    block_of[users] = rows // block
+    base_of = np.zeros(counts.size + 1, dtype=np.int64)
+    base_of[users] = rows % block * width
+    test_cells, test_ends = _cells_by_block(test, block_of, base_of, n_blocks)
+    if seen is not None:
+        # only the known users' rows are scored, n_items keys each
+        block_of[users[n_known:]] = n_blocks
+        base_of[users] = rows % block * n_items
+        seen_cells, seen_ends = _cells_by_block(seen, block_of, base_of, n_blocks)
     steps = np.arange(1, n_max + 1, dtype=np.float64)
+    macro = average == "macro"
     # running sums over users in user order: recall and precision terms
     # (macro) or hits (micro); each block adds its rows one at a time
-    sums = np.zeros((2 if average == "macro" else 1, n_max))
+    sums = np.zeros((2 if macro else 1, depth))
     total_relevant = 0
+    last_hits = []
 
-    for start in range(0, users.size, block):
-        rows = slice(start, start + block)
-        block_users = users[rows]
+    for b in range(n_blocks):
+        start = b * block
+        block_users = users[start : start + block]
         relevant = np.zeros((block_users.size, width), dtype=bool)
-        relevant[_block_cells(test_items, test_lo[rows], test_hi[rows])] = True
-        flags = np.zeros((block_users.size, n_max))
-        known = np.flatnonzero(block_users < n_users_model)
-        if known.size:
-            ranked = block_users[known]
-            states = [None] * known.size
+        np.put(relevant, test_cells[test_ends[b] : test_ends[b + 1]], True)
+        flags = np.zeros((block_users.size, depth))
+        known = min(block_users.size, max(0, n_known - start))
+        if known:
+            ranked = block_users[:known]
+            states = [None] * known
             if request_states is not None:
                 states = _requests(request_states, ranked.tolist())
-            key = -_score_rows(model, ranked, _contexts(ctx_axes, states))
+            key = _score_rows(model, ranked, _contexts(ctx_axes, states))
+            np.negative(key, out=key)
             if seen is not None:
-                lo, hi = seen_lo[rows][known], seen_hi[rows][known]
-                key[_block_cells(seen_items, lo, hi)] = np.inf
-            top_rows, ranks, top = _top_n_rows(key, n_max)
-            top_rows = known[top_rows]
+                np.put(key, seen_cells[seen_ends[b] : seen_ends[b + 1]], np.inf)
+            top_rows, ranks, top = _top_n_rows(key, depth)
             flags[top_rows, ranks] = relevant[top_rows, top]
         hits = np.cumsum(flags, axis=1)
+        if depth < n_max:
+            last_hits.append(hits[:, -1].copy())
         n_relevant = relevant.sum(axis=1)
         total_relevant += int(n_relevant.sum())
-        if average == "macro":
-            terms = np.stack([hits / n_relevant[:, None], hits / steps], axis=1)
+        terms = np.empty((block_users.size + 1, *sums.shape))
+        terms[0] = sums
+        if macro:
+            np.divide(hits, n_relevant[:, None], out=terms[1:, 0])
+            np.divide(hits, steps[:depth], out=terms[1:, 1])
         else:
-            terms = hits[:, None, :]
+            terms[1:, 0] = hits
         # cumsum adds the rows one after another, like a loop over users
-        sums = np.cumsum(np.concatenate([sums[None], terms]), axis=0)[-1]
+        sums = np.cumsum(terms, axis=0)[-1]
+
+    if depth < n_max:
+        # past the width every user's hits stay at their last count, so the
+        # recall terms and the hits keep their last sum; the precision terms
+        # are summed over users in order, a block of positions at a time
+        hits = np.concatenate(last_hits)
+        tail = np.empty((sums.shape[0], n_max - depth))
+        tail[0] = sums[0, -1]
+        if macro:
+            chunk = max(1, RANK_BLOCK // hits.size)
+            for lo in range(depth, n_max, chunk):
+                terms = hits[:, None] / steps[lo : lo + chunk]
+                tail[1, lo - depth : lo - depth + terms.shape[1]] = np.cumsum(terms, axis=0)[-1]
+        sums = np.concatenate([sums, tail], axis=1)
 
     n_eval = users.size
-    if average == "macro":
+    if macro:
         recall = sums[0] / n_eval
         precision = sums[1] / n_eval
     else:

@@ -141,9 +141,10 @@ _LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 def _blocks(source: Source) -> Iterator[tuple]:
     """(UTF-8 bytes, line starts, line ends) of each block of the source.
 
-    The bytes end in _PAD zero bytes that belong to no line.  A stream
-    opened here is closed here; callers wrap the call in ``closing`` so
-    that also happens when they stop early.
+    The bytes end in _PAD zero bytes that belong to no line.  A file
+    opened here is closed here, and a caller's byte stream is left open;
+    callers wrap the call in ``closing`` so that also happens when they
+    stop early.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as stream:
@@ -152,9 +153,12 @@ def _blocks(source: Source) -> Iterator[tuple]:
         # its own readlines splits the lines, by the stream's newline rule
         for lines in iter(lambda: source.readlines(_BLOCK_CHARS), []):
             yield _line_block(lines)
-    elif hasattr(source, "read"):  # byte stream
-        with io.TextIOWrapper(source, encoding="utf-8") as stream:
+    elif hasattr(source, "read"):  # byte stream, left open for the caller
+        stream = io.TextIOWrapper(source, encoding="utf-8")
+        try:
             yield from _stream_blocks(stream)
+        finally:
+            stream.detach()
     else:
         batch: list = []
         size = 0

@@ -57,6 +57,9 @@ class PersistenceError(ValueError):
     pass
 
 
+_LENGTH = struct.Struct("<I")
+
+
 class _Reader:
     """Reads a model file's fields in order, never past the end it had when opened."""
 
@@ -83,6 +86,30 @@ class _Reader:
     def text(self) -> str:
         (length,) = self.field("<I")
         return self._fh.read(self._claim(length)).decode("utf-8")
+
+    def texts(self, count: int) -> list:
+        """``count`` strings, each a u32 byte length and UTF-8 bytes, from one read.
+
+        Every string needs its length field, so a count that the bytes left
+        cannot hold raises before anything is read.  The bytes left are
+        read at once and the position is put back after the last string.
+        """
+        if 4 * count > self.left:
+            raise PersistenceError("truncated model file")
+        data = self._fh.read(self.left)
+        texts, at = [], 0
+        try:
+            for _ in range(count):
+                (length,) = _LENGTH.unpack_from(data, at)
+                start, at = at + 4, at + 4 + length
+                if at > len(data):
+                    raise PersistenceError("truncated model file")
+                texts.append(data[start:at].decode("utf-8"))
+        except struct.error:  # a length field past the end
+            raise PersistenceError("truncated model file") from None
+        self._fh.seek(at - len(data), os.SEEK_CUR)
+        self.left -= at
+        return texts
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         """An owned, writable, C-ordered float64 (rows, cols) matrix."""
@@ -187,7 +214,7 @@ def _read_id_maps(reader: _Reader, shape: TensorShape):
     maps = []
     for _ in range(shape.ndim):
         present = reader.flag()
-        maps.append([reader.text() for _ in range(reader.field("<Q")[0])] if present else None)
+        maps.append(reader.texts(reader.field("<Q")[0]) if present else None)
     if all(ids is None for ids in maps):
         return None
     _check_id_maps(shape, maps)

@@ -292,6 +292,11 @@ class TestEvalCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["dataset"] == "toy"
         assert "recall@10" in summary
+        # the ranking is timed apart from the request contexts, inside the wall time
+        assert 0 < summary["rank_seconds"] <= summary["wall_time"] + 0.0005
+        assert summary["users_per_second"] == pytest.approx(
+            summary["users"] / summary["rank_seconds"], rel=0.01
+        )
         pr = (workdir / "out.pr.csv").read_text().strip().split("\n")
         assert pr[0] == "N,recall,precision"
         assert len(pr) == 11
@@ -709,7 +714,8 @@ class TestConfigFile:
             capsys.readouterr()
             assert run(*argv) == 0
             summary = json.loads(capsys.readouterr().out)
-            summary.pop("wall_time")
+            for timing in ("wall_time", "rank_seconds", "users_per_second"):
+                summary.pop(timing)
             summaries.append(summary)
         assert summaries[0] == summaries[1] != summaries[2]
 

@@ -761,6 +761,179 @@ class TestBlockRanking:
         assert report.recall[-1] == 1.0
         assert peak < 16 * 2**20
 
+    def one_user_per_block(self, monkeypatch, test):
+        """Set the block cap to 1, 3 and all test users in turn, whatever n_max."""
+        width = max(self.N_ITEMS, int(test.items.max()) + 1)
+        for users in (1, 3, self.N_USERS + 3):
+            monkeypatch.setattr(evaluation, "RANK_BLOCK", users * width)
+            yield
+
+    @pytest.mark.parametrize("composite", [False, True])
+    @pytest.mark.parametrize("average", ["macro", "micro"])
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_grouping_edge_cases_give_the_looped_report(self, monkeypatch, composite, average, skip):
+        # test users in descending order with every event twice; seen users
+        # that are not in the test log; test users above the seen log's ids,
+        # then seen users above the test log's ids; unknown test users, one
+        # of them with seen events
+        rng = np.random.default_rng(58)
+        n_users, n_items = self.N_USERS, self.N_ITEMS
+        cases = (([11, 9, 8, 7, 5, 2], [0, 1, 2, 3, 4, 5, 9]), ([3, 1, 0], [0, 1, 4, 6, 8]))
+        for test_users, seen_users in cases:
+            model, _, _, requests = self.instance(rng, composite)
+            users = rng.choice(test_users, 30)
+            users = np.sort(np.r_[users, test_users])[::-1]
+            items = rng.integers(0, n_items + 2, users.size)
+            test = make_event_log(
+                np.r_[users, users], np.r_[items, items], np.arange(2 * users.size),
+                n_users=n_users + 3, n_items=n_items + 2,
+            )
+            seen_of = rng.choice(seen_users, 40)
+            seen = make_event_log(
+                seen_of, rng.integers(0, n_items, seen_of.size), np.arange(seen_of.size),
+                n_users=n_users + 3, n_items=n_items,
+            )
+            for n_max in (4, n_items):
+                reference = looped_report(model, test, n_max, requests, seen, average, skip)
+                for _ in self.one_user_per_block(monkeypatch, test):
+                    report = recall_precision_at(
+                        model, test, n_max, requests, seen=seen,
+                        skip_unknown_users=skip, average=average,
+                    )
+                    assert_bitwise_report(report, reference)
+                    assert report.n_skipped == (skip and int(np.sum(np.array(test_users) >= n_users)))
+
+    @pytest.mark.parametrize("composite", [False, True])
+    @pytest.mark.parametrize("average", ["macro", "micro"])
+    def test_positions_past_the_items_give_the_looped_report(self, monkeypatch, composite, average):
+        # only the first width positions are ranked; the hits of the rest
+        # are filled in, the precision terms a block of positions at a time
+        rng = np.random.default_rng(62)
+        for _ in range(3):
+            model, test, seen, requests = self.instance(rng, composite)
+            width = max(self.N_ITEMS, int(test.items.max()) + 1)
+            for n_max in (width + 1, 5 * width + 3):
+                reference = looped_report(model, test, n_max, requests, seen, average)
+                for _ in self.one_user_per_block(monkeypatch, test):
+                    report = recall_precision_at(model, test, n_max, requests, seen=seen, average=average)
+                    assert_bitwise_report(report, reference)
+
+    def test_counting_order_is_a_stable_sort(self):
+        rng = np.random.default_rng(63)
+        for n_keys in (2, 300, 1 << 16, (1 << 16) + 1, 1 << 20):
+            keys = rng.integers(0, n_keys, 5_000)
+            keys[:3] = n_keys - 1
+            order = evaluation._counting_order(keys, n_keys)
+            assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+
+    @pytest.mark.parametrize(
+        "log, column, message",
+        [
+            ("test", "users", "test log holds a negative user id, -1"),
+            ("test", "items", "test log holds a negative item id, -1"),
+            ("seen", "users", "seen log holds a negative user id, -1"),
+            ("seen", "items", r"excluded item ids must lie in \[0, 4\)"),
+        ],
+    )
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_negative_ids_are_rejected_before_any_ranking(self, log, column, message, skip):
+        # a test user -1 used to be scored as user 4 (the last), and a test
+        # item -1 to mark the last item relevant; no user has a request
+        # context, so ranking anyone would fail first
+        model = scoring_model(np.ones((1, 5)), np.ones((1, 4)), np.ones((1, 2)))
+        logs = {
+            "test": make_event_log([0, 4], [1, 2], [1, 2], n_users=5, n_items=4),
+            "seen": make_event_log([0, 4], [0, 3], [1, 2], n_users=5, n_items=4),
+        }
+        getattr(logs[log], column)[0] = -1
+        with pytest.raises(EvalError, match=message):
+            recall_precision_at(model, logs["test"], 2, {}, seen=logs["seen"], skip_unknown_users=skip)
+        if log == "test" and column == "users":
+            with pytest.raises(EvalError, match="unknown user -1"):
+                recommend_topn(model, -1, 0, 2)
+
+    def test_one_pair_lists_gather_as_one_list_each(self):
+        # a block of one-pair lists is one gather, (w * column + 0.0) / w
+        rng = np.random.default_rng(64)
+        k, n_states = 5, 7
+        matrix = rng.normal(size=(k, n_states))
+        matrix[:, 2] = -0.0
+        matrix[rng.random(matrix.shape) < 0.2] = -0.0
+        weights = (1.0, 0.3, 2.5, 1e-3, 7.0, 1 / 3)
+        lists = [[(int(rng.integers(0, n_states)), float(rng.choice(weights)))] for _ in range(60)]
+        block = evaluation._resolve(matrix, lists)
+        for j, pairs in enumerate(lists):
+            assert block[:, j].tobytes() == evaluation._resolve(matrix, [pairs]).tobytes()
+        # a sum that starts at zero turns -0.0 into +0.0
+        assert not np.signbit(block[block == 0.0]).any()
+        model = scoring_model(rng.normal(size=(k, 6)), rng.normal(size=(k, self.N_ITEMS)), matrix)
+        requests = dict(enumerate(lists[:6]))
+        test = make_event_log(
+            rng.integers(0, 6, 30), rng.integers(0, self.N_ITEMS, 30), np.arange(30),
+            n_users=6, n_items=self.N_ITEMS,
+        )
+        for average in ("macro", "micro"):
+            report = recall_precision_at(model, test, 5, requests, average=average)
+            assert_bitwise_report(report, looped_report(model, test, 5, requests, average=average))
+
+    def test_cutoff_rule_on_rows_with_few_finite_keys(self):
+        # a finite n-th key takes the keys not above it; rows with fewer than
+        # n finite keys (all NaN, all excluded, a few candidates) take the
+        # rule's other path, and both give the full sort's order
+        rng = np.random.default_rng(65)
+        width = 9
+        for _ in range(200):
+            key = rng.integers(-2, 3, (7, width)).astype(float)
+            key[rng.random(key.shape) < 0.1] = -0.0
+            key[0] = np.nan
+            key[1] = np.inf
+            key[2, rng.choice(width, width - 2, replace=False)] = np.inf
+            key[3, rng.choice(width, width - 2, replace=False)] = np.nan
+            key[4, rng.random(width) < 0.5] = np.inf
+            key[4, rng.random(width) < 0.5] = np.nan
+            key[5, rng.random(width) < 0.3] = -np.inf
+            key = key[rng.permutation(7)]
+            for n in (1, 2, 3, 5, width, width + 2):
+                rows, ranks, items = evaluation._top_n_rows(key, n)
+                for row in range(7):
+                    ids = np.flatnonzero(key[row] != np.inf)
+                    expected = ids[np.lexsort((ids, key[row, ids]))][:n]
+                    assert evaluation._top_n(key[row], n).tolist() == expected.tolist()
+                    assert items[rows == row].tolist() == expected.tolist()
+                    assert ranks[rows == row].tolist() == list(range(expected.size))
+
+    def test_composite_block_selection(self):
+        # the first pair of largest weight of each list, every pair checked
+        rng = np.random.default_rng(66)
+        for _ in range(50):
+            lists = [
+                [(int(rng.integers(0, 4)), float(rng.choice([0.25, 0.5, 1.0])))
+                 for _ in range(int(rng.integers(1, 5)))]
+                for _ in range(int(rng.integers(1, 30)))
+            ]
+            expected = []
+            for pairs in lists:
+                heaviest = max(weight for _, weight in pairs)
+                expected.append(next(state for state, weight in pairs if weight == heaviest))
+            assert evaluation._heaviest(lists, 4).tolist() == expected
+            # the first bad pair in list order is named, wherever the lists put it
+            bad = [(pairs[:], int(rng.integers(0, len(pairs) + 1))) for pairs in lists]
+            picks = rng.choice(len(lists), min(3, len(lists)), replace=False)
+            first = None
+            for j in sorted(picks.tolist()):
+                pairs, at = bad[j]
+                state = (7, 0.5) if rng.random() < 0.5 else (1, np.nan)
+                pairs.insert(at, state)
+            for pairs, _ in bad:
+                for state, weight in pairs:
+                    if first is None and not (0 <= state < 4 and 0 < weight < np.inf):
+                        first = (state, weight)
+            with pytest.raises(ContextError) as block_error:
+                evaluation._heaviest([pairs for pairs, _ in bad], 4)
+            with pytest.raises(ContextError) as pair_error:
+                evaluation._check_pair(*first, 4)
+            assert str(block_error.value) == str(pair_error.value)
+
     @pytest.mark.parametrize("k", [20, 80])
     def test_one_user_scores_equal_the_vector_product(self, k):
         rng = np.random.default_rng(k)

@@ -278,10 +278,15 @@ class TestEventsEqualOracle:
         text = "u\ti\t1\n" + "v" * 100 + "\tj\t2\nw\tk\t3\n" + "z" * 50 + "\tq\t" + "4" * 18
         assert_same(ingest_events(io.StringIO(text)), oracle_events(io.StringIO(text)))
 
-    def test_a_byte_stream_is_closed(self):
+    def test_a_byte_stream_is_left_open_at_its_end(self):
         stream = io.BytesIO(b"u\ti\t1\n")
         ingest_events(stream)
-        assert stream.closed
+        assert not stream.closed
+        assert stream.tell() == len(b"u\ti\t1\n")
+        stream = io.BytesIO(b"u\ti\t1\nv\tj\n")
+        with pytest.raises(ParseError):
+            ingest_events(stream)
+        assert not stream.closed
 
 
 class TestOtherReadersEqualOracle:
