@@ -1,7 +1,7 @@
 """ALS-based factorization of sparse binary tensors for implicit feedback.
 
 The observation tensor holds (user, item, context...) cells that carry at
-least one event, each with a confidence weight above 1; every other cell
+least one event, each with a confidence weight of at least 1; every other cell
 is an implicit zero with weight 1.  Training alternates exact
 ridge-regression solves over the factor matrices, using cached Gram
 matrices to cover all implicit zeros at once, so an epoch is linear in

@@ -13,9 +13,10 @@ Time bands bin the timestamp's offset inside a recurring season.
 Sequence context has one window rule.  A user's events in time order
 (ties in log order) give a category list ``cats``; the window [start, end)
 is ``cats[max(start, end - depth):end]``, most recent first, and its j-th
-category weighs decay**(j-1).  A repeated category sums its weights in
-rank order, capped at 1, at its first place; an empty window is
-``[(cold_state, 1.0)]``.  An event's window ends where its basket (same
+category weighs decay**(j-1); the window ends before its first j whose
+weight underflows to 0.0, as no pair weighs 0.  A repeated category sums
+its weights in rank order, capped at 1, at its first place; an empty
+window is ``[(cold_state, 1.0)]``.  An event's window ends where its basket (same
 user and timestamp) begins, a request's at the end of the user's history.
 """
 
@@ -199,7 +200,8 @@ class SequenceSpec:
     """Last-purchase category context.
 
     The j-th most recent strictly-earlier purchase contributes its
-    category with relative weight decay**(j-1), for j = 1..history_depth.
+    category with relative weight decay**(j-1), for j = 1..history_depth
+    while that weight has not underflowed to 0.0.
     ``cold_state`` is the reserved state for users with no prior purchase
     and must never be produced by a real category.
     """
@@ -259,9 +261,12 @@ def _windows(categories, codes, starts, ends, spec: SequenceSpec):
     _WINDOW_CELLS cells.
     """
     lengths = np.minimum(ends - starts, min(spec.history_depth, codes.size))
-    width = int(lengths.max(initial=0))
     # Python's pow, as the rule has always been computed; numpy's may differ by an ulp
-    rank_weight = np.array([spec.decay**rank for rank in range(width)], dtype=np.float64)
+    rank_weight = np.array([spec.decay**rank for rank in range(int(lengths.max(initial=0)))], dtype=np.float64)
+    # a window ends at its first rank of weight 0.0 (decay**rank underflows)
+    rank_weight = rank_weight[rank_weight > 0.0]
+    lengths = np.minimum(lengths, rank_weight.size)
+    width = int(lengths.max(initial=0))
     rows = max(1, _WINDOW_CELLS // max(width, 1))
     blocks = [
         _merge(codes, ends[a:a + rows], lengths[a:a + rows], rank_weight, categories.size)

@@ -36,8 +36,13 @@ product, marks its seen items with one assignment, selects the top N of
 all rows with one partition and one sort, and takes the hits from a
 boolean block of relevant items.  No item is ranked past the row width,
 so blocks rank at most that many positions and the hits of the rest are
-filled in.  The per-user sums run over users in order, so the metrics
-equal a loop over ``recommend_topn`` bit for bit.
+filled in.  A block's scores come from one matrix product and a one-row
+request's from a vector product, which may round differently in the last
+bits, within the dot-product bound K * eps * sum |terms| (differences of
+1.8e-15 were seen at K = 20).  The per-user sums run over users in
+order, so the metrics equal a loop over ``recommend_topn`` wherever no
+two of a user's candidate scores lie within that difference, as on the
+tests' and the benchmark's instances.
 
 Recall@N and precision@N follow the per-user convention: relevant items
 are the distinct items the user touched in the test period, one ranking
@@ -317,6 +322,8 @@ def score_items(model, user: int, states: StateInput = None, allow_unknown: bool
     everything 0).  An out-of-vocabulary user raises unless
     ``allow_unknown``, which scores from a zero vector.
     """
+    if not isinstance(user, _STATE_TYPES) or type(user) is bool:
+        raise EvalError(f"user must be a Python or numpy integer, got {user!r}")
     n_users = model.shape.dims[model.shape.user_axis]
     n_items = model.shape.dims[model.shape.item_axis]
     if not (0 <= user < n_users):
@@ -399,9 +406,11 @@ def recommend_topn(
     # rank by ascending key; excluded items sort after every candidate
     key = -scores
     if exclude_items is not None:
-        exclude = np.asarray(exclude_items, dtype=np.int64)
+        exclude = np.asarray(exclude_items)
+        if exclude.size and exclude.dtype.kind not in "iu":
+            raise EvalError(f"excluded item ids must be integers, got an array of {exclude.dtype}")
         try:  # the bounds check of ravel_multi_index costs a third of min and max
-            key[np.ravel_multi_index((exclude,), key.shape)] = np.inf
+            key[np.ravel_multi_index((exclude.astype(np.int64, copy=False),), key.shape)] = np.inf
         except ValueError:
             raise _exclude_error(key.size) from None
     top = _top_n(key, n)

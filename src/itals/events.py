@@ -5,12 +5,11 @@ blocks of about ``_BLOCK_CHARS`` characters of whole lines (a line longer
 than a block makes a longer block), and each block is parsed with numpy
 over its UTF-8 bytes:
 
-- A path or a byte stream is decoded in universal newlines mode and read
-  in chunks, so a block ends at its last ``\\n``.  A text stream is read
-  with its own ``readlines``, so its newline rule splits its lines as
-  iterating it does (``StringIO`` splits only on ``\\n``), and an iterable
-  of str gives one line per element.  Trailing ``\\r`` and ``\\n``
-  characters are cut off each line, as ``rstrip("\\r\\n")`` does.
+- A source is a path, a byte stream or a text stream, and every one is
+  read under one line rule, a file's universal newlines: "\\n", "\\r\\n"
+  and a lone "\\r" each end one line.  A path or a byte stream is decoded
+  in that mode, and a text stream's chunks are translated to it with the
+  decoder that mode uses.  A block ends at its last "\\n".
 - Blank lines, lines starting with '#' and whitespace-only lines
   (``str.isspace``) are skipped; the last are found among the lines whose
   first and last bytes can belong to whitespace, and only those few are
@@ -52,7 +51,8 @@ __all__ = [
     "read_category_map",
 ]
 
-Source = Union[str, Path, IO[str], IO[bytes], Iterable[str]]
+# a path, a byte stream or a text stream; each is read in universal newlines mode
+Source = Union[str, Path, IO[bytes], IO[str]]
 
 
 class ParseError(ValueError):
@@ -142,43 +142,45 @@ def _blocks(source: Source) -> Iterator[tuple]:
     """(UTF-8 bytes, line starts, line ends) of each block of the source.
 
     The bytes end in _PAD zero bytes that belong to no line.  A file
-    opened here is closed here, and a caller's byte stream is left open;
+    opened here is closed here, and a caller's stream is left open;
     callers wrap the call in ``closing`` so that also happens when they
     stop early.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as stream:
-            yield from _stream_blocks(stream)
+            yield from _stream_blocks(_chunks(stream))
     elif isinstance(source, io.TextIOBase):
-        # its own readlines splits the lines, by the stream's newline rule
-        for lines in iter(lambda: source.readlines(_BLOCK_CHARS), []):
-            yield _line_block(lines)
+        yield from _stream_blocks(_universal(source))
     elif hasattr(source, "read"):  # byte stream, left open for the caller
         stream = io.TextIOWrapper(source, encoding="utf-8")
         try:
-            yield from _stream_blocks(stream)
+            yield from _stream_blocks(_chunks(stream))
         finally:
             stream.detach()
     else:
-        batch: list = []
-        size = 0
-        for line in source:
-            batch.append(line)
-            size += len(line)
-            if size >= _BLOCK_CHARS:
-                yield _line_block(batch)
-                batch, size = [], 0
-        if batch:
-            yield _line_block(batch)
+        raise TypeError(f"a source is a path, a byte stream or a text stream, not {type(source).__name__}")
 
 
-def _stream_blocks(stream) -> Iterator[tuple]:
-    """Blocks of a stream opened in universal newlines mode: its lines end at "\\n"."""
+def _chunks(stream) -> Iterator[str]:
+    return iter(lambda: stream.read(_BLOCK_CHARS), "")
+
+
+def _universal(stream) -> Iterator[str]:
+    """A text stream's chunks as a file reads them: "\\r\\n" and a lone "\\r" become "\\n".
+
+    The decoder holds back a chunk's last "\\r" until it sees the next
+    character, so a "\\r\\n" split between two chunks stays one line end.
+    """
+    newlines = io.IncrementalNewlineDecoder(None, translate=True)
+    for chunk in _chunks(stream):
+        yield newlines.decode(chunk)
+    yield newlines.decode("", final=True)
+
+
+def _stream_blocks(chunks: Iterable[str]) -> Iterator[tuple]:
+    """Blocks of text chunks whose lines end at "\\n"."""
     pieces: list = []  # the text read since the last block
-    while True:
-        chunk = stream.read(_BLOCK_CHARS)
-        if not chunk:
-            break
+    for chunk in chunks:
         cut = chunk.rfind("\n") + 1
         if cut:
             pieces.append(chunk[:cut])
@@ -202,22 +204,6 @@ def _text_block(pieces: list) -> tuple:
     return data, np.concatenate(([0], ends[:-1] + 1)), ends
 
 
-def _line_block(lines: list) -> tuple:
-    """The block of a list of lines, each with its line end or none; empties the list."""
-    count = len(lines)
-    lines.append("\0" * _PAD)
-    text = "".join(lines)
-    data = text.encode("utf-8", "surrogatepass")
-    if len(data) == len(text):  # ASCII: a line's characters are its bytes
-        lengths = np.fromiter(map(len, lines), dtype=np.int64, count=count)
-    else:
-        encoded = (line.encode("utf-8", "surrogatepass") for line in lines)
-        lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=count)
-    lines.clear()
-    ends = np.cumsum(lengths)
-    return data, ends - lengths, ends
-
-
 class _Table:
     """The lines of one block that hold fields, split at their tabs.
 
@@ -233,13 +219,6 @@ class _Table:
         # the little-endian 8-byte word at every byte offset
         self.words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
         self.nul = data.find(b"\0", 0, size) >= 0
-        # cut the line ends as rstrip("\r\n") does: a "\n", a "\r", then
-        # what is left, line by line (only odd text ends in more)
-        for byte in b"\n\r":
-            ends = ends - ((ends > starts) & (buf[ends - 1] == byte))
-        last = buf[ends - 1]
-        for i in np.flatnonzero((ends > starts) & ((last == 10) | (last == 13))).tolist():
-            ends[i] = starts[i] + len(data[starts[i]:ends[i]].rstrip(b"\r\n"))
         first, last = buf[starts], buf[ends - 1]
         kept = (ends > starts) & (first != ord("#"))
         for i in np.flatnonzero(kept & _MAYBE_SPACE[first] & _MAYBE_SPACE[last]).tolist():

@@ -27,13 +27,16 @@ UTF-8, a shape or config its constructor rejects).
 Reload reproduces predictions bit-exactly: float64 bytes round-trip
 unchanged.  Saving and loading reject what no trained model has: factors
 that hold NaN or infinity or overflow their Grams, id maps of the wrong
-length, a config trailer whose K is not the factors', and a composite
-whose context axis is not one or whose sub-models' user count, item
-count or K differ from its own.
+length, a config that ``TrainConfig`` rejects (its checks keep every
+field within the trailer's), a config trailer whose K is not the
+factors', and a composite whose context axis is not one or whose
+sub-models' user count, item count or K differ from its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import os
 import struct
 from pathlib import Path
@@ -248,6 +251,11 @@ def save_model(model, path: Union[str, Path]) -> None:
         _check_submodels(model)
     _check_features(model.config, model.features)
     _check_id_maps(model.shape, model.id_maps)
+    trailer = io.BytesIO()
+    try:  # the config's checks bound its integers to the trailer's fields
+        _write_config(trailer, dataclasses.replace(model.config))
+    except (ValueError, struct.error) as exc:
+        raise PersistenceError(f"the config cannot be saved: {exc}") from None
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         if composite:
@@ -262,7 +270,7 @@ def save_model(model, path: Union[str, Path]) -> None:
             fh.write(struct.pack("<II", FORMAT_VERSION, KIND_SINGLE))
             _write_core(fh, model.shape, model.features, model.factors)
         _write_id_maps(fh, model.shape.ndim, model.id_maps)
-        _write_config(fh, model.config)
+        fh.write(trailer.getvalue())
 
 
 def load_model(path: Union[str, Path]):

@@ -92,6 +92,8 @@ class TrainConfig:
     column's stored-cell count (floored at 1 for empty columns);
     ``'constant'`` applies ``reg`` uniformly.  ``init_scale`` defaults to
     1/sqrt(features) so initial predictions start near the data scale.
+    ``features`` and ``epochs`` lie in [1, 2**32) and ``seed`` in
+    [0, 2**63), the widths of the model file's config trailer.
     """
 
     features: int = 20
@@ -102,10 +104,10 @@ class TrainConfig:
     init_scale: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("features", "epochs"):
+        for name, low, high in (("features", 1, 2**32), ("epochs", 1, 2**32), ("seed", 0, 2**63)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value < high:
+                raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
         if not (math.isfinite(self.reg) and self.reg >= 0):
             raise ValueError(f"reg must be finite and >= 0, got {self.reg!r}")
         if self.reg_mode not in REG_MODES:

@@ -1,9 +1,10 @@
 """Sparse binary observation tensor with per-cell confidence weights.
 
-Only the observed (value 1) cells are stored, each with a weight above 1.
-Every unstored cell is implicitly 0 with weight exactly 1, which is what
-lets the solver precompute the zero-cell contribution from Gram matrices
-instead of touching the full tensor.
+Only the observed (value 1) cells are stored, each with a finite weight of
+at least 1.  Every unstored cell is implicitly 0 with weight exactly 1, which
+is what lets the solver precompute the zero-cell contribution from Gram
+matrices instead of touching the full tensor: it splits a stored weight as
+1 + (w - 1), which needs only w - 1 >= 0.
 """
 
 from __future__ import annotations
@@ -71,8 +72,11 @@ class TensorShape:
 class WeightingScheme:
     """Affine cell weighting: w = base + alpha * (weighted event count).
 
-    Guarantees w > 1 on observed cells provided base and alpha are
-    finite, alpha >= 0 and base + alpha > 1, which the constructor enforces.
+    The constructor requires base and alpha finite, alpha >= 0 and
+    base + alpha > 1, so a cell of one whole event weighs more than 1.  A
+    cell of small relative weights may weigh less: ``build_tensor`` rejects
+    a weight below 1, and a weight that rounds to exactly 1 (the limit of a
+    vanishing relative weight) is a valid cell.
     """
 
     base: float = 1.0
@@ -84,7 +88,7 @@ class WeightingScheme:
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.base + self.alpha <= 1.0:
-            raise ValueError("base + alpha must exceed 1 so observed weights stay > 1")
+            raise ValueError("base + alpha must exceed 1 so a cell of one event weighs more than 1")
 
 
 def _flat_index(shape: TensorShape, columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -106,7 +110,7 @@ class ObservationTensor:
 
     ``coords`` is an (N+, D) int64 array in ascending row-major cell index
     (lexicographic) order and ``weights`` the matching float64 confidences,
-    all finite and > 1.  ``support[i][j]`` counts stored cells whose i-th
+    all finite and >= 1.  ``support[i][j]`` counts stored cells whose i-th
     coordinate is j.  The shape holds at most 2**63 - 1 cells.
     """
 
@@ -118,8 +122,8 @@ class ObservationTensor:
         if weights.shape != (coords.shape[0],):
             raise TensorBuildError("weights must align with coords rows")
         flat = _flat_index(shape, coords.T)
-        if not np.all((weights > 1.0) & np.isfinite(weights)):
-            raise TensorBuildError("every stored cell weight must be finite and > 1")
+        if not np.all((weights >= 1.0) & np.isfinite(weights)):
+            raise TensorBuildError("every stored cell weight must be finite and not below 1")
 
         # a stable sort is linear on cells that arrive in order
         order = np.argsort(flat, kind="stable")
@@ -217,6 +221,6 @@ def build_tensor(
     totals = np.bincount(inverse, weights=contributions)
     coords = np.stack(np.unravel_index(cells, shape.dims), axis=1).astype(np.int64)
     weights = scheme.base + scheme.alpha * totals
-    if not np.all(weights > 1.0):
-        raise TensorBuildError("weighting scheme produced a cell weight <= 1; raise base or alpha")
+    if not np.all(weights >= 1.0):
+        raise TensorBuildError("weighting scheme produced a cell weight below 1; raise base or alpha")
     return ObservationTensor(shape, coords, weights)

@@ -221,6 +221,20 @@ class TestTrain:
         assert f"base and alpha must be finite, got 1.0 and {alpha}" in caplog.text
         assert capsys.readouterr().out == "" and not model.exists()
 
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_a_seed_the_model_file_cannot_hold_exits_1(self, workdir, capsys, caplog, seed):
+        # 2**64 used to train, cut the output file and escape as struct.error
+        src = write_events(workdir / "ev.tsv")
+        model = workdir / "m.itals"
+        model.write_bytes(b"an existing file")
+        assert run(
+            "train", "--input", src, "--output", model, "--seed", seed, "--k", 2, "--epochs", 1,
+        ) == 1
+        assert f"seed must be an integer in [0, {2**63}), got {seed}" in caplog.text
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err + caplog.text
+        assert model.read_bytes() == b"an existing file"
+
     def test_empty_split_exits_1(self, workdir, capsys, caplog):
         src = write_events(workdir / "ev.tsv")
         model = workdir / "m.itals"

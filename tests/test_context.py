@@ -500,6 +500,26 @@ class TestWindowDepthGuard:
         assert states[4999] == brute_force_window(last[:0:-1], spec)
 
 
+    def test_a_window_ends_where_its_weight_underflows(self):
+        # 0.5**1075 is 0.0: from the 1,076th most recent category on, a
+        # window of distinct categories would hold pairs of weight 0
+        n = 1200
+        assert 0.5**1074 > 0.0 == 0.5**1075
+        log = make_event_log([0] * n, list(range(n)), list(range(n)), n_items=n)
+        spec = SequenceSpec(history_depth=2000, decay=0.5, category_count=n + 1, cold_state=n)
+        mapping = {i: i for i in range(n)}
+        pairs = sequential_context(log, mapping, spec)
+        assert np.diff(pairs.offsets).tolist() == [1] + [min(e, 1075) for e in range(1, n)]
+        assert pairs.weights.min() > 0.0
+        obs = build_tensor(log, pairs, TensorShape((1, n, n + 1), ("user", "item", "context-1")))
+        assert obs.n_nonzero == pairs.states.size
+        request = last_category_states(log, mapping, spec)[0]
+        assert request == [pair for pair in brute_force_window(list(range(n)), spec) if pair[1] > 0.0]
+        assert len(request) == 1075
+        model = context_model(np.ones((2, n + 1)))
+        assert score_items(model, 0, request).tolist() == [2.0, 2.0]
+
+
 class TestContextPairs:
     LISTS = [[(3, 1.0), (1, 0.5)], [], [(0, 0.25)], [(2, 1.0), (0, 0.75), (4, 0.125)]]
 

@@ -209,6 +209,27 @@ class TestRecommendTopn:
         ranked = recommend_topn(model, 0, None, 3, exclude_items=np.array([], dtype=np.int64))
         assert ranked.items.tolist() == [0, 1, 2]
 
+    def test_exclude_ids_that_are_not_integers_rejected(self):
+        # 1.7 and True used to be read as item 1
+        model = identity_scorer([[5.0, 4.0, 3.0, 2.0]])
+        for bad in ([1.7], [True], np.array([1.0]), ["1"]):
+            with pytest.raises(EvalError, match="excluded item ids must be integers"):
+                recommend_topn(model, 0, None, 3, exclude_items=bad)
+        for empty in ([], np.array([]), ()):
+            assert recommend_topn(model, 0, None, 3, exclude_items=empty).items.tolist() == [0, 1, 2]
+        for ids in ([1], np.array([1], dtype=np.uint8), np.array([1], dtype=np.int32)):
+            assert recommend_topn(model, 0, None, 3, exclude_items=ids).items.tolist() == [0, 2, 3]
+
+    def test_a_user_that_is_not_an_integer_rejected(self):
+        # True used to score user 1, and 1.7 user 1 through the bounds test
+        model = identity_scorer([[1.0, 2.0], [3.0, 4.0]])
+        for bad in (True, 1.7, 1.0, "1", np.array(1)):
+            with pytest.raises(EvalError, match="user must be a Python or numpy integer"):
+                score_items(model, bad)
+            with pytest.raises(EvalError, match="user must be a Python or numpy integer"):
+                recommend_topn(model, bad, None, 2, allow_unknown=True)
+        assert score_items(model, np.int32(1)).tolist() == [3.0, 4.0]
+
     def test_matches_exhaustive_sort(self):
         rng = np.random.default_rng(21)
         user_m = rng.normal(size=(20, 5))
@@ -568,6 +589,22 @@ class TestRecallPrecision:
 
 class TestBlockRanking:
     N_USERS, N_ITEMS, N_STATES = 9, 13, 3
+
+    @pytest.mark.parametrize("k", [5, 20])
+    def test_block_scores_equal_one_row_scores_to_rounding(self, k):
+        # a block's GEMM and a one-row product may round differently in the
+        # last bits, each within the dot-product bound K * eps * sum |terms|
+        rng = np.random.default_rng(k)
+        n_users, n_items, n_states = 300, 400, 4
+        model = scoring_model(*(rng.normal(size=(k, s)) for s in (n_users, n_items, n_states)))
+        states = rng.integers(0, n_states, n_users)
+        requests = [[(int(s), 1.0)] for s in states]
+        contexts = evaluation._contexts(model.shape.context_axes, requests)
+        block = evaluation._score_rows(model, np.arange(n_users), contexts)
+        rows = np.stack([score_items(model, user, requests[user]) for user in range(n_users)])
+        user_m, item_m, context_m = model.factors
+        terms = np.abs(user_m * context_m[:, states]).T @ np.abs(item_m)
+        assert np.all(np.abs(block - rows) <= 2 * k * np.finfo(float).eps * terms)
 
     def instance(self, rng, composite):
         """A float model, a test log with unknown users and items, a seen log and requests."""

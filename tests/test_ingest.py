@@ -1,8 +1,10 @@
 """The block reader against the per-line reader it replaced, and its bounds.
 
 The oracle below is the per-line rule the package used before the block
-reader: one ``rstrip``/``split``/``setdefault`` step per line.  The block
-reader must give the same logs, id maps and ParseErrors on every source.
+reader: one ``rstrip``/``split``/``setdefault`` step per line, over the
+source's text read in universal newlines mode, the one line rule of every
+source.  The block reader must give the same logs, id maps and ParseErrors
+on every source.
 """
 
 import io
@@ -26,10 +28,8 @@ def _open_lines(source):
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8")
     if isinstance(source, io.TextIOBase):
-        return source
-    if hasattr(source, "read"):  # byte stream
-        return io.TextIOWrapper(source, encoding="utf-8")
-    return source
+        return io.StringIO(source.read(), newline=None)
+    return io.TextIOWrapper(source, encoding="utf-8")  # byte stream
 
 
 def _rows(source, counts):
@@ -47,7 +47,7 @@ def _rows(source, counts):
                 )
             yield line_no, fields
     finally:
-        if lines is not source and hasattr(lines, "close"):
+        if lines is not source:
             lines.close()
 
 
@@ -172,13 +172,12 @@ def sources(text, tmp_path):
         "path": lambda: path,
         "str-path": lambda: str(path),
         "text": lambda: io.StringIO(text),
-        # text streams split by their own newline rule, as iterating them does
+        # whatever a text stream's own newline rule, its text is read as a file's
         "text-newline-any": lambda: io.StringIO(text, newline=""),
         "text-newline-cr": lambda: io.StringIO(text, newline="\r"),
         "text-newline-crlf": lambda: io.StringIO(text, newline="\r\n"),
         "wrapped-newline-any": lambda: io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), "utf-8", newline=""),
         "bytes": lambda: io.BytesIO(text.encode("utf-8")),
-        "lines": lambda: io.StringIO(text).readlines(),
     }
 
 
@@ -251,23 +250,56 @@ class TestEventsEqualOracle:
         assert want[1] == 51
         assert outcome(ingest_events, io.StringIO(text)) == want
 
-    def test_list_elements_are_lines(self):
-        # an element is one line, whatever it holds
-        lines = ["u\tn\nm\t5\n", "v\ti\t1\r\r\n", "", "# c", "w\ti\t2\nx\n"]
-        want = outcome(oracle_events, lines)
-        assert outcome(ingest_events, lines) == want
-        lines = lines[:2]
-        assert_same(ingest_events(lines), oracle_events(lines))
-        assert ingest_events(lines).item_ids == ["n\nm", "i"]
+    def test_every_source_form_reads_the_files_line_ends(self, tmp_path):
+        # a lone "\r", "\r\n" and "\r\r\n" (two line ends) end lines in every form
+        path = tmp_path / "events.tsv"
+        valid = "u\ti\t1\rv\tj\t2\r\nw\tk\t3\r\r\nx\tl\t4"
+        bad = "u\ti\t1\rv\tj\t2\r\nw\tk\t3\r\r\nbad\nx\tl\t4\n"
+        # a StringIO made with newline "\r" or "\r\n" rewrites the "\n"s of
+        # its initial text, so those modes are given the file's text through
+        # a TextIOWrapper, which reads it as it is
+        forms = {
+            "bytes": lambda text: io.BytesIO(text.encode("utf-8")),
+            **{
+                f"text-newline-{newline!r}": lambda text, newline=newline: io.StringIO(text, newline=newline)
+                for newline in (None, "", "\n")
+            },
+            **{
+                f"wrapped-newline-{newline!r}": lambda text, newline=newline: io.TextIOWrapper(
+                    io.BytesIO(text.encode("utf-8")), "utf-8", newline=newline
+                )
+                for newline in (None, "", "\n", "\r", "\r\n")
+            },
+        }
+        path.write_bytes(valid.encode("utf-8"))
+        want = ingest_events(path)
+        assert want.user_ids == ["u", "v", "w", "x"]
+        for make in forms.values():
+            assert_same(ingest_events(make(valid)), want)
+        path.write_bytes(bad.encode("utf-8"))
+        want = outcome(ingest_events, path)
+        assert want == ("ParseError", 5, "line 5: expected 3 or 4 tab-separated fields, got 1")
+        for form, make in forms.items():
+            assert outcome(ingest_events, make(bad)) == want, form
 
-    def test_a_lone_carriage_return_ends_a_line_only_in_universal_mode(self, tmp_path):
-        text = "u\ti\t1\nv\rw\tj\t2\r\nx\tk\t3\n"
-        for form, make in sources(text, tmp_path).items():
-            assert_same(outcome(ingest_events, make()), outcome(oracle_events, make()))
-        assert ingest_events(io.StringIO(text)).user_ids == ["u", "v\rw", "x"]
-        with pytest.raises(ParseError, match="got 1") as err:
-            ingest_events(tmp_path / "events.tsv")
-        assert err.value.line_no == 2
+    @pytest.mark.parametrize("end", ["\r\n", "\r\r\n"])
+    def test_a_carriage_return_that_ends_a_chunk(self, end, monkeypatch, tmp_path):
+        # the chunk "u\ti\t1\r" ends in "\r": "\r\n" is one line end after
+        # it, and "\r\r\n" two, however far the chunk's end must look ahead
+        text = f"u\ti\t1{end}bad\n"
+        path = tmp_path / "events.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        want = ("ParseError", len(end), f"line {len(end)}: expected 3 or 4 tab-separated fields, got 1")
+        for chars in range(1, len(text) + 1):
+            monkeypatch.setattr(events, "_BLOCK_CHARS", chars)
+            assert outcome(ingest_events, path) == want
+            assert outcome(ingest_events, io.StringIO(text)) == want, chars
+
+    @pytest.mark.parametrize("source", [["u\ti\t1\n"], 7])
+    def test_a_source_of_another_type(self, source):
+        for read in (ingest_events, ingest_ratings, lambda s: read_category_map(s, ["i"])):
+            with pytest.raises(TypeError, match="a path, a byte stream or a text stream, not"):
+                read(source)
 
     def test_lone_surrogates_in_a_text_stream(self):
         text = "\ud800\ti\t1\nu\t\udfff\t2\n"

@@ -156,6 +156,18 @@ class TestErrors:
                 save_model(trained, path)
             assert path.read_bytes() == saved
 
+    @pytest.mark.parametrize("field, value", [("seed", 2**64), ("seed", -1), ("epochs", 2**32)])
+    def test_save_refuses_a_config_the_trailer_cannot_hold(self, tmp_path, field, value):
+        # such a config used to escape as struct.error after the file was cut
+        _, model = random_trained(15)
+        path = tmp_path / "m"
+        save_model(model, path)
+        saved = path.read_bytes()
+        setattr(model.config, field, value)
+        with pytest.raises(PersistenceError, match=f"the config cannot be saved: {field} must be"):
+            save_model(model, path)
+        assert path.read_bytes() == saved
+
     def test_save_refuses_id_map_of_wrong_length(self, tmp_path):
         obs = synthetic_tensor((3, 4), 6, seed=14)
         maps = [["a", "b", "c"], ["x", "y"]]

@@ -56,10 +56,21 @@ class TestTrainConfig:
         ("features", True),
         ("epochs", 2.5),
         ("epochs", True),
+        ("seed", 1.0),
+        ("seed", True),
+        ("seed", "1"),
     ])
     def test_rejects_non_finite_and_non_integer_values(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, low, high", [("features", 1, 2**32), ("epochs", 1, 2**32), ("seed", 0, 2**63)])
+    def test_integers_fit_the_model_files_trailer(self, field, low, high):
+        for value in (low - 1, high):
+            with pytest.raises(ValueError, match=rf"^{field} must be an integer in \[{low}, {high}\), got {value}$"):
+                TrainConfig(**{field: value})
+        for value in (low, np.int64(high - 1)):
+            assert getattr(TrainConfig(**{field: value}, init_scale=1.0), field) == value
 
     def test_default_init_scale(self):
         assert TrainConfig(features=16).init_scale == pytest.approx(0.25)
@@ -287,6 +298,27 @@ class TestFit:
         huge = ObservationTensor(obs.shape, obs.coords, np.full(obs.n_nonzero, 1e300))
         with pytest.raises(SolverError, match=r"non-finite factors in epoch 1, axis 0 \(user\)"):
             fit(huge, TrainConfig(features=3, epochs=2, reg=0.1))
+
+    def test_cells_of_weight_one_against_the_dense_oracle(self):
+        # w = 1 is a stored 1 whose w - 1 is 0, on the thin and the thick path
+        base = synthetic_tensor((5, 30, 3), 45, seed=6)
+        weights = base.weights.copy()
+        weights[::2] = 1.0
+        obs = ObservationTensor(base.shape, base.coords, weights)
+        config = TrainConfig(features=4, epochs=2, reg=0.1, seed=3)
+        plans = [_AxisPlan(obs, a, 4, effective_lambdas(config, obs, a)) for a in range(obs.ndim)]
+        assert sum(p.n_thin for p in plans) and sum(p.n_thick for p in plans)
+        fitted = fit(obs, config)
+        factors = init_factors(config, obs.shape.dims)
+        model = Model(obs.shape, factors, [m @ m.T for m in factors], config)
+        for _ in range(config.epochs):
+            for axis in range(obs.ndim):
+                lams = effective_lambdas(config, obs, axis)
+                columns = [dense_solve_column(model, obs, axis, j, lams[j]) for j in range(obs.shape.dims[axis])]
+                factors[axis] = np.stack(columns, axis=1)
+                model.grams[axis] = factors[axis] @ factors[axis].T
+        for got, want in zip(fitted.factors, factors):
+            np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)
 
     def test_id_maps_attached(self):
         obs = synthetic_tensor((3, 3), 4, seed=2)

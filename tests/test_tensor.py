@@ -191,10 +191,26 @@ class TestBuildTensor:
             build_tensor(log, [[(0, 1.0)]], ctx_shape(2**21, 2**21, 2**21))
 
     def test_small_relative_weight_under_a_low_base(self):
-        # 0.5 + 0.6 * 0.1 <= 1, though the scheme itself is valid
+        # 0.5 + 0.6 * 0.1 < 1, though the scheme itself is valid
         log = make_event_log([0], [0], [1])
-        with pytest.raises(TensorBuildError, match="cell weight <= 1"):
+        with pytest.raises(TensorBuildError, match="cell weight below 1"):
             build_tensor(log, [[(0, 0.1)]], ctx_shape(1, 1, 1), WeightingScheme(0.5, 0.6))
+
+    def test_a_weight_that_rounds_to_one_is_a_cell(self):
+        # 1 + 100 * 0.1**19 rounds to 1, the limit of a vanishing relative weight
+        log = make_event_log([0, 0], [0, 1], [1, 2])
+        obs = build_tensor(log, [[(0, 0.1**19)], [(0, 1.0)]], ctx_shape(1, 2, 1))
+        assert obs.weights.tolist() == [1.0, 101.0]
+
+    def test_a_deep_window_of_distinct_categories(self):
+        # the 21st purchase's window reaches rank 19, of weight 0.1**19
+        n = 21
+        log = make_event_log([0] * n, list(range(n)), list(range(n)), n_items=n)
+        spec = SequenceSpec(history_depth=20, decay=0.1, category_count=n + 1, cold_state=n)
+        pairs = sequential_context(log, {i: i for i in range(n)}, spec)
+        obs = build_tensor(log, pairs, ctx_shape(1, n, n + 1))
+        assert obs.weights.min() == 1.0
+        assert obs.n_nonzero == 1 + sum(range(1, n))
 
     def test_alpha_zero_requires_bigger_base(self):
         log = make_event_log([0], [0], [1])
@@ -253,8 +269,9 @@ class TestObservationTensor:
             ObservationTensor(pair_shape(2, 3), [[1, 2], [0, 0], [1, 2]], [2.0, 3.0, 4.0])
 
     def test_rejects_small_weights(self):
-        with pytest.raises(TensorBuildError, match="> 1"):
-            ObservationTensor(pair_shape(2, 2), [[0, 1]], [1.0])
+        with pytest.raises(TensorBuildError, match="not below 1"):
+            ObservationTensor(pair_shape(2, 2), [[0, 1]], [np.nextafter(1.0, 0.0)])
+        assert ObservationTensor(pair_shape(2, 2), [[0, 1]], [1.0]).weights.tolist() == [1.0]
 
     def test_rejects_infinite_weights(self):
         # one inf weight used to train all-NaN factors without an error
