@@ -7,8 +7,9 @@ ridge-regression solves over the factor matrices, using cached Gram
 matrices to cover all implicit zeros at once, so an epoch is linear in
 the number of stored cells.
 
-Context extractors turn raw event logs into tensor axes: recurring-season
-time bands or the categories of each user's preceding purchases.  The
+Context specs turn raw event logs into a tensor axis and each test
+user's request: recurring-season time bands (``TimeBandContext``) or the
+categories of each user's preceding purchases (``SequenceContext``).  The
 package also ships the two-matrix iALS baseline, a per-context-state
 composite baseline, a dense brute-force oracle for verification, a
 ranking evaluation harness and an `itals` command-line front end.
@@ -19,7 +20,9 @@ from .context import (
     ContextError,
     ContextPairs,
     SeasonSpec,
+    SequenceContext,
     SequenceSpec,
+    TimeBandContext,
     assign_time_band,
     last_category_states,
     sequential_context,
@@ -32,6 +35,7 @@ from .events import (
     ingest_events,
     ingest_ratings,
     read_category_map,
+    read_category_rows,
 )
 from .evaluation import (
     EvalError,
@@ -87,11 +91,13 @@ __all__ = [
     "RankingReport",
     "RatingLog",
     "SeasonSpec",
+    "SequenceContext",
     "SequenceSpec",
     "SolverError",
     "SplitSpec",
     "TensorBuildError",
     "TensorShape",
+    "TimeBandContext",
     "TrainConfig",
     "WeightingScheme",
     "assign_time_band",
@@ -112,6 +118,7 @@ __all__ = [
     "last_category_states",
     "load_model",
     "read_category_map",
+    "read_category_rows",
     "recall_precision_at",
     "recommend_topn",
     "save_model",

@@ -12,11 +12,15 @@ type, choices and dest apply; a switch takes yes or no.  A key that only
 other subcommands take is ignored, so one file serves ``train`` and
 ``eval``; a key no subcommand takes is an error.
 
-``eval`` and ``recommend --at`` check ``--context`` the way they check the
-log's user and item ids: on the training log it must give the model's
-context axis role and state names (``band-i``, or the categories and then
-``__no_prior__``) in order, else they exit 1.  Model files do not store
-band boundaries, UTC offset, season length, depth or decay: those go unchecked.
+``--context`` parses into one context spec (``context.TimeBandContext``
+or ``context.SequenceContext``), the one definition of its training and
+request rules: ``train`` builds the tensor from ``spec.training``, and
+``eval`` and ``recommend --at`` ask in ``spec.requests``.  They check the
+spec the way they check the log's user and item ids: on the training log
+it must give the model's context axis role and state names (``band-i``,
+or the categories and then ``__no_prior__``) in order, else they exit 1.
+Model files do not store band boundaries, UTC offset, season length,
+depth or decay: those go unchecked.
 """
 
 from __future__ import annotations
@@ -29,25 +33,16 @@ import sys
 import time
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .baseline import fit_ica
-from .context import (
-    ContextError,
-    SeasonSpec,
-    SequenceSpec,
-    assign_time_band,
-    last_category_states,
-    sequential_context,
-    time_band_states,
-)
+from .context import ContextError, SeasonSpec, SequenceContext, TimeBandContext
 from .events import (
     EventLog,
     ingest_events,
     ingest_ratings,
-    read_category_map,
+    read_category_rows,
     write_events_tsv,
     write_id_map,
 )
@@ -125,38 +120,22 @@ class _Commands(argparse._SubParsersAction):
 # ---------------------------------------------------------------------------
 # the context axis: none | timeband:uniform:B | timeband:b0,b1,... | sequence:C[:decay]
 
-class _Context(NamedTuple):
-    """A --context on a training log: a model trained on it has this axis role and id map.
+def _categories(args, train: EventLog) -> tuple:
+    """(items, categories, names): the rows of --category-map, or else of the log's category column.
 
-    ``training()`` gives the training events in tensor order and their
-    (state, weight) pairs, ``requests(test)`` each test user's pairs.
-    """
-
-    role: str
-    names: list
-    training: Callable
-    requests: Callable
-
-
-def _categories(args, events: EventLog):
-    """({item index: category state}, category names) from --category-map or the log.
-
-    The extractors look up the items of the training events only, so a
+    The spec looks up the items of the training events only, so a
     vocabulary item seen only outside a date split needs no category.
     """
     if args.category_map is not None:
-        mapping, names = read_category_map(args.category_map, events.item_ids)
-    elif events.categories is not None:
-        known = events.categories >= 0
-        mapping = dict(zip(events.items[known].tolist(), events.categories[known].tolist()))
-        names = list(events.category_ids)
-    else:
+        return read_category_rows(args.category_map, train.item_ids)
+    if train.categories is None:
         raise ContextError("sequence context needs --category-map or a category column")
-    return mapping, names
+    known = train.categories >= 0
+    return train.items[known], train.categories[known], train.category_ids
 
 
-def _resolve_context(args, train: EventLog) -> Optional[_Context]:
-    """The context the flags describe on the training log; None for --context none."""
+def _resolve_context(args, train: EventLog) -> TimeBandContext | SequenceContext | None:
+    """The context spec --context describes on the training log; None for --context none."""
     kind, *parts = args.context.split(":")
     if kind == "none":
         return None
@@ -168,37 +147,12 @@ def _resolve_context(args, train: EventLog) -> Optional[_Context]:
             season = SeasonSpec(args.season_length, bounds, args.utc_offset)
         else:
             raise ValueError(f"bad timeband context: {args.context!r}")
-
-        def requests(test: EventLog) -> dict:
-            # each user's request context is the band of their first test event
-            order = np.lexsort((test.timestamps, test.users))
-            users = test.users[order]
-            first = order[np.r_[True, users[1:] != users[:-1]]]
-            bands = assign_time_band(test.timestamps[first], season)
-            return {u: [(b, 1.0)] for u, b in zip(test.users[first].tolist(), bands.tolist())}
-
-        names = [f"band-{i}" for i in range(season.n_bands)]
-        return _Context(
-            "timeband", names, lambda: (train, time_band_states(train.timestamps, season)), requests
-        )
+        return TimeBandContext(season)
     if kind == "sequence":
         if len(parts) not in (1, 2):
             raise ValueError(f"bad sequence context: {args.context!r}")
-        mapping, names = _categories(args, train)
         decay = float(parts[1]) if len(parts) == 2 else 1.0
-        # the categories are states 0..C-1 and the cold state is C
-        spec = SequenceSpec(int(parts[0]), decay, len(names) + 1, len(names))
-
-        def training():
-            ordered = train.sorted_by_user_time()
-            return ordered, sequential_context(ordered, mapping, spec)
-
-        def requests(test: EventLog) -> dict:
-            per_user = last_category_states(train, mapping, spec)
-            cold = [(spec.cold_state, 1.0)]
-            return {u: per_user.get(u, cold) for u in np.unique(test.users).tolist()}
-
-        return _Context("category", [*names, "__no_prior__"], training, requests)
+        return SequenceContext.from_rows(int(parts[0]), decay, *_categories(args, train), train.item_ids)
     raise ValueError(f"unknown context kind: {args.context!r}")
 
 
@@ -245,8 +199,8 @@ def _check_log_ids(model, events: EventLog) -> None:
             raise _unlike(name, ids, log_ids, "the log")
 
 
-def _model_context(model, args, train: EventLog) -> _Context:
-    """The --context on ``train``, checked against the model's context axis.
+def _model_context(model, args, train: EventLog) -> TimeBandContext | SequenceContext:
+    """The context spec of --context on ``train``, checked against the model's context axis.
 
     A model saved without id maps names no states: only their count is compared.
     """
@@ -307,7 +261,7 @@ def cmd_train(args) -> int:
     if ctx is None:
         ordered, states, roles = events, None, ("user", "item")
     else:
-        (ordered, states), roles = ctx.training(), ("user", "item", ctx.role)
+        (ordered, states), roles = ctx.training(events), ("user", "item", ctx.role)
         id_maps.append(ctx.names)
     shape = TensorShape([len(ids) for ids in id_maps], roles)
     obs = build_tensor(ordered, states, shape, _from_args(WeightingScheme, args))
@@ -348,7 +302,7 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     requests = None
     if model.shape.context_axes:  # a model without one ignores --context
-        requests = _model_context(model, args, train).requests(test)
+        requests = _model_context(model, args, train).requests(train, test)
     ranking = time.perf_counter()
     report = recall_precision_at(
         model,
@@ -423,9 +377,11 @@ def cmd_recommend(args) -> int:
         elif args.at is not None:
             if not args.context.startswith("timeband"):
                 raise EvalError("--at needs a timeband --context")
+            if not 0 <= args.at < 2**63:  # the log reader's timestamp rule
+                raise EvalError(f"--at must be a timestamp in [0, 2**63), got {args.at}")
             # the request is one event at --at; time bands need no other log
             request = EventLog(*(np.array([v], np.int64) for v in (0, 0, args.at)))
-            (states,) = _model_context(model, args, request).requests(request).values()
+            (states,) = _model_context(model, args, request).requests(request, request).values()
         else:
             raise EvalError("context model: pass --state or --at with --context")
 

@@ -1,12 +1,16 @@
-"""Context extractors: seasonal time bands and last-purchase categories.
+"""Context specs and extractors: seasonal time bands and last-purchase categories.
 
-The extractors map raw events to (state, weight) pairs for the tensor's
-context axis, and to the request contexts that evaluation scores.  An
-event's pairs are held as columns, a ``ContextPairs``: per-event offsets
-into one array of states and one of weights, never a Python list per
-event.  ``build_tensor`` reads those arrays directly, and
-``ContextPairs.from_lists`` is the one adapter for a plain list of pair
-lists.  The extractors read events only, never a model: turning a
+A context spec is the one definition of a context kind's rules:
+``TimeBandContext`` and ``SequenceContext`` each give the axis ``role``,
+the state ``names``, ``training(train)`` (the events in tensor order and
+their pairs) and ``requests(train, test)`` (each test user's pairs, the
+mapping ``recall_precision_at`` takes).  They are built on the
+extractors below, which map raw events to (state, weight) pairs for the
+tensor's context axis.  An event's pairs are held as columns, a
+``ContextPairs``: per-event offsets into one array of states and one of
+weights, never a Python list per event.  ``build_tensor`` reads those
+arrays directly, and ``ContextPairs.from_lists`` is the one adapter for
+a plain list of pair lists.  Nothing here reads a model: turning a
 request into a context vector is the scorer's job (``evaluation``).
 Time bands bin the timestamp's offset inside a recurring season.
 
@@ -25,9 +29,9 @@ from __future__ import annotations
 import numbers
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -36,7 +40,9 @@ from .events import EventLog
 __all__ = [
     "ContextPairs",
     "SeasonSpec",
+    "SequenceContext",
     "SequenceSpec",
+    "TimeBandContext",
     "ContextError",
     "assign_time_band",
     "sequential_context",
@@ -46,6 +52,18 @@ __all__ = [
 
 class ContextError(ValueError):
     pass
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; ContextError unless ``_is_integer``."""
+    if not _is_integer(value):
+        raise ContextError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _unit_weights(weights: np.ndarray) -> np.ndarray:
@@ -138,7 +156,7 @@ class SeasonSpec:
     Band b covers [boundaries[b], boundaries[b+1]) of the offset inside
     the season; the last band wraps up to season_length.  ``utc_offset``
     shifts timestamps into the desired fixed local time before binning
-    (no DST handling).
+    (no DST handling).  Every value is a Python or numpy integer, not a bool.
     """
 
     season_length: int
@@ -146,11 +164,11 @@ class SeasonSpec:
     utc_offset: int = 0
 
     def __init__(self, season_length, band_boundaries, utc_offset: int = 0):
-        object.__setattr__(self, "season_length", int(season_length))
+        object.__setattr__(self, "season_length", _integer("season_length", season_length))
         object.__setattr__(
-            self, "band_boundaries", tuple(int(b) for b in band_boundaries)
+            self, "band_boundaries", tuple(_integer("band boundary", b) for b in band_boundaries)
         )
-        object.__setattr__(self, "utc_offset", int(utc_offset))
+        object.__setattr__(self, "utc_offset", _integer("utc_offset", utc_offset))
         if self.season_length <= 0:
             raise ContextError("season_length must be positive")
         if self.season_length >= 2**63 or not -(2**63) <= self.utc_offset < 2**63:
@@ -168,6 +186,7 @@ class SeasonSpec:
     @classmethod
     def uniform(cls, season_length: int, bands: int, utc_offset: int = 0) -> "SeasonSpec":
         """Equal-width bands; season_length must divide evenly."""
+        season_length, bands = _integer("season_length", season_length), _integer("bands", bands)
         if bands < 1:
             raise ContextError("need at least one band")
         if season_length % bands != 0:
@@ -203,7 +222,9 @@ class SequenceSpec:
     category with relative weight decay**(j-1), for j = 1..history_depth
     while that weight has not underflowed to 0.0.
     ``cold_state`` is the reserved state for users with no prior purchase
-    and must never be produced by a real category.
+    and must never be produced by a real category.  ``history_depth``,
+    ``category_count`` and ``cold_state`` are Python or numpy integers and
+    ``decay`` a real number, none a bool.
     """
 
     history_depth: int
@@ -212,15 +233,13 @@ class SequenceSpec:
     cold_state: int = 0
 
     def __post_init__(self):
-        depth = self.history_depth
-        if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < 1:
+        depth, decay = self.history_depth, self.decay
+        if not _is_integer(depth) or depth < 1:
             raise ContextError(f"history_depth must be an integer >= 1, got {depth!r}")
-        if not (0.0 < self.decay <= 1.0):
-            raise ContextError("decay must lie in (0, 1]")
+        if isinstance(decay, bool) or not isinstance(decay, numbers.Real) or not 0.0 < decay <= 1.0:
+            raise ContextError(f"decay must be a real number in (0, 1], got {decay!r}")
         for name in ("category_count", "cold_state"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ContextError(f"{name} must be an integer, got {value!r}")
+            _integer(name, getattr(self, name))
         if self.category_count < 1:
             raise ContextError("category_count must be >= 1")
         if not (0 <= self.cold_state < self.category_count):
@@ -394,3 +413,100 @@ def time_band_states(timestamps, spec: SeasonSpec) -> ContextPairs:
     """Single-band context per event: the pair (band, 1.0) for each timestamp."""
     bands = np.atleast_1d(assign_time_band(np.asarray(timestamps, dtype=np.int64), spec))
     return ContextPairs(np.arange(bands.size + 1), bands, np.ones(bands.size))
+
+
+# ---------------------------------------------------------------------------
+# context specs: one object per context kind, the one definition of its rules
+
+
+@dataclass(frozen=True)
+class TimeBandContext:
+    """Time-band context: an event's state is its band in ``season``.
+
+    The states are named ``band-i``.  A request is the band of the user's
+    first test event (ties in log order), with weight 1.
+    """
+
+    season: SeasonSpec
+    role: ClassVar[str] = "timeband"
+
+    @property
+    def names(self) -> list:
+        return [f"band-{i}" for i in range(self.season.n_bands)]
+
+    def training(self, train: EventLog) -> tuple:
+        """(events in tensor order, their ``ContextPairs``): the log as it is and each event's band."""
+        return train, time_band_states(train.timestamps, self.season)
+
+    def requests(self, train: EventLog, test: EventLog) -> dict:
+        """{user: [(band, 1.0)]} of every test user; the training log plays no part."""
+        order = np.lexsort((test.timestamps, test.users))
+        users, first = np.unique(test.users[order], return_index=True)
+        bands = assign_time_band(test.timestamps[order[first]], self.season)
+        return {u: [(b, 1.0)] for u, b in zip(users.tolist(), bands.tolist())}
+
+
+@dataclass(frozen=True)
+class SequenceContext:
+    """Last-purchase category context, by the module's window rule.
+
+    ``item_to_category`` maps an item index to its category state, and
+    ``category_names`` names the states 0..C-1 in order; the cold state,
+    a user's state before any purchase, is C, named ``__no_prior__``.
+    Training sorts the log by user and time itself.  A request is the
+    window of the user's whole training history; a test user without one
+    asks in the cold state.
+    """
+
+    history_depth: int
+    decay: float
+    item_to_category: Mapping[int, int]
+    category_names: tuple
+    spec: SequenceSpec = field(init=False, repr=False, compare=False)
+    role: ClassVar[str] = "category"
+
+    def __post_init__(self):
+        names = tuple(self.category_names)
+        object.__setattr__(self, "category_names", names)
+        # the categories are states 0..C-1 and the cold state is C
+        spec = SequenceSpec(self.history_depth, self.decay, len(names) + 1, len(names))
+        object.__setattr__(self, "spec", spec)
+
+    @classmethod
+    def from_rows(cls, history_depth, decay, items, categories, category_names, item_ids=None):
+        """The context of parallel item and category columns, such as a log's.
+
+        Each item must have one category: ContextError names the lowest
+        item given two, by its id in ``item_ids`` when given.
+        """
+        # the distinct (item, category) pairs, sorted by item: an item in two has two categories
+        items, categories = np.unique(np.array([items, categories], np.int64), axis=1)
+        clash = np.flatnonzero(items[1:] == items[:-1])
+        if clash.size:
+            j, item = int(clash[0]), int(items[clash[0]])
+            item = item if item_ids is None else item_ids[item]
+            two = [category_names[c] for c in categories[j:j + 2]]
+            raise ContextError(f"item {item!r} has two categories, {two[0]!r} and {two[1]!r}")
+        mapping = dict(zip(items.tolist(), categories.tolist()))
+        return cls(history_depth, decay, mapping, category_names)
+
+    @property
+    def names(self) -> list:
+        return [*self.category_names, "__no_prior__"]
+
+    def training(self, train: EventLog) -> tuple:
+        """(events in tensor order, their ``ContextPairs``): the log sorted by user and time.
+
+        The pairs are each event's window, as ``sequential_context`` gives them.
+        """
+        ordered = train.sorted_by_user_time()
+        return ordered, sequential_context(ordered, self.item_to_category, self.spec)
+
+    def requests(self, train: EventLog, test: EventLog) -> dict:
+        """{user: pairs} of every test user: the window of the user's training history.
+
+        A test user with no training event asks in the cold state.
+        """
+        per_user = last_category_states(train, self.item_to_category, self.spec)
+        cold = [(self.spec.cold_state, 1.0)]
+        return {u: per_user.get(u, cold) for u in np.unique(test.users).tolist()}

@@ -49,6 +49,7 @@ __all__ = [
     "write_events_tsv",
     "write_id_map",
     "read_category_map",
+    "read_category_rows",
 ]
 
 # a path, a byte stream or a text stream; each is read in universal newlines mode
@@ -486,23 +487,34 @@ def write_id_map(ids: list, path: Union[str, Path]) -> None:
             fh.write(f"{idx}\t{original}\n")
 
 
-def read_category_map(source: Source, item_ids: list) -> tuple:
-    """Read an ``item \\t category`` TSV into ({item index: category index}, names).
+def read_category_rows(source: Source, item_ids: list) -> tuple:
+    """Read an ``item \\t category`` TSV into (items, categories, names), in file order.
 
-    Item ids are resolved against an existing id map; lines for unknown
-    items are ignored (they carry no events).  Category strings get dense
-    indices in first-seen order; the second element lists them in index
-    order.
+    ``items`` and ``categories`` are int64 columns with one row per line
+    of a known item: item ids are resolved against an existing id map,
+    and lines for unknown items are ignored (they carry no events).
+    Category strings get dense indices in first-seen order; ``names``
+    lists them in index order.
     """
     item_lookup = {orig: idx for idx, orig in enumerate(item_ids)}
     cat_index: dict = {}
-    mapping: dict = {}
+    columns = [(np.empty(0, np.int64), np.empty(0, np.int64))]
     with closing(_tables(source, (2,))) as tables:
         for table in tables:
             _raise_first(table.error)
             label, texts = table.grouped(*table.field(0))
             items = np.array([item_lookup.get(text, -1) for text in texts], dtype=np.int64)[label]
             known = np.flatnonzero(items >= 0)
-            cats = _intern(table, 1, cat_index, known)
-            mapping.update(zip(items[known].tolist(), cats.tolist()))
-    return mapping, list(cat_index)
+            columns.append((items[known], _intern(table, 1, cat_index, known)))
+    items, categories = (np.concatenate(column) for column in zip(*columns))
+    return items, categories, list(cat_index)
+
+
+def read_category_map(source: Source, item_ids: list) -> tuple:
+    """({item index: category index}, names) of ``read_category_rows``.
+
+    A later line for an item replaces an earlier one;
+    ``SequenceContext.from_rows`` rejects such a conflict instead.
+    """
+    items, categories, names = read_category_rows(source, item_ids)
+    return dict(zip(items.tolist(), categories.tolist())), names

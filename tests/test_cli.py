@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from itals import (
-    ObservationTensor, TensorShape, TrainConfig, WeightingScheme, fit, load_model, save_model,
+    ObservationTensor, SeasonSpec, SequenceContext, SplitSpec, TensorShape, TimeBandContext,
+    TrainConfig, WeightingScheme, assign_time_band, fit, ingest_events, load_model,
+    read_category_map, recall_precision_at, save_model, split_by_date,
 )
 from itals import cli, persistence
 from itals.cli import build_parser, main
@@ -156,6 +158,26 @@ class TestTrain:
         assert "no category mapping for item 'item7'" in caplog.text
         assert capsys.readouterr().out == ""
         assert not model.exists()
+
+    @pytest.mark.parametrize("source", ["column", "map"])
+    def test_an_item_with_two_categories_is_named(self, workdir, capsys, caplog, source):
+        # i1 used to keep its last category, catB, and catA to name a state with no item
+        src, cmap = workdir / "ev.tsv", workdir / "cats.tsv"
+        rows = [("u1", "i1", 10, "catA"), ("u1", "i2", 20, "catB"), ("u2", "i1", 30, "catB")]
+        if source == "column":
+            src.write_text("".join("\t".join(map(str, row)) + "\n" for row in rows))
+            flags = []
+        else:
+            src.write_text("".join(f"{u}\t{i}\t{ts}\n" for u, i, ts, _ in rows))
+            cmap.write_text("".join(f"{i}\t{c}\n" for _, i, _, c in rows))
+            flags = ["--category-map", cmap]
+        model = workdir / "m.itals"
+        assert run(
+            "train", "--input", src, "--output", model, "--context", "sequence:1", *flags,
+            "--k", 2, "--epochs", 1,
+        ) == 1
+        assert "item 'i1' has two categories, 'catA' and 'catB'" in caplog.text
+        assert capsys.readouterr().out == "" and not model.exists()
 
     def test_utc_offset_beyond_int64_exits_1(self, workdir, capsys, caplog):
         src = write_events(workdir / "ev.tsv")
@@ -556,6 +578,24 @@ class TestRecommendCommand:
         assert "--at needs a timeband --context" in caplog.text
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("at", [99999999999999999999, 2**63, -5])
+    def test_at_outside_the_timestamp_range_exits_1(self, workdir, capsys, caplog, at):
+        # the log reader's rule: a huge --at used to end in an OverflowError
+        # traceback, and -5 to score in the previous day's last band
+        src = write_events(workdir / "ev.tsv")
+        model = workdir / "m.itals"
+        run(
+            "train", "--input", src, "--output", model,
+            "--context", "timeband:uniform:6", "--k", 3, "--epochs", 1, "--lambda", 0.1,
+        )
+        capsys.readouterr()
+        assert run(
+            "recommend", "--model", model, "--user", "user1", "--at", at, "--context", "timeband:uniform:6"
+        ) == 1
+        assert f"--at must be a timestamp in [0, 2**63), got {at}" in caplog.text
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err + caplog.text
+
     def test_exclude_seen_needs_input(self, workdir, capsys, caplog):
         src = write_events(workdir / "ev.tsv")
         model = workdir / "m.itals"
@@ -644,6 +684,67 @@ def test_a_model_file_whose_k_exceeds_its_bytes_exits_1(workdir, capsys, caplog,
     assert run(command[0], "--model", model, *command[1:]) == 1
     assert "truncated model file" in caplog.text
     assert capsys.readouterr().out == ""
+
+
+class TestCommandsMatchTheLibrary:
+    """``eval`` and ``recommend --at`` print what the library gives with the same context spec."""
+
+    @pytest.mark.parametrize("context, from_map", [
+        ("timeband:uniform:6", False), ("sequence:2:0.5", False), ("sequence:3:0.7", True),
+    ])
+    @pytest.mark.parametrize("algo", ["itals", "ica"])
+    def test_eval_prints_the_library_metrics(self, workdir, capsys, context, from_map, algo):
+        src = write_events(workdir / "ev.tsv", n_users=30, n_events=600, with_category=True)
+        flags = ["--context", context]
+        if from_map:
+            cmap = workdir / "cats.tsv"
+            cmap.write_text("".join(f"item{i}\tkind{i % 4}\n" for i in range(15)))
+            flags += ["--category-map", cmap]
+        model, split = workdir / "m.itals", 24 * DAY
+        assert run(
+            "train", "--input", src, "--output", model, "--algo", algo, *flags,
+            "--k", 4, "--epochs", 2, "--lambda", 0.1, "--split-ts", split,
+        ) == 0
+        capsys.readouterr()
+        assert run(
+            "eval", "--model", model, "--input", src, "--split-ts", split, "--topn", 20, *flags
+        ) == 0
+        summary = json.loads(capsys.readouterr().out)
+
+        train, test = split_by_date(ingest_events(src), SplitSpec(split))
+        kind, *parts = context.split(":")
+        if kind == "timeband":
+            ctx = TimeBandContext(SeasonSpec.uniform(DAY, 6))
+        elif from_map:
+            mapping, names = read_category_map(cmap, train.item_ids)
+            ctx = SequenceContext(int(parts[0]), float(parts[1]), mapping, names)
+        else:
+            mapping = dict(zip(train.items.tolist(), train.categories.tolist()))
+            ctx = SequenceContext(int(parts[0]), float(parts[1]), mapping, train.category_ids)
+        report = recall_precision_at(load_model(model), test, 20, ctx.requests(train, test))
+        assert (summary["recall@20"], summary["precision@20"]) == report.at(20)
+        assert summary["users"] == report.n_users > 0
+
+    @pytest.mark.parametrize("flags, season", [
+        (["--context", "timeband:uniform:6"], SeasonSpec.uniform(DAY, 6)),
+        (
+            ["--context", "timeband:0,3600,40000", "--utc-offset", 3600],
+            SeasonSpec(DAY, (0, 3600, 40000), 3600),
+        ),
+    ])
+    def test_at_is_the_state_of_its_band(self, workdir, capsys, flags, season):
+        src = write_events(workdir / "ev.tsv")
+        model = workdir / "m.itals"
+        assert run(
+            "train", "--input", src, "--output", model, *flags, "--k", 3, "--epochs", 2, "--lambda", 0.1,
+        ) == 0
+        capsys.readouterr()
+        for at in (0, 3599, 13 * 3600, DAY - 1, 5 * DAY + 7000, 2**63 - 1):
+            assert run("recommend", "--model", model, "--user", "user2", "--at", at, *flags) == 0
+            by_time = capsys.readouterr().out
+            band = assign_time_band(at, season)
+            assert run("recommend", "--model", model, "--user", "user2", "--state", band) == 0
+            assert by_time == capsys.readouterr().out != ""
 
 
 class TestConfigFile:

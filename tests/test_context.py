@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 
@@ -10,8 +11,11 @@ from itals import (
     EvalError,
     Model,
     SeasonSpec,
+    SequenceContext,
     SequenceSpec,
+    SplitSpec,
     TensorShape,
+    TimeBandContext,
     TrainConfig,
     WeightingScheme,
     assign_time_band,
@@ -19,12 +23,13 @@ from itals import (
     last_category_states,
     recall_precision_at,
     sequential_context,
+    split_by_date,
     time_band_states,
 )
 from itals import context
 from itals.evaluation import _resolve, score_items
 
-from conftest import make_event_log
+from conftest import basket_dataset, make_event_log, seasonal_dataset
 
 DAY = 86_400
 WEEK = 7 * DAY
@@ -58,6 +63,38 @@ class TestSeasonSpec:
                 SeasonSpec(season, (0,), offset)
         SeasonSpec(2**63 - 1, (0,), -(2**63))
         SeasonSpec(DAY, (0,), 2**63 - 1)
+
+    @pytest.mark.parametrize("args, name, value", [
+        ((86400.9, (0, 3600)), "season_length", 86400.9),
+        ((True, (0,)), "season_length", True),
+        ((DAY, (0, 3600.7)), "band boundary", 3600.7),
+        ((DAY, (0, "7200")), "band boundary", "7200"),
+        ((DAY, (False, 3600)), "band boundary", False),
+        ((DAY, (0,), True), "utc_offset", True),
+        ((DAY, (0,), 0.5), "utc_offset", 0.5),
+    ])
+    def test_values_are_integers(self, args, name, value):
+        # each used to be truncated by int(): 86400.9 built a season of 86400
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ContextError, match=f"^{re.escape(message)}$"):
+            SeasonSpec(*args)
+        spec = SeasonSpec(np.int64(DAY), [np.int32(0), np.uint16(3600)], np.int8(-3))
+        assert spec == SeasonSpec(DAY, (0, 3600), -3)
+        assert type(spec.season_length) is int and type(spec.band_boundaries[1]) is int
+
+    @pytest.mark.parametrize("args, name, value", [
+        ((DAY, True), "bands", True),
+        ((DAY, 2.5), "bands", 2.5),
+        ((DAY, np.float64(6)), "bands", np.float64(6)),
+        ((DAY + 0.0, 6), "season_length", DAY + 0.0),
+        ((DAY, 6, True), "utc_offset", True),
+    ])
+    def test_uniform_takes_integers(self, args, name, value):
+        # uniform(DAY, True) used to build one band, uniform(DAY, 2.5) to raise a TypeError
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ContextError, match=f"^{re.escape(message)}$"):
+            SeasonSpec.uniform(*args)
+        assert SeasonSpec.uniform(np.int64(DAY), np.int32(6)) == SeasonSpec.uniform(DAY, 6)
 
 
 class TestAssignTimeBand:
@@ -163,6 +200,16 @@ class TestSequenceSpec:
         with pytest.raises(ContextError, match=f"^{field} must be an integer, got {value!r}$"):
             SequenceSpec(**args)
         assert SequenceSpec(history_depth=1, category_count=np.int64(3), cold_state=np.int32(2))
+
+    @pytest.mark.parametrize("decay", ["0.5", True, None, 0.0, 1.5, float("nan")])
+    def test_decay_is_a_real_number_in_the_unit_interval(self, decay):
+        # "0.5" used to raise a TypeError, and True to be stored as it was
+        message = f"decay must be a real number in (0, 1], got {decay!r}"
+        with pytest.raises(ContextError, match=f"^{re.escape(message)}$"):
+            SequenceSpec(history_depth=1, decay=decay, category_count=2, cold_state=1)
+        for decay in (np.float64(0.5), np.float32(0.25), 1):
+            spec = SequenceSpec(history_depth=1, decay=decay, category_count=2, cold_state=1)
+            assert spec.decay == decay
 
 
 def brute_force_window(earlier, spec):
@@ -391,6 +438,101 @@ class TestLastCategoryStates:
             assert repr(got) == repr(self.sorted_copy_rule(log, mapping, spec))
         empty = make_event_log([], [], [], n_users=0, n_items=0)
         assert last_category_states(empty, mapping, spec) == {}
+
+
+class TestContextSpecs:
+    """Each spec equals the extractors combined as the command line combined them before the specs."""
+
+    @staticmethod
+    def time_band_rule(train, test, season):
+        order = np.lexsort((test.timestamps, test.users))
+        users = test.users[order]
+        first = order[np.r_[True, users[1:] != users[:-1]]]
+        bands = assign_time_band(test.timestamps[first], season)
+        requests = {u: [(b, 1.0)] for u, b in zip(test.users[first].tolist(), bands.tolist())}
+        return (train, time_band_states(train.timestamps, season)), requests
+
+    @staticmethod
+    def sequence_rule(train, test, mapping, n_categories, depth, decay):
+        spec = SequenceSpec(depth, decay, n_categories + 1, n_categories)
+        ordered = train.sorted_by_user_time()
+        per_user = last_category_states(train, mapping, spec)
+        cold = [(spec.cold_state, 1.0)]
+        requests = {u: per_user.get(u, cold) for u in np.unique(test.users).tolist()}
+        return (ordered, sequential_context(ordered, mapping, spec)), requests
+
+    @staticmethod
+    def assert_same(ctx, train, test, want):
+        (want_events, want_pairs), want_requests = want
+        events, pairs = ctx.training(train)
+        for column in ("users", "items", "timestamps"):
+            assert getattr(events, column).tobytes() == getattr(want_events, column).tobytes()
+        for column in ("offsets", "states", "weights"):
+            assert getattr(pairs, column).tobytes() == getattr(want_pairs, column).tobytes()
+        requests = ctx.requests(train, test)
+        assert repr(requests) == repr(want_requests)
+        assert all(type(user) is int for user in requests)
+
+    @staticmethod
+    def split(log, split_ts, every):
+        """The date split, less the training events of every ``every``-th user (left with no history)."""
+        train, test = split_by_date(log, SplitSpec(split_ts))
+        train = train.select(train.users % every != 0)
+        assert np.setdiff1d(test.users, train.users).size > 0
+        return train, test
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_time_bands_on_the_seasonal_log(self, seed):
+        log, split_ts = seasonal_dataset(seed=seed, n_users=80)
+        train, test = self.split(log, split_ts, 7)
+        for season in (SeasonSpec.uniform(DAY, 6), SeasonSpec(WEEK, (0, 3600, 40000, DAY), 3600)):
+            ctx = TimeBandContext(season)
+            assert ctx.role == "timeband"
+            assert ctx.names == [f"band-{b}" for b in range(season.n_bands)]
+            self.assert_same(ctx, train, test, self.time_band_rule(train, test, season))
+
+    @pytest.mark.parametrize("user_sorted", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sequences_on_the_basket_log(self, seed, user_sorted):
+        log, split_ts, mapping = basket_dataset(seed=seed, n_users=60)
+        if user_sorted:
+            log = log.sorted_by_user_time()
+        train, test = self.split(log, split_ts, 5)
+        names = [f"c{c}" for c in range(13)]
+        for depth, decay in ((1, 1.0), (4, 0.6), (30, 0.9)):
+            ctx = SequenceContext(depth, decay, mapping, names)
+            assert ctx.role == "category"
+            assert ctx.names == [*names, "__no_prior__"]
+            want = self.sequence_rule(train, test, mapping, 13, depth, decay)
+            self.assert_same(ctx, train, test, want)
+
+    def test_empty_test_log(self):
+        log, split_ts = seasonal_dataset(seed=0, n_users=20)
+        train, test = split_by_date(log, SplitSpec(split_ts))
+        empty = test.select(np.zeros(len(test), dtype=bool))
+        assert TimeBandContext(SeasonSpec.uniform(DAY, 6)).requests(train, empty) == {}
+        ctx = SequenceContext(2, 0.5, {i: 0 for i in range(log.n_items)}, ["c"])
+        assert ctx.requests(train, empty) == {}
+
+    def test_sequence_spec_is_checked_on_construction(self):
+        with pytest.raises(ContextError, match="history_depth must be an integer >= 1"):
+            SequenceContext(0, 0.5, {}, ["a"])
+        with pytest.raises(ContextError, match="decay must be a real number"):
+            SequenceContext(2, "0.5", {}, ["a"])
+        ctx = SequenceContext(2, 0.5, {0: 1}, iter(["a", "b"]))
+        assert ctx.category_names == ("a", "b")
+        assert (ctx.spec.category_count, ctx.spec.cold_state) == (3, 2)
+
+    def test_from_rows_takes_one_category_per_item(self):
+        ctx = SequenceContext.from_rows(2, 0.5, [3, 1, 3, 0], [1, 0, 1, 1], ["a", "b"])
+        assert ctx.item_to_category == {0: 1, 1: 0, 3: 1}
+        assert ctx.names == ["a", "b", "__no_prior__"]
+        # i1 catA, i2 catB, then i1 catB: i1 used to keep catB, and catA to name an empty state
+        with pytest.raises(ContextError, match="^item 'i1' has two categories, 'catA' and 'catB'$"):
+            SequenceContext.from_rows(1, 1.0, [1, 2, 1], [0, 1, 1], ["catA", "catB"], ["i0", "i1", "i2"])
+        with pytest.raises(ContextError, match="^item 2 has two categories, 'x' and 'z'$"):
+            SequenceContext.from_rows(1, 1.0, [2, 0, 2, 2], [2, 0, 0, 2], ["x", "y", "z"])
+        assert SequenceContext.from_rows(1, 1.0, [], [], []).item_to_category == {}
 
 
 def random_baskets(rng, n_users, trips, n_items):

@@ -12,9 +12,10 @@ from itals import (
     Model,
     RankingReport,
     SeasonSpec,
-    SequenceSpec,
+    SequenceContext,
     SplitSpec,
     TensorShape,
+    TimeBandContext,
     TrainConfig,
     assign_time_band,
     build_tensor,
@@ -24,10 +25,8 @@ from itals import (
     fit_ica,
     implicitize,
     ingest_ratings,
-    last_category_states,
     recall_precision_at,
     recommend_topn,
-    sequential_context,
     split_by_date,
     time_band_states,
 )
@@ -1010,14 +1009,11 @@ class TestQualityGate:
         # reweighting by time band beats a bandless model and per-band models
         log, split_ts = seasonal_dataset(seed=0)
         train, test = split_by_date(log, SplitSpec(split_ts))
-        season = SeasonSpec.uniform(DAY, 6)
-        shape3 = TensorShape((log.n_users, log.n_items, 6), ("user", "item", "timeband"))
-        obs3 = build_tensor(train, time_band_states(train.timestamps, season), shape3)
+        ctx = TimeBandContext(SeasonSpec.uniform(DAY, 6))
+        shape3 = TensorShape((log.n_users, log.n_items, len(ctx.names)), ("user", "item", ctx.role))
+        obs3 = build_tensor(*ctx.training(train), shape3)
         obs2 = build_tensor(train, None, TensorShape(shape3.dims[:2], ("user", "item")))
-        order = np.lexsort((test.timestamps, test.users))
-        first = {}
-        for idx in order[::-1].tolist():
-            first[int(test.users[idx])] = [(assign_time_band(test.timestamps[idx], season), 1.0)]
+        first = ctx.requests(train, test)
         config = TrainConfig(features=20, epochs=10, reg=0.1)
 
         def recall_at_20(model, requests):
@@ -1036,14 +1032,12 @@ class TestSequentialQualityGate:
         # per-category models
         log, split_ts, mapping = basket_dataset(seed=0, n_users=150)
         train, test = split_by_date(log, SplitSpec(split_ts))
-        cold = 13  # categories 0..12, then the state of no prior purchase
-        spec = SequenceSpec(history_depth=4, decay=0.6, category_count=cold + 1, cold_state=cold)
-        ordered = train.sorted_by_user_time()
-        shape3 = TensorShape((log.n_users, log.n_items, cold + 1), ("user", "item", "category"))
-        obs3 = build_tensor(ordered, sequential_context(ordered, mapping, spec), shape3)
+        # categories 0..12; the spec adds the state of no prior purchase
+        ctx = SequenceContext(4, 0.6, mapping, category_names=range(13))
+        shape3 = TensorShape((log.n_users, log.n_items, len(ctx.names)), ("user", "item", ctx.role))
+        obs3 = build_tensor(*ctx.training(train), shape3)
         obs2 = build_tensor(train, None, TensorShape(shape3.dims[:2], ("user", "item")))
-        last = last_category_states(train, mapping, spec)
-        requests = {u: last.get(u, [(cold, 1.0)]) for u in np.unique(test.users).tolist()}
+        requests = ctx.requests(train, test)
         config = TrainConfig(features=20, epochs=3, reg=0.1)
 
         def recall_at_20(model, requests):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from itals import ParseError, ingest_events, ingest_ratings
-from itals.events import read_category_map, write_events_tsv, write_id_map
+from itals.events import read_category_map, read_category_rows, write_events_tsv, write_id_map
 
 
 def test_single_line_first_seen_indices():
@@ -145,3 +145,11 @@ def test_read_category_map():
     )
     assert mapping == {0: 0, 1: 1, 2: 0}
     assert names == ["tv", "dvd"]
+
+
+def test_read_category_rows_keeps_every_line_in_file_order():
+    items, categories, names = read_category_rows(
+        io.StringIO("i2\tdvd\nmissing\tx\ni1\ttv\ni2\ttv\n"), ["i1", "i2"]
+    )
+    assert items.tolist() == [1, 0, 1] and categories.tolist() == [0, 1, 1]
+    assert names == ["dvd", "tv"]
