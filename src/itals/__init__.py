@@ -34,7 +34,6 @@ from .events import (
     RatingLog,
     ingest_events,
     ingest_ratings,
-    read_category_map,
     read_category_rows,
 )
 from .evaluation import (
@@ -117,7 +116,6 @@ __all__ = [
     "ingest_ratings",
     "last_category_states",
     "load_model",
-    "read_category_map",
     "read_category_rows",
     "recall_precision_at",
     "recommend_topn",

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import io
 import logging
+import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,13 +97,18 @@ class SplitSpec:
     """Date-based split: train strictly before, test at or after.
 
     With a horizon, test events at or past split_timestamp + horizon are
-    dropped entirely.
+    dropped entirely.  Both are real numbers, not bools or NaN.
     """
 
     split_timestamp: int
     test_horizon: Optional[int] = None
 
     def __post_init__(self):
+        horizon = () if self.test_horizon is None else (("test_horizon", self.test_horizon),)
+        for name, value in (("split_timestamp", self.split_timestamp), *horizon):
+            # value != value only for NaN
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
+                raise EvalError(f"{name} must be a real number, got {value!r}")
         if self.test_horizon is not None and self.test_horizon <= 0:
             raise EvalError("test_horizon must be positive when given")
 
@@ -400,8 +406,7 @@ def recommend_topn(
     the user's training items, repeats allowed) from the candidate set, so
     the list is shorter than n when fewer candidates remain.
     """
-    if n < 1:
-        raise EvalError("n must be >= 1")
+    _check_count("n", n)
     scores = score_items(model, user, states, allow_unknown=allow_unknown)
     # rank by ascending key; excluded items sort after every candidate
     key = -scores
@@ -415,6 +420,14 @@ def recommend_topn(
             raise _exclude_error(key.size) from None
     top = _top_n(key, n)
     return RankedList(user=user, items=top, scores=scores[top])
+
+
+def _check_count(name: str, value) -> None:
+    """A top-N count is a Python or numpy integer >= 1, not a bool."""
+    if not isinstance(value, _STATE_TYPES) or type(value) is bool:
+        raise EvalError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise EvalError(f"{name} must be >= 1")
 
 
 def _exclude_error(n_items: int) -> EvalError:
@@ -491,8 +504,7 @@ def recall_precision_at(
     vocabulary score zero hits unless ``skip_unknown_users``.  ``average``
     is macro (mean of per-user ratios) or micro (ratio of summed counts).
     """
-    if n_max < 1:
-        raise EvalError("n_max must be >= 1")
+    _check_count("n_max", n_max)
     if len(test) == 0:
         raise EvalError("test log is empty")
     if average not in ("macro", "micro"):

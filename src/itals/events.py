@@ -48,7 +48,6 @@ __all__ = [
     "ingest_ratings",
     "write_events_tsv",
     "write_id_map",
-    "read_category_map",
     "read_category_rows",
 ]
 
@@ -509,12 +508,3 @@ def read_category_rows(source: Source, item_ids: list) -> tuple:
     items, categories = (np.concatenate(column) for column in zip(*columns))
     return items, categories, list(cat_index)
 
-
-def read_category_map(source: Source, item_ids: list) -> tuple:
-    """({item index: category index}, names) of ``read_category_rows``.
-
-    A later line for an item replaces an earlier one;
-    ``SequenceContext.from_rows`` rejects such a conflict instead.
-    """
-    items, categories, names = read_category_rows(source, item_ids)
-    return dict(zip(items.tolist(), categories.tolist())), names

@@ -38,20 +38,20 @@ gathers, accumulates and solves the systems, and refreshes the Gram.
 
 Training runs on every CPU the process may use.  Once the Gram product
 is formed, the columns of an axis are independent systems, so ``_each``
-hands an axis's blocks, each cut into one column slice per CPU, to that
-many lanes: the calling thread and threads started for the call.  A
-slice keeps its block's padded width and a thin block's last product
-spans the whole block, so every column's arithmetic, and so every factor
-bit, is the same on any number of CPUs (the BLAS library's own thread
-count is another matter).  The iCA baseline (``baseline.fit_ica``) hands
-its sub-models to the lanes instead, and each sub-model's axis solves
-run inline in its lane.  A single CPU runs the plain loop and starts no
-thread.
+hands an axis's jobs (``_jobs``: the blocks wider than ``CELL_BLOCK`` in
+one, every other block cut into one column slice per CPU) to that many
+lanes: the calling thread and threads started for the call.  A slice
+keeps its block's padded width, and a thin block's product spans the
+whole block and is made after the lanes join, so every column's
+arithmetic, and so every factor bit, is the same on any number of CPUs
+(the BLAS library's own thread count is another matter).  The iCA
+baseline (``baseline.fit_ica``) hands its sub-models to the lanes
+instead, and each sub-model's axis solves run inline in its lane.  A
+single CPU runs the plain loop and starts no thread.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
 import numbers
@@ -93,7 +93,8 @@ class TrainConfig:
     ``'constant'`` applies ``reg`` uniformly.  ``init_scale`` defaults to
     1/sqrt(features) so initial predictions start near the data scale.
     ``features`` and ``epochs`` lie in [1, 2**32) and ``seed`` in
-    [0, 2**63), the widths of the model file's config trailer.
+    [0, 2**63), the widths of the model file's config trailer; ``reg``
+    and ``init_scale`` are real numbers, none of them a bool.
     """
 
     features: int = 20
@@ -108,12 +109,16 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value < high:
                 raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
-        if not (math.isfinite(self.reg) and self.reg >= 0):
-            raise ValueError(f"reg must be finite and >= 0, got {self.reg!r}")
         if self.reg_mode not in REG_MODES:
             raise ValueError(f"reg_mode must be one of {REG_MODES}")
         if self.init_scale is None:
             self.init_scale = 1.0 / np.sqrt(self.features)
+        for name in ("reg", "init_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not (math.isfinite(self.reg) and self.reg >= 0):
+            raise ValueError(f"reg must be finite and >= 0, got {self.reg!r}")
         if not (math.isfinite(self.init_scale) and self.init_scale > 0):
             raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale!r}")
 
@@ -257,6 +262,24 @@ def _column_blocks(counts: np.ndarray, n_thin: int, max_cells: int, max_cols: in
     return blocks
 
 
+def _jobs(blocks: list, lanes: int) -> list:
+    """The jobs ``_each`` hands an axis's lanes: lists of (block, lo, hi) column slices.
+
+    A block wider than ``CELL_BLOCK`` padded cells is one column, which
+    cannot be cut: all such blocks form the first job, so one lane solves
+    them in turn and the lanes hold at most one of them and slices of
+    others.  Every other block is cut into one slice per lane, a job each.
+    """
+    wide, jobs = [], []
+    for b, (block, _, w, _, _) in enumerate(blocks):
+        if w.size > CELL_BLOCK:
+            wide.append((b, 0, len(block)))
+        else:
+            cuts = sorted({len(block) * j // lanes for j in range(lanes + 1)})
+            jobs += [[(b, lo, hi)] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    return [wide] + jobs if wide else jobs
+
+
 class _AxisPlan:
     """The part of one axis solve that does not depend on the factors.
 
@@ -304,9 +327,11 @@ class _AxisPlan:
     def solve(self, model: Model) -> None:
         """Solve every column of the axis against the current factors, then refresh its Gram.
 
-        The blocks are solved on ``_each``'s lanes, each block cut into one
-        column slice per lane.  A slice keeps its block's padded width, so
-        every column sees the same arithmetic on any number of lanes.
+        ``_each``'s lanes take the jobs of ``_jobs`` and share only disjoint
+        writes: a thin block's slices write its rows y, and once the lanes
+        have joined the calling thread makes each thin block's
+        ``basis @ y.T``.  A slice keeps its block's padded width, so every
+        column sees the same arithmetic on any number of lanes.
         """
         k = model.features
         base = model.grams[self.others[0]].copy()
@@ -330,68 +355,41 @@ class _AxisPlan:
             rows.append(table)
         eye = np.arange(k)
 
-        lanes = _lanes()
-        slices = []
-        for b, (block, *_) in enumerate(self.blocks):
-            cuts = sorted({len(block) * j // lanes for j in range(lanes + 1)})
-            slices += [(b, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-        # a thin block's columns come from one product over the whole block,
-        # whose bits depend on the block's width: a block cut into slices
-        # gathers them in a buffer, and the lane that solves its last slice
-        # makes the product and drops the buffer
-        lock = threading.Lock()
-        pending: dict = {}
-        # a column wider than CELL_BLOCK is a block of its own and cannot be
-        # cut, so only one lane at a time solves such a block: the lanes hold
-        # at most the widest block and a slice of another one
-        wide = threading.Lock()
+        # a thin block's product spans the whole block: its bits depend on the width
+        ys = {b: np.empty((len(block), k)) for b, (block, *_, thin) in enumerate(self.blocks) if thin}
 
-        def work(piece) -> None:
-            b, lo, hi = piece
-            with wide if self.blocks[b][2].size > CELL_BLOCK else contextlib.nullcontext():
-                solve_slice(b, lo, hi)
+        def solve_job(job: list) -> None:
+            for b, lo, hi in job:
+                block, index, w, lam, thin = self.blocks[b]
+                w, lam = w[lo:hi], lam[lo:hi]
+                # Hadamard product of the other axes' columns, one K-vector per
+                # stored cell; w splits as 1 + (w - 1) so the zero cells are
+                # already covered by the Gram product in `base`.  Padding cells
+                # gather the zero row, so they get v = 0 and contribute nothing.
+                v = np.take(rows[0], index[0][lo:hi], axis=0)
+                for r, idx in zip(rows[1:], index[1:]):
+                    v *= np.take(r, idx[lo:hi], axis=0)
 
-        def solve_slice(b: int, lo: int, hi: int) -> None:
-            block, index, w, lam, thin = self.blocks[b]
-            w, lam = w[lo:hi], lam[lo:hi]
-            # Hadamard product of the other axes' columns, one K-vector per
-            # stored cell; w splits as 1 + (w - 1) so the zero cells are
-            # already covered by the Gram product in `base`.  Padding cells
-            # gather the zero row, so they get v = 0 and contribute nothing.
-            v = np.take(rows[0], index[0][lo:hi], axis=0)
-            for r, idx in zip(rows[1:], index[1:]):
-                v *= np.take(r, idx[lo:hi], axis=0)
+                if thin:
+                    ys[b][lo:hi] = _solve_thin(v, w, spectrum + lam, basis)
+                    continue
+                vt = v.transpose(0, 2, 1)
+                systems = np.matmul(vt * (w - 1.0)[:, None, :], v)
+                systems += base
+                systems[:, eye, eye] += lam
+                rhs = np.matmul(vt, w[:, :, None])
+                try:
+                    solution = np.linalg.solve(systems, rhs)
+                except np.linalg.LinAlgError as exc:
+                    raise SolverError(
+                        "singular normal equations; use a regularization value > 0 "
+                        "that the cell weights do not dwarf"
+                    ) from exc
+                matrix[:, block[lo:hi]] = solution[:, :, 0].T
 
-            if thin:
-                y = _solve_thin(v, w, spectrum + lam, basis)
-                if hi - lo < len(block):
-                    with lock:
-                        if b not in pending:
-                            pending[b] = [np.empty((len(block), k)), 0]
-                        solved = pending[b]
-                        solved[0][lo:hi] = y
-                        solved[1] += hi - lo
-                        if solved[1] < len(block):
-                            return
-                        del pending[b]
-                    y = solved[0]
-                matrix[:, block] = basis @ y.T
-                return
-            vt = v.transpose(0, 2, 1)
-            systems = np.matmul(vt * (w - 1.0)[:, None, :], v)
-            systems += base
-            systems[:, eye, eye] += lam
-            rhs = np.matmul(vt, w[:, :, None])
-            try:
-                solution = np.linalg.solve(systems, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(
-                    "singular normal equations; use a regularization value > 0 "
-                    "that the cell weights do not dwarf"
-                ) from exc
-            matrix[:, block[lo:hi]] = solution[:, :, 0].T
-
-        _each(slices, work)
+        _each(_jobs(self.blocks, _lanes()), solve_job)
+        for b, y in ys.items():
+            matrix[:, self.blocks[b][0]] = basis @ y.T
         model.grams[self.axis] = matrix @ matrix.T
 
 

@@ -10,6 +10,7 @@ matrices instead of touching the full tensor: it splits a stored weight as
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,6 +36,8 @@ class TensorBuildError(ValueError):
 class TensorShape:
     """Dimension sizes and axis roles; exactly one user and one item axis.
 
+    A size is a Python or numpy integer >= 1, not a bool.
+
     ``user_axis`` and ``item_axis`` index those two roles and
     ``context_axes`` is the tuple of the other axes, in order.
     """
@@ -43,6 +46,9 @@ class TensorShape:
     axis_roles: tuple
 
     def __init__(self, dims: Sequence[int], axis_roles: Sequence[str]):
+        for size in dims:
+            if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+                raise ValueError(f"every dimension size must be an integer, got {size!r}")
         object.__setattr__(self, "dims", tuple(int(s) for s in dims))
         object.__setattr__(self, "axis_roles", tuple(str(r) for r in axis_roles))
         if len(self.dims) < 2:
@@ -72,7 +78,8 @@ class TensorShape:
 class WeightingScheme:
     """Affine cell weighting: w = base + alpha * (weighted event count).
 
-    The constructor requires base and alpha finite, alpha >= 0 and
+    The constructor requires base and alpha finite real numbers (not
+    bools), alpha >= 0 and
     base + alpha > 1, so a cell of one whole event weighs more than 1.  A
     cell of small relative weights may weigh less: ``build_tensor`` rejects
     a weight below 1, and a weight that rounds to exactly 1 (the limit of a
@@ -83,6 +90,10 @@ class WeightingScheme:
     alpha: float = 100.0
 
     def __post_init__(self):
+        for name in ("base", "alpha"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.base) and math.isfinite(self.alpha)):
             raise ValueError(f"base and alpha must be finite, got {self.base!r} and {self.alpha!r}")
         if self.alpha < 0:

@@ -8,7 +8,7 @@ import pytest
 from itals import (
     ObservationTensor, SeasonSpec, SequenceContext, SplitSpec, TensorShape, TimeBandContext,
     TrainConfig, WeightingScheme, assign_time_band, fit, ingest_events, load_model,
-    read_category_map, recall_precision_at, save_model, split_by_date,
+    read_category_rows, recall_precision_at, save_model, split_by_date,
 )
 from itals import cli, persistence
 from itals.cli import build_parser, main
@@ -716,8 +716,9 @@ class TestCommandsMatchTheLibrary:
         if kind == "timeband":
             ctx = TimeBandContext(SeasonSpec.uniform(DAY, 6))
         elif from_map:
-            mapping, names = read_category_map(cmap, train.item_ids)
-            ctx = SequenceContext(int(parts[0]), float(parts[1]), mapping, names)
+            ctx = SequenceContext.from_rows(
+                int(parts[0]), float(parts[1]), *read_category_rows(cmap, train.item_ids), train.item_ids
+            )
         else:
             mapping = dict(zip(train.items.tolist(), train.categories.tolist()))
             ctx = SequenceContext(int(parts[0]), float(parts[1]), mapping, train.category_ids)

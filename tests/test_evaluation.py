@@ -1,5 +1,6 @@
 import io
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -167,6 +168,22 @@ class TestSplitByDate:
         assert len(test) == 1  # the far-future event is dropped
         assert test.timestamps.max() - 20 < 86_400
 
+    @pytest.mark.parametrize("split, horizon, field, bad", [
+        ("3", None, "split_timestamp", "'3'"),
+        (True, None, "split_timestamp", "True"),
+        (float("nan"), None, "split_timestamp", "nan"),
+        (10, True, "test_horizon", "True"),
+        (10, "5", "test_horizon", "'5'"),
+        (10, float("nan"), "test_horizon", "nan"),
+    ])
+    def test_split_and_horizon_are_real_numbers(self, split, horizon, field, bad):
+        # "3" used to fail inside numpy, True to give a one-second horizon,
+        # and a NaN to put every event in the test log or none
+        with pytest.raises(EvalError, match=f"^{field} must be a real number, got {bad}$"):
+            SplitSpec(split, horizon)
+        train, test = split_by_date(self.log(), SplitSpec(np.int64(15), np.float64(20.0)))
+        assert train.timestamps.tolist() == [10] and test.timestamps.tolist() == [20, 30]
+
     def test_exhaustive_without_horizon(self):
         log = self.log()
         train, test = split_by_date(log, SplitSpec(25))
@@ -297,6 +314,14 @@ class TestRecommendTopn:
     def test_n_must_be_positive(self):
         with pytest.raises(EvalError, match="n must be >= 1"):
             recommend_topn(identity_scorer([[1.0, 2.0]]), 0, None, 0)
+
+    def test_n_is_an_integer(self):
+        # True used to return a one-item list and 2.5 numpy's raw TypeError
+        model = identity_scorer([[1.0, 2.0]])
+        for n in (True, 2.5, "2", np.float64(2.0), None):
+            with pytest.raises(EvalError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+                recommend_topn(model, 0, None, n)
+        assert recommend_topn(model, 0, None, np.int8(1)).items.tolist() == [1]
 
     def test_a_list_for_a_two_context_model_rejected(self):
         factors = [np.ones((1, n)) for n in (1, 2, 2, 3)]
@@ -578,6 +603,15 @@ class TestRecallPrecision:
             recall_precision_at(model, test, 0)
         with pytest.raises(EvalError, match="'macro' or 'micro'"):
             recall_precision_at(model, test, 2, average="mean")
+
+    def test_n_max_is_an_integer(self):
+        # 2.5 and True used to raise raw TypeErrors
+        model = identity_scorer([[1.0, 2.0]])
+        test = make_event_log([0], [1], [1], n_users=1, n_items=2)
+        for n_max in (True, 2.5, "2", np.float64(2.0)):
+            with pytest.raises(EvalError, match=f"^n_max must be an integer, got {re.escape(repr(n_max))}$"):
+                recall_precision_at(model, test, n_max)
+        assert recall_precision_at(model, test, np.int64(2)).at(1) == (1.0, 1.0)
 
     def test_no_evaluable_users(self):
         model = identity_scorer([[1.0, 2.0]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from itals import ParseError, ingest_events, ingest_ratings
-from itals.events import read_category_map, read_category_rows, write_events_tsv, write_id_map
+from itals.events import read_category_rows, write_events_tsv, write_id_map
 
 
 def test_single_line_first_seen_indices():
@@ -137,14 +137,6 @@ def test_write_id_map(tmp_path):
     path = tmp_path / "users.tsv"
     write_id_map(["alice", "bob"], path)
     assert path.read_text() == "0\talice\n1\tbob\n"
-
-
-def test_read_category_map():
-    mapping, names = read_category_map(
-        io.StringIO("i1\ttv\ni2\tdvd\ni3\ttv\nmissing\tx\n"), ["i1", "i2", "i3"]
-    )
-    assert mapping == {0: 0, 1: 1, 2: 0}
-    assert names == ["tv", "dvd"]
 
 
 def test_read_category_rows_keeps_every_line_in_file_order():

@@ -64,6 +64,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{field} must"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("reg", True), ("reg", False), ("reg", "0.1"), ("init_scale", True), ("init_scale", "1"),
+    ])
+    def test_reg_and_init_scale_are_real_numbers(self, field, value):
+        # a bool was stored as is, and a string raised a raw TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
+            TrainConfig(**{field: value})
+        config = TrainConfig(reg=np.int64(0), init_scale=np.float32(0.5))
+        assert config.reg == 0 and config.init_scale == 0.5
+
     @pytest.mark.parametrize("field, low, high", [("features", 1, 2**32), ("epochs", 1, 2**32), ("seed", 0, 2**63)])
     def test_integers_fit_the_model_files_trailer(self, field, low, high):
         for value in (low - 1, high):
@@ -435,6 +445,55 @@ def same_bits(a, b):
     return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
+def mixed_widths(seed=16):
+    """A tensor whose user axis, at K = 20 and CELL_BLOCK = 100, holds two
+    columns wider than a block (150 cells), thick columns of 40 cells and
+    thin ones of 2 to 8 cells, in blocks of more than one column."""
+    rng = np.random.default_rng(seed)
+    counts = [150, 150] + [40] * 10 + list(rng.integers(2, 9, 18))
+    coords = [
+        [user, item, rng.integers(3)]
+        for user, n in enumerate(counts)
+        for item in rng.choice(400, n, replace=False)
+    ]
+    shape = TensorShape((len(counts), 400, 3), ("user", "item", "context"))
+    return ObservationTensor(shape, coords, rng.uniform(2.0, 101.0, len(coords)))
+
+
+class TestJobs:
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_schedule_of_wide_thick_and_thin_blocks(self, monkeypatch, lanes):
+        monkeypatch.setattr(solver, "CELL_BLOCK", 100)
+        plan = _AxisPlan(mixed_widths(), 0, 20, 0.1)
+        wide = {b for b, (_, _, w, _, _) in enumerate(plan.blocks) if w.size > 100}
+        assert len(wide) == 2 and plan.n_thick > 2
+        assert any(thin and len(block) >= 3 for block, *_, thin in plan.blocks)
+        jobs = solver._jobs(plan.blocks, lanes)
+        slices = [piece for job in jobs for piece in job]
+        assert all(lo < hi for _, lo, hi in slices)
+        # every column in exactly one slice
+        columns = np.concatenate([plan.blocks[b][0][lo:hi] for b, lo, hi in slices])
+        assert sorted(columns.tolist()) == sorted(np.concatenate([block for block, *_ in plan.blocks]).tolist())
+        assert len(set(columns.tolist())) == len(columns) == plan.n_thin + plan.n_thick
+        # the wide blocks whole in the first job, and in no other
+        assert sorted(b for b, _, _ in jobs[0]) == sorted(wide)
+        assert all(hi - lo == len(plan.blocks[b][0]) for b, lo, hi in jobs[0])
+        assert not any(b in wide for job in jobs[1:] for b, _, _ in job)
+        # no block cut into more slices than lanes, and a thin block cut into one per lane
+        cuts = np.bincount([b for b, _, _ in slices])
+        assert cuts.max() <= lanes
+        assert max(cuts[b] for b, (*_, thin) in enumerate(plan.blocks) if thin) == lanes
+
+    def test_no_wide_block_no_wide_job(self):
+        plan = _AxisPlan(mixed_widths(), 0, 20, 0.1)
+        assert solver._jobs(plan.blocks, 2) == [
+            [(b, lo, hi)]
+            for b, (block, *_) in enumerate(plan.blocks)
+            for lo, hi in ((0, len(block) // 2), (len(block) // 2, len(block)))
+            if lo < hi
+        ]
+
+
 class TestLanes:
     """Training on 1 and on 2 lanes gives the same factor bits."""
 
@@ -500,6 +559,17 @@ class TestLanes:
         factors = init_factors(TrainConfig(features=4, seed=1), obs.shape.dims)
         plan.solve(Model(obs.shape, factors, [m @ m.T for m in factors], TrainConfig(features=4)))
         assert most == [1]
+
+    def test_fit_with_two_wide_blocks_and_a_cut_thin_block(self, monkeypatch):
+        monkeypatch.setattr(solver, "CELL_BLOCK", 100)
+        obs = mixed_widths()
+        config = TrainConfig(features=20, epochs=2, reg=0.1, seed=5)
+        fits = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr(solver, "_cpu_count", lambda: count)
+            fits.append(fit(obs, config))
+        for other in fits[1:]:
+            assert same_bits(fits[0].factors + fits[0].grams, other.factors + other.grams)
 
     def test_singular_system_in_a_lane_is_a_solver_error(self, lanes):
         # every user column's system is 0: all item factors are zero and lambda is 0

@@ -33,6 +33,15 @@ class TestTensorShape:
         with pytest.raises(ValueError, match=">= 1"):
             TensorShape((5, 0), ("user", "item"))
 
+    def test_sizes_are_integers(self):
+        # a float or bool size used to be truncated by int()
+        for dims, bad in [((2.7, 1, 3), "2.7"), ((2, True, 3), "True"), ((2, 1, "3"), "'3'"),
+                          ((2, 1, np.float64(3.0)), r"np.float64\(3.0\)"), ((2, np.True_, 3), "np.True_")]:
+            with pytest.raises(ValueError, match=f"^every dimension size must be an integer, got {bad}$"):
+                TensorShape(dims, ("user", "item", "c"))
+        shape = TensorShape((np.int32(2), np.uint8(1), 3), ("user", "item", "c"))
+        assert shape.dims == (2, 1, 3) and all(type(s) is int for s in shape.dims)
+
     def test_requires_user_and_item_roles(self):
         with pytest.raises(ValueError, match="'user' and one 'item'"):
             TensorShape((5, 5), ("user", "user"))
@@ -63,6 +72,13 @@ class TestWeightingScheme:
         # they used to fail only when the tensor was built
         with pytest.raises(ValueError, match="base and alpha must be finite"):
             WeightingScheme(base=base, alpha=alpha)
+
+    @pytest.mark.parametrize("field, value", [("base", True), ("alpha", True), ("base", "1"), ("alpha", "100")])
+    def test_base_and_alpha_are_real_numbers(self, field, value):
+        # a bool was stored as is, and a string raised a raw TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
+            WeightingScheme(**{field: value})
+        assert WeightingScheme(base=np.float32(2.0), alpha=np.int64(3)).alpha == 3
 
 
 class TestBuildTensor:
