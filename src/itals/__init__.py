@@ -19,6 +19,7 @@ from .baseline import CompositeModel, fit_ials, fit_ica
 from .context import (
     ContextError,
     ContextPairs,
+    RequestPairs,
     SeasonSpec,
     SequenceContext,
     SequenceSpec,
@@ -79,6 +80,7 @@ __all__ = [
     "CompositeModel",
     "ContextError",
     "ContextPairs",
+    "RequestPairs",
     "DenseCapError",
     "EvalError",
     "EventLog",

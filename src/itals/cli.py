@@ -15,7 +15,9 @@ other subcommands take is ignored, so one file serves ``train`` and
 ``--context`` parses into one context spec (``context.TimeBandContext``
 or ``context.SequenceContext``), the one definition of its training and
 request rules: ``train`` builds the tensor from ``spec.training``, and
-``eval`` and ``recommend --at`` ask in ``spec.requests``.  They check the
+``eval`` and ``recommend --at`` ask in ``spec.requests``, a
+``context.RequestPairs`` whose columns ``eval`` ranks from with no
+per-user step.  They check the
 spec the way they check the log's user and item ids: on the training log
 it must give the model's context axis role and state names (``band-i``,
 or the categories and then ``__no_prior__``) in order, else they exit 1.

@@ -4,7 +4,8 @@ A context spec is the one definition of a context kind's rules:
 ``TimeBandContext`` and ``SequenceContext`` each give the axis ``role``,
 the state ``names``, ``training(train)`` (the events in tensor order and
 their pairs) and ``requests(train, test)`` (each test user's pairs, the
-mapping ``recall_precision_at`` takes).  They are built on the
+mapping ``recall_precision_at`` takes, as a ``RequestPairs``: columns
+that it reads with no per-user step).  They are built on the
 extractors below, which map raw events to (state, weight) pairs for the
 tensor's context axis.  An event's pairs are held as columns, a
 ``ContextPairs``: per-event offsets into one array of states and one of
@@ -28,10 +29,10 @@ from __future__ import annotations
 
 import numbers
 import operator
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import ClassVar, Mapping
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .events import EventLog
 
 __all__ = [
     "ContextPairs",
+    "RequestPairs",
     "SeasonSpec",
     "SequenceContext",
     "SequenceSpec",
@@ -147,6 +149,68 @@ class ContextPairs(Sequence):
 
     def __repr__(self) -> str:
         return f"ContextPairs({len(self)} events, {self.states.size} pairs)"
+
+
+class RequestPairs(Mapping):
+    """Each user's request pairs as columns: the read-only mapping {user: [(state, weight), ...]}.
+
+    ``users`` is int64, ascending and distinct; user ``users[j]``'s pairs
+    are ``states[offsets[j]:offsets[j + 1]]`` with the matching
+    ``weights``; ``offsets`` is int64.  The specs give ``offsets``,
+    ``states`` and ``weights`` as a ``ContextPairs``.  ``states`` and
+    ``weights`` are held as given: the request rule is the scorer's,
+    checked when a ranking reads them, as it is for a plain dict of the
+    same pairs.  ``recall_precision_at`` reads the columns with no
+    per-user step; as a mapping, ``requests[user]`` (a Python or numpy
+    integer) is the user's list of pairs.
+    """
+
+    __slots__ = ("users", "offsets", "states", "weights")
+
+    def __init__(self, users, offsets, states, weights):
+        columns = []
+        for name, values in (("users", users), ("offsets", offsets), ("states", states), ("weights", weights)):
+            values = np.asarray(values)
+            if values.ndim != 1:
+                raise ContextError(f"{name} must be a 1-D array")
+            if name in ("users", "offsets"):
+                if values.size and values.dtype.kind not in "iu":
+                    raise ContextError(f"{name} must be integers")
+                values = values.astype(np.int64, copy=False)
+            values = values.view()
+            values.flags.writeable = False
+            columns.append(values)
+        users, offsets, states, weights = columns
+        if (users[1:] <= users[:-1]).any():
+            raise ContextError("users must ascend and be distinct")
+        if offsets.size != users.size + 1 or offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
+            raise ContextError("offsets must start at 0, never fall and have one entry more than users")
+        if not offsets[-1] == states.size == weights.size:
+            raise ContextError("offsets must end at the number of states and of weights")
+        self.users, self.offsets, self.states, self.weights = users, offsets, states, weights
+
+    def _row(self, user):
+        """The position of ``user`` in ``users``, or None."""
+        if not isinstance(user, (int, np.integer)):
+            return None
+        j = int(np.searchsorted(self.users, user))
+        return j if j < self.users.size and self.users[j] == user else None
+
+    def __getitem__(self, user) -> list:
+        j = self._row(user)
+        if j is None:
+            raise KeyError(user)
+        start, end = self.offsets[j], self.offsets[j + 1]
+        return list(zip(self.states[start:end].tolist(), self.weights[start:end].tolist()))
+
+    def __iter__(self):
+        return iter(self.users.tolist())
+
+    def __len__(self) -> int:
+        return self.users.size
+
+    def __repr__(self) -> str:
+        return f"RequestPairs({len(self)} users, {self.states.size} pairs)"
 
 
 @dataclass(frozen=True)
@@ -375,11 +439,33 @@ def sequential_context(
     starts = user_start[basket_start]
     offsets, states, weights = _windows(categories, codes[order], starts, basket_start, spec)
     # then copy each event's basket window, in the input order
-    basket = (np.cumsum(new_basket) - 1)[np.argsort(order)]
-    counts = np.diff(offsets)[basket]
-    event_offsets = np.concatenate(([0], np.cumsum(counts)))
-    take = np.arange(event_offsets[-1]) + np.repeat(offsets[basket] - event_offsets[:-1], counts)
+    event_offsets, take = _take_runs(offsets, (np.cumsum(new_basket) - 1)[np.argsort(order)])
     return ContextPairs(event_offsets, states[take], weights[take])
+
+
+def _take_runs(offsets: np.ndarray, runs: np.ndarray):
+    """(offsets, take): run j of the result is run ``runs[j]`` of a column split at ``offsets``.
+
+    ``take`` indexes the column's entries in the result's order.
+    """
+    start = offsets[runs]
+    counts = offsets[runs + 1] - start
+    taken = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=taken[1:])
+    return taken, np.arange(taken[-1]) + np.repeat(start - taken[:-1], counts)
+
+
+def _last_windows(train: EventLog, item_to_category: Mapping[int, int], spec: SequenceSpec):
+    """(users, offsets, states, weights): each training user's window [user start, user end).
+
+    The users ascend.
+    """
+    order = np.lexsort((train.timestamps, train.users))
+    users = train.users[order]
+    # the bounds of the sorted list's user runs; user indices are >= 0
+    runs = np.flatnonzero(np.diff(users, prepend=-1, append=-1))
+    categories, codes = _category_codes(train.items[order], item_to_category, spec, train.item_ids)
+    return (users[runs[:-1]], *_windows(categories, codes, runs[:-1], runs[1:], spec))
 
 
 def last_category_states(
@@ -394,13 +480,7 @@ def last_category_states(
     map to the cold state implicitly (they are simply missing from the
     dict).
     """
-    order = np.lexsort((train.timestamps, train.users))
-    users = train.users[order]
-    # the bounds of the sorted list's user runs; user indices are >= 0
-    runs = np.flatnonzero(np.diff(users, prepend=-1, append=-1))
-    categories, codes = _category_codes(train.items[order], item_to_category, spec, train.item_ids)
-    offsets, states, weights = _windows(categories, codes, runs[:-1], runs[1:], spec)
-    users = users[runs[:-1]]
+    users, offsets, states, weights = _last_windows(train, item_to_category, spec)
     # the scorer checks request pairs, so these lists are built as they are
     bounds, states, weights = offsets.tolist(), states.tolist(), weights.tolist()
     return {
@@ -438,12 +518,12 @@ class TimeBandContext:
         """(events in tensor order, their ``ContextPairs``): the log as it is and each event's band."""
         return train, time_band_states(train.timestamps, self.season)
 
-    def requests(self, train: EventLog, test: EventLog) -> dict:
+    def requests(self, train: EventLog, test: EventLog) -> RequestPairs:
         """{user: [(band, 1.0)]} of every test user; the training log plays no part."""
         order = np.lexsort((test.timestamps, test.users))
         users, first = np.unique(test.users[order], return_index=True)
-        bands = assign_time_band(test.timestamps[order[first]], self.season)
-        return {u: [(b, 1.0)] for u, b in zip(users.tolist(), bands.tolist())}
+        pairs = time_band_states(test.timestamps[order[first]], self.season)
+        return RequestPairs(users, pairs.offsets, pairs.states, pairs.weights)
 
 
 @dataclass(frozen=True)
@@ -502,11 +582,19 @@ class SequenceContext:
         ordered = train.sorted_by_user_time()
         return ordered, sequential_context(ordered, self.item_to_category, self.spec)
 
-    def requests(self, train: EventLog, test: EventLog) -> dict:
+    def requests(self, train: EventLog, test: EventLog) -> RequestPairs:
         """{user: pairs} of every test user: the window of the user's training history.
 
         A test user with no training event asks in the cold state.
         """
-        per_user = last_category_states(train, self.item_to_category, self.spec)
-        cold = [(self.spec.cold_state, 1.0)]
-        return {u: per_user.get(u, cold) for u in np.unique(test.users).tolist()}
+        known, offsets, states, weights = _last_windows(train, self.item_to_category, self.spec)
+        users = np.unique(test.users)
+        at = np.searchsorted(known, users)
+        history = at < known.size
+        history[history] = known[at[history]] == users[history]
+        # a user without history takes the one pair (cold, 1.0), a run appended to the columns
+        at[~history] = known.size
+        offsets, take = _take_runs(np.append(offsets, states.size + 1), at)
+        states, weights = np.append(states, self.spec.cold_state)[take], np.append(weights, 1.0)[take]
+        pairs = ContextPairs(offsets, states, weights)
+        return RequestPairs(users, pairs.offsets, pairs.states, pairs.weights)

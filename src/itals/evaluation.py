@@ -11,18 +11,24 @@ Serving applies it to one row (``_top_n``), evaluation to every row of
 a block at once (``_top_n_rows``).  A row whose n-th smallest key is
 finite takes the keys at or below it as its candidates, since every
 excluded (+inf) and NaN key lies above; a row with fewer than n finite
-keys also keeps its NaN keys, which sort last.
+keys also keeps its NaN keys, which sort last.  The block form puts the
+candidates in a (rows x most candidates) grid, a reshape when every row
+has as many, and orders each row with one stable sort.
 
 A request context is a list of (state, weight) pairs per context axis.
 One rule holds for every pair, checked by ``_check_pair``: the state is
 a Python or numpy integer in [0, axis size) and the weight a Python or
 numpy number, finite and > 0 (a bool is neither, a string no number);
-else ContextError names the first bad pair.  ``_contexts`` normalizes
-the context input of a block of requests, ``_pairs`` checks a block's
-pairs with one vectorized test, ``_resolve`` turns a block of lists into
+else ContextError names the first bad pair.  A ranking call reads its
+users' requests once, into columns (``_Requests``: states, weights and
+per-user offsets) that one vectorized test checks (``_checked``): a
+``context.RequestPairs``, as the specs give, is gathered from its
+columns with no per-user step, any other mapping is read once per user,
+normalized by ``_contexts`` and flattened by ``_pairs``.  Each block
+takes its rows' slice of the columns; ``_resolve`` turns it into
 weighted averages of the context factor columns (one gather when every
-list has one pair), and the composite's selection takes the first pair
-of largest weight of every list at once.
+list has one pair), and the composite takes the first pair of largest
+weight of every request, once per call.
 
 ``score_items`` and ``recommend_topn`` are the one-user case.
 ``recall_precision_at`` refuses negative ids in either log and seen
@@ -33,12 +39,12 @@ one counting sort on the block number put every test and seen event
 into its block, so no log is sorted by comparison and none is read once
 per block.  A block resolves its contexts, scores its rows with one
 product, marks its seen items with one assignment, selects the top N of
-all rows with one partition and one sort, and takes the hits from a
-boolean block of relevant items.  No item is ranked past the row width,
-so blocks rank at most that many positions and the hits of the rest are
-filled in.  A block's scores come from one matrix product and a one-row
-request's from a vector product, which may round differently in the last
-bits, within the dot-product bound K * eps * sum |terms| (differences of
+all rows with one partition and one stable sort per row of candidates,
+and takes the hits from a boolean block of relevant items.  No item is
+ranked past the row width, so blocks rank at most that many positions
+and the hits of the rest are filled in.  A block's scores come from one
+matrix product and a one-row request's from a vector product, which may
+round differently in the last bits, within the dot-product bound K * eps * sum |terms| (differences of
 1.8e-15 were seen at K = 20).  The per-user sums run over users in
 order, so the metrics equal a loop over ``recommend_topn`` wherever no
 two of a user's candidate scores lie within that difference, as on the
@@ -57,13 +63,14 @@ import logging
 import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 from .baseline import CompositeModel
-from .context import ContextError
+from .context import ContextError, RequestPairs, _take_runs
 from .events import EventLog, RatingLog
 
 __all__ = [
@@ -209,58 +216,131 @@ def _check_pair(state, weight, size: int) -> None:
         raise ContextError(f"context weight {weight} of state {state} must be finite and > 0")
 
 
-def _pairs(lists: Sequence, size: int):
-    """(states, weights, lengths) of a block of pair lists, each pair checked by the request rule.
+class _Requests:
+    """Checked request pairs of a block of rows on one context axis, as columns.
 
-    ``states`` (integers) and ``weights`` (float64) hold every pair in list
-    order, ``lengths`` the pair count of each list.  One vectorized test
-    passes a valid block; otherwise every pair goes through
+    Row j's pairs are ``states[offsets[j]:offsets[j + 1]]`` (int64, in
+    the axis) with the matching ``weights`` (float64, finite and > 0);
+    no row is empty.  ``top`` caches ``heaviest``, and ``rows`` slices it
+    with the pairs, so iCA picks its sub-models once per ranking call.
+    """
+
+    __slots__ = ("states", "weights", "offsets", "top")
+
+    def __init__(self, states, weights, offsets, top=None):
+        self.states, self.weights, self.offsets, self.top = states, weights, offsets, top
+
+    def rows(self, lo: int, hi: int) -> "_Requests":
+        """The rows [lo, hi), as views."""
+        a, b = self.offsets[lo], self.offsets[hi]
+        top = None if self.top is None else self.top[lo:hi]
+        return _Requests(self.states[a:b], self.weights[a:b], self.offsets[lo : hi + 1] - a, top)
+
+    def heaviest(self) -> np.ndarray:
+        """The state of each row's first pair of largest weight."""
+        if self.top is None:
+            lengths = np.diff(self.offsets)
+            col = np.repeat(np.arange(lengths.size), lengths)
+            top = np.flatnonzero(self.weights == np.maximum.reduceat(self.weights, self.offsets[:-1])[col])
+            # ``top`` holds the heaviest pairs in row order; keep each row's first
+            self.top = self.states[top[np.r_[True, col[top[1:]] != col[top[:-1]]]]]
+        return self.top
+
+
+def _checked(states: np.ndarray, weights: np.ndarray, offsets: np.ndarray, size: int, pairs=None) -> _Requests:
+    """The pair columns as ``_Requests`` if every pair keeps the request rule.
+
+    One vectorized test passes valid columns; otherwise every pair, as
+    given in ``pairs`` (the columns' own values by default), goes through
     ``_check_pair``, so ContextError names the first bad one.
     """
-    lengths = np.array([len(pairs) for pairs in lists], dtype=np.int64)
-    pairs = [pair for states in lists for pair in states]
+    if not (
+        states.dtype.kind in "iu"
+        and weights.dtype.kind in "fiu"
+        and ((states >= 0) & (states < size) & (weights > 0) & (weights < np.inf)).all()
+    ):
+        for state, weight in pairs or zip(states.tolist(), weights.tolist()):
+            _check_pair(state, weight, size)
+    # numpy ints of mixed signedness are read as floats, and a column may hold objects
+    return _Requests(states.astype(np.int64, copy=False), weights.astype(np.float64, copy=False), offsets)
+
+
+def _pairs(lists: Sequence, size: int) -> _Requests:
+    """The checked columns of a block of pair lists, each pair checked by the request rule."""
+    counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    pairs = list(chain.from_iterable(lists))
     states = [state for state, _ in pairs]
     weights = [weight for _, weight in pairs]
     # numpy would read a bool state as an integer and a string weight as a
     # number, so only states and weights of the rule's types become arrays
-    typed = _of_types(states, _STATE_TYPES) and _of_types(weights, _WEIGHT_TYPES)
-    if typed:
-        states, weights = np.array(states), np.array(weights, dtype=np.float64)
-    if not (
-        typed
-        and states.dtype.kind in "iu"
-        and ((states >= 0) & (states < size) & (weights > 0) & (weights < np.inf)).all()
-    ):
+    if not (_of_types(states, _STATE_TYPES) and _of_types(weights, _WEIGHT_TYPES)):
         for state, weight in pairs:
             _check_pair(state, weight, size)
-        states = states.astype(np.int64)  # numpy ints of mixed signedness, read as floats
-    return states, weights, lengths
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return _checked(np.array(states), np.array(weights, dtype=np.float64), offsets, size, pairs)
 
 
-def _heaviest(lists: Sequence, size: int) -> np.ndarray:
-    """The state of each list's first pair of largest weight; every pair is checked."""
-    states, weights, lengths = _pairs(lists, size)
-    col = np.repeat(np.arange(lengths.size), lengths)
-    top = np.flatnonzero(weights == np.maximum.reduceat(weights, np.cumsum(lengths) - lengths)[col])
-    # ``top`` holds the heaviest pairs in list order; keep each list's first
-    return states[top[np.r_[True, col[top[1:]] != col[top[:-1]]]]]
+def _of_requests(requests: RequestPairs, users: np.ndarray, size: int) -> _Requests:
+    """The checked columns of ``users``' rows of ``requests``, gathered with no per-user step."""
+    at = np.searchsorted(requests.users, users)
+    found = at < requests.users.size
+    found[found] = requests.users[at[found]] == users[found]
+    if not found.all():
+        raise EvalError(f"no request context for user {users[~found][0]}")
+    offsets, take = _take_runs(requests.offsets, at)
+    if not np.diff(offsets).all():
+        raise EvalError("empty context state list")
+    return _checked(requests.states[take], requests.weights[take], offsets, size)
 
 
-def _resolve(matrix: np.ndarray, lists: Sequence) -> np.ndarray:
-    """(K, B) weighted averages of ``matrix`` columns, one per list of (state, weight) pairs.
+def _request_columns(model, request_states, users: np.ndarray) -> dict:
+    """{context axis: ``_Requests``} of the known ``users``, each request read once.
 
-    Every column sums its pairs in list order, so a block equals its lists
-    resolved one at a time bit for bit.  One list is a loop over its pairs
-    (fewer numpy calls).  A block gathers every list's first pair in one
-    pass, which is all a block of one-pair lists needs, then adds one
+    A ``RequestPairs`` is gathered from its columns; any other mapping is
+    read once per user and normalized by ``_contexts``.  A user without a
+    request context raises EvalError, a bad pair ContextError.
+    """
+    ctx_axes = model.shape.context_axes
+    dims = model.shape.dims
+    if not ctx_axes:
+        return {}
+    if isinstance(request_states, RequestPairs):
+        if len(ctx_axes) != 1:
+            raise EvalError("pass a {axis: states} mapping for multi-context models")
+        return {ctx_axes[0]: _of_requests(request_states, users, dims[ctx_axes[0]])}
+    states = [None] * users.size
+    if request_states is not None:
+        states = _requests(request_states, users.tolist())
+    return {axis: _pairs(lists, dims[axis]) for axis, lists in _contexts(ctx_axes, states).items()}
+
+
+def _heaviest(requests, size: int) -> np.ndarray:
+    """The state of each request's first pair of largest weight; every pair is checked.
+
+    ``requests`` is a block's pair lists or their ``_Requests``.
+    """
+    if not isinstance(requests, _Requests):
+        requests = _pairs(requests, size)
+    return requests.heaviest()
+
+
+def _resolve(matrix: np.ndarray, requests) -> np.ndarray:
+    """(K, B) weighted averages of ``matrix`` columns, one per request of (state, weight) pairs.
+
+    ``requests`` is a block's pair lists or their ``_Requests``.  Every
+    column sums its pairs in list order, so a block equals its lists
+    resolved one at a time bit for bit.  One list is a loop over its
+    pairs (fewer numpy calls).  A block gathers every list's first pair in
+    one pass, which is all a block of one-pair lists needs, then adds one
     later list position's pairs at a time across the block.  A pair that
     breaks the request rule raises ContextError, the first one named.
     """
     size = matrix.shape[1]
-    if len(lists) == 1:
+    if not isinstance(requests, _Requests) and len(requests) == 1:
         vec = np.zeros(matrix.shape[0])
         total = 0.0
-        for state, weight in lists[0]:
+        for state, weight in requests[0]:
             # a valid pair of a Python int and float, the usual one, skips the call
             if not (
                 type(state) is int and 0 <= state < size
@@ -272,15 +352,18 @@ def _resolve(matrix: np.ndarray, lists: Sequence) -> np.ndarray:
             vec += matrix[:, state] if weight == 1.0 else weight * matrix[:, state]
             total += weight
         return (vec if total == 1.0 else vec / total)[:, None]
-    states, weights, lengths = _pairs(lists, size)
-    first = np.cumsum(lengths) - lengths
+    if not isinstance(requests, _Requests):
+        requests = _pairs(requests, size)
+    states, weights = requests.states, requests.weights
+    first = requests.offsets[:-1]
     totals = weights[first]
     # adding the first pair to a zero column, as a list's sum starts, turns -0.0 into +0.0
     vecs = totals * matrix[:, states[first]] + 0.0
-    if lengths.max() > 1:
+    if states.size > first.size:
         # pair p is at position rank[p] of the list of column col[p]; a stable
         # sort by position makes each position's pairs one slice, columns
         # ascending, the first slice being the first pairs
+        lengths = np.diff(requests.offsets)
         col = np.repeat(np.arange(lengths.size), lengths)
         rank = np.arange(states.size) - np.repeat(first, lengths)
         by_rank = np.argsort(rank, kind="stable")
@@ -364,11 +447,16 @@ def _top_n(key: np.ndarray, n: int) -> np.ndarray:
 def _top_n_rows(key: np.ndarray, n: int):
     """(rows, ranks, indices) of every row's top n keys, by the rule of ``_top_n``.
 
-    One partition finds each row's n-th key.  The candidates, chosen as
-    ``_top_n`` chooses them, are ordered by row, then key, then index, and
-    the first n of each row are kept, ``ranks`` counting from 0.
+    One partition finds each row's n-th key, and the candidates are
+    chosen as ``_top_n`` chooses them.  They fill a (rows x most
+    candidates) grid, each row's in ascending index order and padded at
+    its end with NaN, which sorts after every candidate; when every row
+    has as many candidates, as it has n when no row ties at its n-th key,
+    the grid is a reshape.  One stable sort per row then orders each row
+    by key, ties by index, and the first n of each row are kept, ``ranks``
+    counting from 0, rows ascending.
     """
-    width = key.shape[1]
+    n_rows, width = key.shape
     n = min(n, width)
     nth = np.partition(key, n - 1, axis=1)[:, [n - 1]]  # a copy: the partition is freed
     candidates = key <= nth
@@ -377,19 +465,27 @@ def _top_n_rows(key: np.ndarray, n: int):
         keys = key[short]
         candidates[short] = ~(keys > nth[short]) & (keys != np.inf)
     flat = np.flatnonzero(candidates)
-    rows, top = np.divmod(flat, width)
-    # dense ranks of the keys (equal keys share one, NaN ranks last) make
-    # (row, key, index) one distinct integer, so one unstable sort orders
-    # each row as the stable sort of _top_n does; it is below key.size
-    # squared, as distinct.size <= key.size, so int64 holds it for any key
-    # under 3e9 entries (RANK_BLOCK sizing keeps key.size <= max(2**16, width))
-    distinct, dense = np.unique(key.ravel()[flat], return_inverse=True)
-    order = np.argsort((rows * np.int64(distinct.size) + dense) * width + top)
-    counts = np.bincount(rows, minlength=key.shape[0])
-    ranks = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    first = ranks < n
-    keep = order[first]
-    return rows[keep], ranks[first], top[keep]
+    # row r's candidates, indices ascending, are flat[bounds[r]:bounds[r + 1]]
+    bounds = np.searchsorted(flat, np.arange(0, key.size + 1, width))
+    counts = np.diff(bounds)
+    most = int(counts.max())
+    if flat.size == n_rows * most:
+        cells = flat.reshape(n_rows, most)
+        keys = key.take(cells)
+    else:
+        place = np.repeat(np.arange(n_rows), counts), np.arange(flat.size) - np.repeat(bounds[:-1], counts)
+        keys = np.full((n_rows, most), np.nan)
+        keys[place] = key.take(flat)
+        cells = np.zeros((n_rows, most), dtype=np.int64)
+        cells[place] = flat
+    order = np.argsort(keys, axis=1, kind="stable")[:, :n]
+    cells = np.take_along_axis(cells, order, axis=1)
+    depth = np.minimum(counts, n)
+    rows = np.repeat(np.arange(n_rows), depth)
+    ranks = np.arange(rows.size) - np.repeat(np.cumsum(depth) - depth, depth)
+    if rows.size < cells.size:
+        cells = cells[np.arange(order.shape[1]) < depth[:, None]]
+    return rows, ranks, cells.ravel() - rows * width
 
 
 def recommend_topn(
@@ -499,7 +595,8 @@ def recall_precision_at(
 
     Per user, relevant items are the distinct test items; hits@N counts
     the relevant items in that user's top N.  ``request_states`` maps each
-    user id to their recommendation-request context; ``seen`` excludes
+    user id to their recommendation-request context (a plain mapping, or
+    the specs' ``RequestPairs``), read once per call; ``seen`` excludes
     that log's per-user items from rankings.  Users outside the model
     vocabulary score zero hits unless ``skip_unknown_users``.  ``average``
     is macro (mean of per-user ratios) or micro (ratio of summed counts).
@@ -512,7 +609,6 @@ def recall_precision_at(
 
     n_users_model = model.shape.dims[model.shape.user_axis]
     n_items = model.shape.dims[model.shape.item_axis]
-    ctx_axes = model.shape.context_axes
     for kind, ids in (("user", test.users), ("item", test.items)):
         if ids.min() < 0:
             raise EvalError(f"test log holds a negative {kind} id, {ids.min()}")
@@ -548,6 +644,11 @@ def recall_precision_at(
         block_of[users[n_known:]] = n_blocks
         base_of[users] = rows % block * n_items
         seen_cells, seen_ends = _cells_by_block(seen, block_of, base_of, n_blocks)
+    # every known user's request, read and checked once
+    contexts = _request_columns(model, request_states, users[:n_known]) if n_known else {}
+    if isinstance(model, CompositeModel):
+        for requests in contexts.values():
+            requests.heaviest()  # cached: each block takes its rows' sub-models
     steps = np.arange(1, n_max + 1, dtype=np.float64)
     macro = average == "macro"
     # running sums over users in user order: recall and precision terms
@@ -564,11 +665,8 @@ def recall_precision_at(
         flags = np.zeros((block_users.size, depth))
         known = min(block_users.size, max(0, n_known - start))
         if known:
-            ranked = block_users[:known]
-            states = [None] * known
-            if request_states is not None:
-                states = _requests(request_states, ranked.tolist())
-            key = _score_rows(model, ranked, _contexts(ctx_axes, states))
+            rows = {axis: requests.rows(start, start + known) for axis, requests in contexts.items()}
+            key = _score_rows(model, block_users[:known], rows)
             np.negative(key, out=key)
             if seen is not None:
                 np.put(key, seen_cells[seen_ends[b] : seen_ends[b + 1]], np.inf)

@@ -10,6 +10,7 @@ from itals import (
     ContextPairs,
     EvalError,
     Model,
+    RequestPairs,
     SeasonSpec,
     SequenceContext,
     SequenceSpec,
@@ -470,7 +471,8 @@ class TestContextSpecs:
         for column in ("offsets", "states", "weights"):
             assert getattr(pairs, column).tobytes() == getattr(want_pairs, column).tobytes()
         requests = ctx.requests(train, test)
-        assert repr(requests) == repr(want_requests)
+        assert isinstance(requests, RequestPairs)
+        assert repr(dict(requests)) == repr(want_requests)
         assert all(type(user) is int for user in requests)
 
     @staticmethod
@@ -533,6 +535,48 @@ class TestContextSpecs:
         with pytest.raises(ContextError, match="^item 2 has two categories, 'x' and 'z'$"):
             SequenceContext.from_rows(1, 1.0, [2, 0, 2, 2], [2, 0, 0, 2], ["x", "y", "z"])
         assert SequenceContext.from_rows(1, 1.0, [], [], []).item_to_category == {}
+
+
+class TestRequestPairs:
+    """A ``RequestPairs`` is the read-only mapping {user: pairs} of its columns."""
+
+    def test_mapping(self):
+        requests = RequestPairs([2, 5, 9], [0, 1, 3, 4], [1, 0, 2, 3], [1.0, 0.5, 0.25, 1.0])
+        assert dict(requests) == {2: [(1, 1.0)], 5: [(0, 0.5), (2, 0.25)], 9: [(3, 1.0)]}
+        assert requests == {2: [(1, 1.0)], 5: [(0, 0.5), (2, 0.25)], 9: [(3, 1.0)]}
+        assert requests[np.int32(5)] == [(0, 0.5), (2, 0.25)]
+        assert list(requests) == [2, 5, 9] and all(type(user) is int for user in requests)
+        assert 9 in requests and 4 not in requests and "2" not in requests and 10 not in requests
+        for user in (-1, 3, 10, "2", 2.0):
+            with pytest.raises(KeyError):
+                requests[user]
+        for column in (requests.users, requests.offsets, requests.states, requests.weights):
+            assert not column.flags.writeable
+        assert repr(requests) == "RequestPairs(3 users, 4 pairs)"
+
+    @pytest.mark.parametrize(
+        "users, offsets, message",
+        [
+            ([1, 1], [0, 1, 2], "users must ascend and be distinct"),
+            ([2, 1], [0, 1, 2], "users must ascend and be distinct"),
+            ([1.0, 2.0], [0, 1, 2], "users must be integers"),
+            ([1, 2], [0, 2], "offsets must start at 0"),
+            ([1, 2], [1, 1, 2], "offsets must start at 0"),
+            ([1, 2], [0, 2, 1], "offsets must start at 0"),
+            ([1, 2], [0, 1, 1], "offsets must end at the number"),
+            ([[1, 2]], [0, 1, 2], "users must be a 1-D array"),
+        ],
+    )
+    def test_constructor_checks_the_layout(self, users, offsets, message):
+        with pytest.raises(ContextError, match=message):
+            RequestPairs(users, offsets, [0, 1], [1.0, 1.0])
+
+    def test_sequence_requests_without_any_history(self):
+        log, split_ts, mapping = basket_dataset(seed=2, n_users=20)
+        train, test = split_by_date(log, SplitSpec(split_ts))
+        nobody = train.select(np.zeros(len(train), dtype=bool))
+        requests = SequenceContext(3, 0.5, mapping, [f"c{c}" for c in range(13)]).requests(nobody, test)
+        assert dict(requests) == {user: [(13, 1.0)] for user in np.unique(test.users).tolist()}
 
 
 def random_baskets(rng, n_users, trips, n_items):

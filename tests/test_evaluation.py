@@ -12,6 +12,7 @@ from itals import (
     EvalError,
     Model,
     RankingReport,
+    RequestPairs,
     SeasonSpec,
     SequenceContext,
     SplitSpec,
@@ -463,6 +464,116 @@ class TestRequestRule:
             for user, pairs in numpy_requests.items():
                 scores = score_items(model, user, pairs)
                 assert scores.tobytes() == score_items(model, user, requests[user]).tobytes()
+
+
+def request_columns(requests, typed=True):
+    """``requests`` as a ``RequestPairs``; numpy picks the column types, or they hold the pairs as given."""
+    users = sorted(requests)
+    pairs = [pair for user in users for pair in requests[user]]
+    offsets = np.cumsum([0] + [len(requests[user]) for user in users])
+    dtype = None if typed else object
+    states = np.array([state for state, _ in pairs], dtype=dtype)
+    weights = np.array([weight for _, weight in pairs], dtype=dtype)
+    return RequestPairs(users, offsets, states, weights)
+
+
+class TestColumnarRequests:
+    """The spec's ``RequestPairs`` and a plain dict of the same pairs rank alike and fail alike."""
+
+    CONFIG = TrainConfig(features=6, epochs=2, reg=0.1, seed=3)
+
+    def cases(self):
+        """(spec, train, test) of one-pair time bands and of multi-pair sequences with cold users."""
+        log, split_ts = seasonal_dataset(seed=4, n_users=60)
+        train, test = split_by_date(log, SplitSpec(split_ts))
+        ctx = TimeBandContext(SeasonSpec.uniform(DAY, 6))
+        yield ctx, train, test
+        log, split_ts, mapping = basket_dataset(seed=4, n_users=60)
+        train, test = split_by_date(log, SplitSpec(split_ts))
+        # users without history ask in the cold state
+        train = train.select(train.users % 9 != 0)
+        yield SequenceContext(4, 0.6, mapping, [f"c{c}" for c in range(13)]), train, test
+
+    def test_spec_requests_rank_as_a_dict_of_the_same_pairs(self, monkeypatch):
+        lengths = set()
+        for ctx, train, test in self.cases():
+            events, pairs = ctx.training(train)
+            shape = TensorShape((train.n_users, train.n_items, len(ctx.names)), ("user", "item", ctx.role))
+            obs = build_tensor(events, pairs, shape)
+            requests = ctx.requests(train, test)
+            assert isinstance(requests, RequestPairs)
+            plain = dict(requests)
+            lengths |= {len(user_pairs) for user_pairs in plain.values()}
+            width = max(train.n_items, int(test.items.max()) + 1)
+            for model in (fit(obs, self.CONFIG), fit_ica(obs, self.CONFIG)):
+                for users in (7, test.n_users):  # several blocks, and one
+                    monkeypatch.setattr(evaluation, "RANK_BLOCK", users * width)
+                    for seen in (None, train):
+                        for average in ("macro", "micro"):
+                            expected = recall_precision_at(model, test, 20, plain, seen=seen, average=average)
+                            report = recall_precision_at(model, test, 20, requests, seen=seen, average=average)
+                            assert_bitwise_report(report, (expected.recall, expected.precision))
+        # one-pair bands and cold states, and windows of several pairs
+        assert 1 in lengths and max(lengths) > 1
+
+    BAD = [
+        pytest.param([(0, 0.5), (True, 1.0)], "context state True out of bounds (size 3)", id="bool-state"),
+        pytest.param(
+            [(0, 1.0), (1, "0.5")], "context weight 0.5 of state 1 must be finite and > 0", id="string-weight"
+        ),
+        pytest.param(
+            [(2, 0.0), (1, 1.0)], "context weight 0.0 of state 2 must be finite and > 0", id="zero-weight"
+        ),
+        pytest.param(
+            [(0, 0.9), (7, 0.1)], "context state 7 out of bounds (size 3)", id="state-outside-the-axis"
+        ),
+    ]
+
+    def errors(self, monkeypatch, requests):
+        """The error messages of a dict and of its columns, for a tensor and a composite model."""
+        test = make_event_log([0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 4], n_users=4, n_items=5)
+        forms = [requests, request_columns(requests, typed=False)]
+        typed = request_columns(requests)
+        if repr(dict(typed)) == repr(requests):  # numpy reads a bool as 1 and makes a str of a float
+            forms.append(typed)
+        messages = []
+        for model in TestRequestRule().models():
+            for users in (1, 4):  # one user per block, and one block
+                monkeypatch.setattr(evaluation, "RANK_BLOCK", users * 5)
+                for form in forms:
+                    with pytest.raises((ContextError, EvalError)) as info:
+                        recall_precision_at(model, test, 3, form)
+                    messages.append((type(info.value), str(info.value)))
+        return set(messages)
+
+    @pytest.mark.parametrize("states, message", BAD)
+    def test_a_bad_pair_raises_the_same_error_in_both_forms(self, monkeypatch, states, message):
+        requests = {user: [(1, 1.0)] for user in range(4)}
+        requests[2] = states
+        assert self.errors(monkeypatch, requests) == {(ContextError, message)}
+        # a later bad pair is not the one named
+        requests[3] = [(9, 1.0)]
+        assert self.errors(monkeypatch, requests) == {(ContextError, message)}
+
+    def test_a_bool_column_holds_no_states(self):
+        test = make_event_log([0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 4], n_users=4, n_items=5)
+        requests = RequestPairs(range(4), range(5), np.array([True, False, True, True]), np.ones(4))
+        for model in TestRequestRule().models():
+            with pytest.raises(ContextError, match=re.escape("context state True out of bounds (size 3)")):
+                recall_precision_at(model, test, 3, requests)
+
+    def test_a_missing_user_or_an_empty_list_raises_the_same_error(self, monkeypatch):
+        requests = {user: [(1, 1.0)] for user in range(4)}
+        del requests[2]
+        assert self.errors(monkeypatch, requests) == {(EvalError, "no request context for user 2")}
+        requests[2] = []
+        assert self.errors(monkeypatch, requests) == {(EvalError, "empty context state list")}
+
+    def test_a_model_without_context_ignores_the_requests(self):
+        model = identity_scorer([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+        test = make_event_log([0, 1], [2, 2], [1, 2], n_users=2, n_items=3)
+        report = recall_precision_at(model, test, 2, request_columns({0: [(5, 1.0)]}))
+        assert report.at(1) == (0.5, 0.5)
 
 
 class TestRecallPrecision:
@@ -1035,6 +1146,63 @@ class TestBlockRanking:
         report = recall_precision_at(model, test, 20, first, seen=train, average=average)
         assert report.n_users == log.n_users
         assert_bitwise_report(report, looped_report(model, test, 20, first, train, average))
+
+
+class TestTopNGrid:
+    """``_top_n_rows`` sorts each row's candidates in a (rows x most candidates) grid, by ``_top_n``'s rule."""
+
+    @staticmethod
+    def candidate_counts(key, n):
+        """Each row's candidates by the rule: keys at or below a finite n-th key, else every key but +inf."""
+        n = min(n, key.shape[1])
+        nth = np.partition(key, n - 1, axis=1)[:, [n - 1]]
+        return np.where(nth[:, 0] < np.inf, (key <= nth).sum(1), (~(key > nth) & (key != np.inf)).sum(1))
+
+    def check(self, key, n):
+        """Assert the row rule on every row; return whether the grid was a reshape."""
+        rows, ranks, items = evaluation._top_n_rows(key, n)
+        assert (np.diff(rows) >= 0).all()
+        for row in range(key.shape[0]):
+            expected = evaluation._top_n(key[row], n)
+            assert items[rows == row].tolist() == expected.tolist()
+            assert ranks[rows == row].tolist() == list(range(expected.size))
+        return len(set(self.candidate_counts(key, n).tolist())) == 1
+
+    def test_grid_selection_equals_the_row_rule(self):
+        rng = np.random.default_rng(71)
+        grids = set()
+        for trial in range(300):
+            n_rows, width = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            if trial % 3 == 0:  # distinct keys: every row has n candidates
+                key = rng.permuted(np.tile(np.arange(width, dtype=float), (n_rows, 1)), axis=1)
+            else:  # ties at the n-th key, zeros of either sign, NaN of either sign, -inf, excluded
+                key = rng.integers(-4, 5, (n_rows, width)).astype(float)
+                marks = ((-0.0, 0.2), (np.nan, 0.1), (-np.nan, 0.1), (-np.inf, 0.05), (np.inf, 0.15))
+                for value, share in marks:
+                    key[rng.random(key.shape) < share] = value
+                if rng.random() < 0.3:
+                    key[rng.integers(0, n_rows)] = np.inf  # every item excluded
+            for n in {1, 3, max(1, width - 1), width, width + 2}:
+                grids.add(self.check(key, n))
+        assert grids == {True, False}
+
+    def test_a_composite_block_with_a_null_sub_model(self):
+        # the null sub-model scores every item 0, so its rows tie everywhere
+        rng = np.random.default_rng(72)
+        model = composite_model(
+            [rng.integers(-1, 2, (2, 8)) for _ in range(2)] + [None],
+            [rng.integers(-1, 2, (2, 30)) for _ in range(3)], 8, 30,
+        )
+        for _ in range(20):
+            lists = [[(int(rng.integers(0, 3)), 1.0)] for _ in range(8)]
+            key = -evaluation._score_rows(model, np.arange(8), {2: lists})
+            key[rng.random(key.shape) < 0.2] = np.inf
+            for n in (1, 4, 29, 30, 31):
+                self.check(key, n)
+        null = -evaluation._score_rows(model, np.arange(8), {2: [[(2, 1.0)]] * 8})
+        assert not null.any()
+        for n in (1, 4, 30, 31):
+            assert self.check(null, n)
 
 
 class TestQualityGate:

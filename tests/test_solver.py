@@ -624,8 +624,8 @@ class TestEach:
         assert sorted(seen) == list(range(50))
 
     def test_more_lanes_than_cores_under_frequent_switches(self, monkeypatch):
-        # a lost update of the shared queue or of a thin block's slice count
-        # would skip or repeat an item, or leave a block's columns unsolved
+        # a lost update of _each's shared queue would skip or repeat an
+        # item, or leave a block's columns unsolved
         monkeypatch.setattr(solver, "CELL_BLOCK", 40)
         monkeypatch.setattr(solver, "SOLVE_BLOCK", 9)
         obs = synthetic_tensor((40, 300, 3), 3000, seed=14)
