@@ -48,6 +48,15 @@ arithmetic, and so every factor bit, is the same on any number of CPUs
 baseline (``baseline.fit_ica``) hands its sub-models to the lanes
 instead, and each sub-model's axis solves run inline in its lane.  A
 single CPU runs the plain loop and starts no thread.
+
+A lane runs in parallel only while the others' numpy calls release the
+GIL.  numpy's ``matmul``, like its other generalized ufuncs such as
+``np.linalg.solve``, keeps the GIL for a result of at most 500 entries
+(numpy 2.4), as a one-column slice's products have: the K-vector
+right-hand side, and the K x K system at K <= 22.  ``np.dot`` releases
+it around the same BLAS call, with the same bits.  So every matrix
+product of the solver goes through ``_matmul``, which gives a product of
+one matrix by one matrix to ``np.dot`` and a real stack to ``matmul``.
 """
 
 from __future__ import annotations
@@ -280,6 +289,22 @@ def _jobs(blocks: list, lanes: int) -> list:
     return [wide] + jobs if wide else jobs
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.matmul(a, b)`` for ``a`` 2-D or an (n, r, c) stack and ``b`` 2-D or a stack of n.
+
+    ``b`` is 2-D when ``a`` is.  When each operand is one matrix, a 2-D
+    pair or a stack of one, the product is ``np.dot``'s (a stack axis
+    dropped and put back): the same BLAS call and bits, with the GIL
+    released, which ``matmul`` keeps for a small result (module
+    docstring).  Real stacks go to ``matmul``.
+    """
+    if a.ndim == 3 and len(a) > 1:
+        return np.matmul(a, b)
+    if a.ndim == 2:
+        return np.dot(a, b)
+    return np.dot(a[0], b[0] if b.ndim == 3 else b)[None]
+
+
 class _AxisPlan:
     """The part of one axis solve that does not depend on the factors.
 
@@ -331,7 +356,11 @@ class _AxisPlan:
         writes: a thin block's slices write its rows y, and once the lanes
         have joined the calling thread makes each thin block's
         ``basis @ y.T``.  A slice keeps its block's padded width, so every
-        column sees the same arithmetic on any number of lanes.
+        column sees the same arithmetic on any number of lanes.  Every
+        product goes through ``_matmul``, so a one-column slice's products,
+        one matrix each, run under ``np.dot`` with the GIL released and the
+        bits ``matmul`` gives, where ``matmul`` would keep the GIL and stall
+        the other lanes.
         """
         k = model.features
         base = model.grams[self.others[0]].copy()
@@ -374,10 +403,10 @@ class _AxisPlan:
                     ys[b][lo:hi] = _solve_thin(v, w, spectrum + lam, basis)
                     continue
                 vt = v.transpose(0, 2, 1)
-                systems = np.matmul(vt * (w - 1.0)[:, None, :], v)
+                systems = _matmul(vt * (w - 1.0)[:, None, :], v)
                 systems += base
                 systems[:, eye, eye] += lam
-                rhs = np.matmul(vt, w[:, :, None])
+                rhs = _matmul(vt, w[:, :, None])
                 try:
                     solution = np.linalg.solve(systems, rhs)
                 except np.linalg.LinAlgError as exc:
@@ -389,8 +418,8 @@ class _AxisPlan:
 
         _each(_jobs(self.blocks, _lanes()), solve_job)
         for b, y in ys.items():
-            matrix[:, self.blocks[b][0]] = basis @ y.T
-        model.grams[self.axis] = matrix @ matrix.T
+            matrix[:, self.blocks[b][0]] = _matmul(basis, y.T)
+        model.grams[self.axis] = _matmul(matrix, matrix.T)
 
 
 def solve_axis(
@@ -436,16 +465,16 @@ def _solve_thin(v: np.ndarray, w: np.ndarray, delta: np.ndarray, basis: np.ndarr
     they add identity rows with z = 0.  Returns the (cols, K) rows y = Q^T m,
     so the solutions are ``basis @ y.T``.
     """
-    e = np.matmul(v, basis)  # U, scaled into E once g is formed
-    g = np.matmul(w[:, None, :], e)[:, 0, :]
+    e = _matmul(v, basis)  # U, scaled into E once g is formed
+    g = _matmul(w[:, None, :], e)[:, 0, :]
     e *= np.sqrt(w - 1.0)[:, :, None]
     inv = 1.0 / delta
     scaled = e * inv[:, None, :]
-    small = np.matmul(scaled, e.transpose(0, 2, 1))
+    small = _matmul(scaled, e.transpose(0, 2, 1))
     diag = np.arange(small.shape[1])
     small[:, diag, diag] += 1.0
-    z = np.linalg.solve(small, np.matmul(scaled, g[:, :, None]))
-    return inv * (g - np.matmul(e.transpose(0, 2, 1), z)[:, :, 0])
+    z = np.linalg.solve(small, _matmul(scaled, g[:, :, None]))
+    return inv * (g - _matmul(e.transpose(0, 2, 1), z)[:, :, 0])
 
 
 def fit(
@@ -469,7 +498,7 @@ def fit(
         raise SolverError("cannot fit an empty observation tensor")
     d = obs.ndim
     factors = init_factors(config, obs.shape.dims)
-    grams = [m @ m.T for m in factors]
+    grams = [_matmul(m, m.T) for m in factors]
     model = Model(obs.shape, factors, grams, config, id_maps)
 
     plans = [

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import os
 import sys
 import threading
@@ -16,6 +18,7 @@ from itals import (
     dense_solve_column,
     effective_lambdas,
     fit,
+    fit_ica,
     gram_product_bruteforce,
     solve_axis,
 )
@@ -445,12 +448,14 @@ def same_bits(a, b):
     return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
-def mixed_widths(seed=16):
+def mixed_widths(seed=16, counts=None):
     """A tensor whose user axis, at K = 20 and CELL_BLOCK = 100, holds two
     columns wider than a block (150 cells), thick columns of 40 cells and
-    thin ones of 2 to 8 cells, in blocks of more than one column."""
+    thin ones of 2 to 8 cells, in blocks of more than one column; or, given
+    ``counts``, user columns of those cell counts."""
     rng = np.random.default_rng(seed)
-    counts = [150, 150] + [40] * 10 + list(rng.integers(2, 9, 18))
+    if counts is None:
+        counts = [150, 150] + [40] * 10 + list(rng.integers(2, 9, 18))
     coords = [
         [user, item, rng.integers(3)]
         for user, n in enumerate(counts)
@@ -614,6 +619,93 @@ class TestLanes:
             assert not started and set(alive) == {before}
         else:
             assert started and not any(thread.is_alive() for thread in started)
+
+
+def one_column_blocks():
+    """At K = 20 and 80 and CELL_BLOCK = 100: user columns of 150 cells and
+    context columns of about 160, each a thick block of one column, and
+    thin user columns of 3 and 7 cells, each a thin block of one column."""
+    return mixed_widths(counts=[150, 150, 40, 40, 40, 40, 16, 7, 3])
+
+
+def one_column_slices(obs, k, lanes):
+    """The (thin, thick) counts of one-column slices in ``fit``'s jobs on ``lanes`` lanes."""
+    found = [0, 0]
+    for axis in range(obs.ndim):
+        plan = _AxisPlan(obs, axis, k, 0.1)
+        for job in solver._jobs(plan.blocks, lanes):
+            for b, lo, hi in job:
+                if hi - lo == 1:
+                    found[not plan.blocks[b][-1]] += 1
+    return found
+
+
+class TestOneMatrixProducts:
+    """A product of one matrix by one matrix goes through ``np.dot``: it
+    releases the GIL, which ``np.matmul`` keeps for a small result, and
+    gives ``np.matmul``'s bits."""
+
+    def test_no_matmul_of_one_matrix_in_fit_and_fit_ica(self, monkeypatch):
+        monkeypatch.setattr(solver, "CELL_BLOCK", 100)
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
+        obs = one_column_blocks()
+        assert all(w.shape[0] == 1 for _, _, w, _, _ in _AxisPlan(obs, 2, 20, 0.1).blocks)
+        matmul, helper = np.matmul, solver._matmul
+        stacks, products = [], []
+
+        def recorded_matmul(a, b):
+            stacks.append([len(x) if x.ndim == 3 else 0 for x in (a, b)])
+            return matmul(a, b)
+
+        def recorded_helper(a, b):
+            products.append([len(x) if x.ndim == 3 else 0 for x in (a, b)])
+            return helper(a, b)
+
+        monkeypatch.setattr(np, "matmul", recorded_matmul)
+        monkeypatch.setattr(solver, "_matmul", recorded_helper)
+        config = TrainConfig(features=20, epochs=2, reg=0.1, seed=6)
+        fit(obs, config)
+        fit_ica(obs, config)
+        # the one-matrix products happened, and none reached matmul
+        assert [0, 0] in products and [1, 1] in products and [1, 0] in products
+        assert stacks and all(max(sizes) > 1 for sizes in stacks)
+
+    def test_solver_makes_every_product_in_the_helper(self):
+        tree = ast.parse(inspect.getsource(solver))
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+        helper = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_matmul")
+        inside = {id(node) for node in ast.walk(helper)}
+        products = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot")
+        ]
+        assert products and all(id(node) in inside for node in products)
+
+    @pytest.mark.parametrize("k", [20, 80])
+    def test_same_bits_as_matmul(self, monkeypatch, lanes, k):
+        monkeypatch.setattr(solver, "CELL_BLOCK", 100)
+        obs = one_column_blocks()
+        config = TrainConfig(features=k, epochs=2, reg=0.1, seed=7)
+        for count in (1, 2, 3):
+            thin, thick = one_column_slices(obs, k, count)
+            assert thin and thick
+
+        def both():
+            helper = solver._matmul
+            got = [fit(obs, config), fit_ica(obs, config).submodels]
+            monkeypatch.setattr(solver, "_matmul", np.matmul)
+            want = [fit(obs, config), fit_ica(obs, config).submodels]
+            monkeypatch.setattr(solver, "_matmul", helper)
+            return [
+                [a for model in [run[0]] + run[1] if model is not None for a in model.factors + model.grams]
+                for run in (got, want)
+            ]
+
+        results = lanes(both)
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 3)
+        for got, want in results + [both()]:
+            assert len(got) == len(want) and same_bits(got, want)
 
 
 class TestEach:
