@@ -25,24 +25,33 @@ on one of two exact paths, chosen by flop count:
   cells add a rank-n term to J + lambda I, and J is shared by the whole
   axis, so with one eigendecomposition J = Q L Q^T per axis the
   push-through (Woodbury) identity needs only an n x n solve, about
-  2 n K^2 + 2 n^2 K + 2 n^3 / 3 flop per column.
+  2 n^2 K + 2 n^3 / 3 flop per column once the cells' rows U = V Q are
+  made.  A cell's V row is the Hadamard product of one row per other
+  axis, and those rows repeat across cells, so an axis with at most as
+  many such row tuples T as its thin blocks have padded cells rotates
+  every tuple once, 2 T K^2 flop per axis, and its thin blocks gather
+  their U rows; on any other axis, and in a block of one-cell columns,
+  U costs 2 n K^2 per column.
 
 What does not depend on the factors is an axis's solve plan
 (``_AxisPlan``), which ``fit`` builds once per axis before the first
 epoch: the empty columns, the column order and thin/thick split, the
 blocks, and per block the cell indices into each other axis (padding
-points at a zero sentinel row), the cell weights and the lambdas.  An
+points at a zero sentinel row, and a block that gathers U rows keeps
+one index into the tuple table), the cell weights and the lambdas.  An
 epoch only forms the Gram product (and its eigendecomposition when a
 thin column exists), copies the other axes' factors into row tables,
-gathers, accumulates and solves the systems, and refreshes the Gram.
+rotates the tuple table if the axis has one, gathers, accumulates and
+solves the systems, and refreshes the Gram.
 
 Training runs on every CPU the process may use.  Once the Gram product
 is formed, the columns of an axis are independent systems, so ``_each``
 hands an axis's jobs (``_jobs``: the blocks wider than ``CELL_BLOCK`` in
 one, every other block cut into one column slice per CPU) to that many
 lanes: the calling thread and threads started for the call.  A slice
-keeps its block's padded width, and a thin block's product spans the
-whole block and is made after the lanes join, so every column's
+keeps its block's padded width, the tuple table is rotated before the
+lanes start, and a thin block's product spans the whole block and is
+made after the lanes join, so every column's
 arithmetic, and so every factor bit, is the same on any number of CPUs
 (the BLAS library's own thread count is another matter).  The iCA
 baseline (``baseline.fit_ica``) hands its sub-models to the lanes
@@ -305,15 +314,25 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.dot(a[0], b[0] if b.ndim == 3 else b)[None]
 
 
+def _worth_a_table(rows: int, cells: int) -> bool:
+    """Whether an axis rotates its table of ``rows`` other-axis row tuples
+    for thin blocks of ``cells`` padded cells: one K x K product per row
+    against one per cell, so when the table is no longer."""
+    return rows <= cells
+
+
 class _AxisPlan:
     """The part of one axis solve that does not depend on the factors.
 
     Thin columns come first, each part in ascending cell count, cut into
     ``_column_blocks`` blocks.  A block is (column ids, one (cols, width)
     row index per other axis whose padding points at the sentinel row
-    S_a, cell weights, lambdas, thin or not).  The work counts are
-    ``n_thin``, ``n_thick``, ``padded_cells`` and ``flop``, the module
-    docstring's per-column estimate summed over the axis.
+    S_a, cell weights, lambdas, thin or not).  A block in ``tabled``
+    gathers its U rows instead, and keeps one index into the table of
+    other-axis row tuples, of shape ``table_shape`` (the S_a + 1 per
+    other axis), raveled.  The work counts are ``n_thin``, ``n_thick``,
+    ``padded_cells`` and ``flop``, the module docstring's estimate summed
+    over the axis.
     """
 
     def __init__(self, obs: ObservationTensor, axis: int, k: int, lambda_eff):
@@ -331,29 +350,51 @@ class _AxisPlan:
         cols = cols[np.lexsort((sizes, ~thin))]
         self.n_thin = int(thin.sum())
         self.n_thick = len(cols) - self.n_thin
-        thin_sizes = sizes[thin]
-        self.flop = float(
-            2.0 * k * k * sizes.sum()
-            + 2.0 * k**3 / 3.0 * self.n_thick
-            + (2.0 * thin_sizes**2 * k + 2.0 * thin_sizes**3 / 3.0).sum()
-        )
+        cuts = _column_blocks(counts[cols], self.n_thin, CELL_BLOCK, SOLVE_BLOCK)
+        # thin blocks wider than one cell gather their U rows from one rotated
+        # table of every tuple of other-axis rows (``solve``), when it has no
+        # more rows than those blocks have padded cells.  A block of one-cell
+        # columns rotates its own rows: BLAS makes a one-row product as a
+        # matrix-vector product, whose sums run in another order than a GEMM
+        # row's.  Wider blocks get the bits of their own rotation wherever
+        # BLAS sums a GEMM row alike whatever the row count, as OpenBLAS
+        # 0.3.31 (SkylakeX kernels) does at K = 20 and 80 but not at every K.
+        self.table_shape = tuple(dims[a] + 1 for a in self.others)
+        tuples = math.prod(self.table_shape)
+        widths = [counts[cols[b1 - 1]] for _, b1 in cuts]
+        served = {
+            b: (b1 - b0) * n for b, ((b0, b1), n) in enumerate(zip(cuts, widths)) if b0 < self.n_thin and n > 1
+        }
+        self.tabled = set(served) if _worth_a_table(tuples, sum(served.values())) else set()
 
         self.blocks = []
-        for b0, b1 in _column_blocks(counts[cols], self.n_thin, CELL_BLOCK, SOLVE_BLOCK):
+        gathered = 0  # stored cells whose U rows the table gives
+        for b, ((b0, b1), width) in enumerate(zip(cuts, widths)):
             block = cols[b0:b1]
             n = counts[block]
-            offsets = np.arange(n[-1])
+            offsets = np.arange(width)
             pad = offsets >= n[:, None]
             cells = order[np.minimum(starts[block, None] + offsets, starts[block + 1, None] - 1)]
             index = [np.where(pad, dims[a], obs.coords[cells, a]) for a in self.others]
+            if b in self.tabled:
+                index = [np.ravel_multi_index(index, self.table_shape)]
+                gathered += int(n.sum())
             self.blocks.append((block, index, obs.weights[cells], lam[block, None], b0 < self.n_thin))
         self.padded_cells = sum(w.size for _, _, w, _, _ in self.blocks)
+
+        thin_sizes = sizes[thin]
+        self.flop = float(
+            2.0 * k * k * (sizes.sum() - gathered + bool(self.tabled) * tuples)
+            + 2.0 * k**3 / 3.0 * self.n_thick
+            + (2.0 * thin_sizes**2 * k + 2.0 * thin_sizes**3 / 3.0).sum()
+        )
 
     def solve(self, model: Model) -> None:
         """Solve every column of the axis against the current factors, then refresh its Gram.
 
         ``_each``'s lanes take the jobs of ``_jobs`` and share only disjoint
-        writes: a thin block's slices write its rows y, and once the lanes
+        writes: the calling thread rotates the tuple table before they
+        start, a thin block's slices write its rows y, and once the lanes
         have joined the calling thread makes each thin block's
         ``basis @ y.T``.  A slice keeps its block's padded width, so every
         column sees the same arithmetic on any number of lanes.  Every
@@ -382,6 +423,13 @@ class _AxisPlan:
             table = np.zeros((factor.shape[1] + 1, k))
             table[:-1] = factor.T
             rows.append(table)
+        if self.tabled:
+            # row (i_0, i_1, ...) is the product of those rows in the gather's
+            # order, so it has the gathered V row's bits
+            tuples = rows[0]
+            for r in rows[1:]:
+                tuples = (tuples[:, None, :] * r[None]).reshape(-1, k)
+            rotated = _matmul(tuples, basis)
         eye = np.arange(k)
 
         # a thin block's product spans the whole block: its bits depend on the width
@@ -391,6 +439,9 @@ class _AxisPlan:
             for b, lo, hi in job:
                 block, index, w, lam, thin = self.blocks[b]
                 w, lam = w[lo:hi], lam[lo:hi]
+                if b in self.tabled:
+                    ys[b][lo:hi] = _solve_thin(np.take(rotated, index[0][lo:hi], axis=0), w, spectrum + lam)
+                    continue
                 # Hadamard product of the other axes' columns, one K-vector per
                 # stored cell; w splits as 1 + (w - 1) so the zero cells are
                 # already covered by the Gram product in `base`.  Padding cells
@@ -400,7 +451,7 @@ class _AxisPlan:
                     v *= np.take(r, idx[lo:hi], axis=0)
 
                 if thin:
-                    ys[b][lo:hi] = _solve_thin(v, w, spectrum + lam, basis)
+                    ys[b][lo:hi] = _solve_thin(_matmul(v, basis), w, spectrum + lam)
                     continue
                 vt = v.transpose(0, 2, 1)
                 systems = _matmul(vt * (w - 1.0)[:, None, :], v)
@@ -444,7 +495,9 @@ def solve_axis(
     LU, O(n K^2 + K^3) per column.  A thin block solves one batched
     n x n system against the eigendecomposition of the Gram product,
     made once per call and only when a thin column exists,
-    O(n K^2 + n^2 K + n^3) per column.
+    O(n K^2 + n^2 K + n^3) per column, or O(n^2 K + n^3) when it gathers
+    its cells' rotated rows from the axis's table of T other-axis row
+    tuples, rotated once per call in O(T K^2).
 
     The sort, the split, the blocks and their cell indices, weights and
     lambdas form the axis's plan; this call builds one and solves with it
@@ -454,18 +507,18 @@ def solve_axis(
     _AxisPlan(obs, axis, model.features, lambda_eff).solve(model)
 
 
-def _solve_thin(v: np.ndarray, w: np.ndarray, delta: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _solve_thin(e: np.ndarray, w: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Solve a block of thin columns by the push-through identity.
 
     With the Gram product J = Q L Q^T, each column's system is
     Q (D + E^T E) Q^T m = V^T w, where D = L + lambda > 0 (``delta``, one
     row per column), U = V Q and E = diag(sqrt(w - 1)) U.  With g = U^T w,
     its solution is m = Q D^-1 (g - E^T z), where z solves the n x n SPD
-    system (I + E D^-1 E^T) z = E D^-1 g.  Padding cells have U = 0, so
-    they add identity rows with z = 0.  Returns the (cols, K) rows y = Q^T m,
-    so the solutions are ``basis @ y.T``.
+    system (I + E D^-1 E^T) z = E D^-1 g.  ``e`` holds the (cols, width,
+    K) rows U of the block's cells and is scaled into E in place.  Padding
+    cells have U = 0, so they add identity rows with z = 0.  Returns the
+    (cols, K) rows y = Q^T m, so the solutions are ``basis @ y.T``.
     """
-    e = _matmul(v, basis)  # U, scaled into E once g is formed
     g = _matmul(w[:, None, :], e)[:, 0, :]
     e *= np.sqrt(w - 1.0)[:, :, None]
     inv = 1.0 / delta
@@ -507,11 +560,12 @@ def fit(
     ]
     log.info(
         "solve plan: %d thick and %d thin columns, %d padded cells for %d stored, "
-        "%.3g flop per epoch",
+        "%d tuple tables, %.3g flop per epoch",
         sum(p.n_thick for p in plans),
         sum(p.n_thin for p in plans),
         sum(p.padded_cells for p in plans),
         d * obs.n_nonzero,
+        sum(bool(p.tabled) for p in plans),
         sum(p.flop for p in plans),
     )
     for epoch in range(config.epochs):

@@ -389,23 +389,35 @@ class TestAxisPlan:
         np.testing.assert_allclose(slopes, 2 * obs.ndim * k * k, rtol=1e-12)
 
     def test_counts_follow_the_solvers_split(self):
-        obs = synthetic_tensor((12, 30, 3), 80, seed=4)
-        assert (obs.support[1] == 0).any()
         k = 6
-        for axis in range(obs.ndim):
-            lams = effective_lambdas(TrainConfig(reg=0.1, reg_mode="support"), obs, axis)
-            plan = _AxisPlan(obs, axis, k, lams)
-            counts = obs.support[axis]
-            thin = TestSolveAxis.thin_columns(k, counts, lams)
-            assert plan.n_thin == thin.sum()
-            assert plan.n_thick == ((counts > 0) & ~thin).sum()
-            n = counts[counts > 0].astype(np.float64)
-            n_thin = counts[thin].astype(np.float64)
-            expected = (
-                2 * n.sum() * k * k + plan.n_thick * 2 * k**3 / 3
-                + (2 * n_thin**2 * k + 2 * n_thin**3 / 3).sum()
-            )
-            assert plan.flop == pytest.approx(expected, rel=1e-12)
+        # the second tensor's item axis is tabled
+        for dims, n_plus, tables in (((12, 30, 3), 80, 0), ((6, 40, 2), 120, 1)):
+            obs = synthetic_tensor(dims, n_plus, seed=4)
+            assert (obs.support[1] == 0).any()
+            tabled = 0
+            for axis in range(obs.ndim):
+                lams = effective_lambdas(TrainConfig(reg=0.1, reg_mode="support"), obs, axis)
+                plan = _AxisPlan(obs, axis, k, lams)
+                counts = obs.support[axis]
+                thin = TestSolveAxis.thin_columns(k, counts, lams)
+                assert plan.n_thin == thin.sum()
+                assert plan.n_thick == ((counts > 0) & ~thin).sum()
+                n = counts[counts > 0].astype(np.float64)
+                n_thin = counts[thin].astype(np.float64)
+                # a tabled axis rotates its T row tuples once, 2 T K^2, in place
+                # of 2 n K^2 per column of its thin blocks wider than one cell
+                served = served_blocks(plan)
+                tuples = np.prod([obs.shape.dims[a] + 1 for a in range(obs.ndim) if a != axis])
+                rotated = 0
+                if served and tuples <= sum(served.values()):
+                    rotated = tuples - sum(counts[plan.blocks[b][0]].sum() for b in served)
+                    tabled += 1
+                expected = (
+                    2 * (n.sum() + rotated) * k * k + plan.n_thick * 2 * k**3 / 3
+                    + (2 * n_thin**2 * k + 2 * n_thin**3 / 3).sum()
+                )
+                assert plan.flop == pytest.approx(expected, rel=1e-12)
+            assert tabled == tables
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_fit_builds_each_plan_once(self, monkeypatch, epochs):
@@ -706,6 +718,113 @@ class TestOneMatrixProducts:
         monkeypatch.setattr(solver, "_cpu_count", lambda: 3)
         for got, want in results + [both()]:
             assert len(got) == len(want) and same_bits(got, want)
+
+
+def counted_columns(counts, others, seed=17):
+    """A tensor whose user columns hold ``counts`` cells each, at distinct
+    random coordinates over other axes of sizes ``others``."""
+    rng = np.random.default_rng(seed)
+    coords = [
+        [user, *np.unravel_index(cell, others)]
+        for user, n in enumerate(counts)
+        for cell in rng.choice(int(np.prod(others)), n, replace=False)
+    ]
+    dims = (len(counts), *others)
+    shape = TensorShape(dims, ["user", "item"] + [f"context-{i + 1}" for i in range(len(dims) - 2)])
+    return ObservationTensor(shape, coords, rng.uniform(2.0, 101.0, len(coords)))
+
+
+# thin at K = 20 and 80: a block of one-cell columns, blocks of width 5 and
+# 9; then 4 thick columns
+THIN_COUNTS = [1, 1, 1] + [3] * 20 + [5] * 20 + [9] * 40 + [60] * 4
+
+
+def served_blocks(plan):
+    """{block number: padded cells} of the plan's thin blocks wider than one cell."""
+    return {b: w.size for b, (_, _, w, _, thin) in enumerate(plan.blocks) if thin and w.shape[1] > 1}
+
+
+class TestTupleTable:
+    """An axis whose row tuples are no more than its thin blocks' padded
+    cells rotates them once, and its thin blocks gather U rows."""
+
+    @pytest.mark.parametrize("others", [(400,), (60, 3)])
+    @pytest.mark.parametrize("k", [20, 80])
+    def test_same_bits_as_rotating_each_block(self, monkeypatch, others, k):
+        # signed factors: a padding cell must gather an exact zero whatever
+        # the signs of the rows beside its sentinel tuple
+        monkeypatch.setattr(solver, "init_factors", signed_factors)
+        obs = counted_columns(THIN_COUNTS, others)
+        plan = _AxisPlan(obs, 0, k, 0.1)
+        assert plan.tabled == set(served_blocks(plan))
+        assert any(thin and w.shape[1] == 1 for _, _, w, _, thin in plan.blocks)
+        assert all(len(index) == 1 for b, (_, index, *_) in enumerate(plan.blocks) if b in plan.tabled)
+        config = TrainConfig(features=k, epochs=2, reg=0.1, seed=8)
+        fits = []
+        for rule, tabled in ((solver._worth_a_table, True), (lambda rows, cells: False, False)):
+            monkeypatch.setattr(solver, "_worth_a_table", rule)
+            assert bool(_AxisPlan(obs, 0, k, 0.1).tabled) == tabled
+            for count in (1, 2, 3):
+                monkeypatch.setattr(solver, "_cpu_count", lambda: count)
+                fits.append(fit(obs, config))
+        for other in fits[1:]:
+            assert same_bits(fits[0].factors + fits[0].grams, other.factors + other.grams)
+
+    @pytest.mark.parametrize("others", [(60, 3), (10, 3, 2)])
+    @pytest.mark.parametrize("k", [20, 80])
+    def test_tabled_axis_matches_dense_solves(self, k, others):
+        obs = counted_columns(THIN_COUNTS, others)
+        assert _AxisPlan(obs, 0, k, 0.1).tabled
+        config = TrainConfig(features=k, reg=0.1, seed=9)
+        factors = signed_factors(config, obs.shape.dims)
+        model = Model(obs.shape, factors, [m @ m.T for m in factors], config)
+        expected = np.stack([dense_solve_column(model, obs, 0, j, 0.1) for j in range(len(THIN_COUNTS))], axis=1)
+        solve_axis(model, obs, 0, 0.1)
+        np.testing.assert_allclose(model.factors[0], expected, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "counts, others, tabled",
+        [
+            ([5] * 4, (19,), True),  # 20 tuples for 20 padded cells
+            ([5] * 4, (20,), False),  # 21 tuples
+            ([2, 3, 4] + [60] * 5, (2000,), False),  # a few thin columns, a large other axis
+            (THIN_COUNTS, (400,), True),
+            (THIN_COUNTS, (60, 3), True),
+            (THIN_COUNTS, (100, 20), False),
+        ],
+    )
+    def test_table_iff_no_more_tuples_than_padded_cells(self, counts, others, tabled):
+        plan = _AxisPlan(counted_columns(counts, others), 0, 20, 0.1)
+        served = served_blocks(plan)
+        assert plan.n_thin and served
+        assert plan.table_shape == tuple(s + 1 for s in others)
+        assert (np.prod(plan.table_shape) <= sum(served.values())) == tabled
+        assert plan.tabled == (set(served) if tabled else set())
+
+    def test_no_table_and_no_eigh_without_a_thin_column(self, monkeypatch):
+        k = 20
+        obs = counted_columns([4] * 30 + [30] * 5, (40,))
+        eighs, products, eigh, helper = [], [], np.linalg.eigh, solver._matmul
+
+        def recorded_eigh(a):
+            eighs.append(a.shape)
+            return eigh(a)
+
+        def recorded_helper(a, b):
+            products.append((a.shape, b.shape))
+            return helper(a, b)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+        monkeypatch.setattr(solver, "_matmul", recorded_helper)
+        factors = init_factors(TrainConfig(features=k, seed=2), obs.shape.dims)
+        model = Model(obs.shape, factors, [m @ m.T for m in factors], TrainConfig(features=k))
+        for lam, thin in ((0.1, True), (0.0, False)):  # no column with lambda 0 is thin
+            plan = _AxisPlan(obs, 0, k, lam)
+            assert bool(plan.n_thin) == bool(plan.tabled) == thin
+            del eighs[:], products[:]
+            plan.solve(model)
+            rotations = [shapes for shapes in products if shapes == ((41, k), (k, k))]
+            assert len(eighs) == len(rotations) == thin
 
 
 class TestEach:
