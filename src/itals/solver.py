@@ -27,22 +27,22 @@ on one of two exact paths, chosen by flop count:
   push-through (Woodbury) identity needs only an n x n solve, about
   2 n^2 K + 2 n^3 / 3 flop per column once the cells' rows U = V Q are
   made.  A cell's V row is the Hadamard product of one row per other
-  axis, and those rows repeat across cells, so an axis with at most as
-  many such row tuples T as its thin blocks have padded cells rotates
-  every tuple once, 2 T K^2 flop per axis, and its thin blocks gather
-  their U rows; on any other axis, and in a block of one-cell columns,
-  U costs 2 n K^2 per column.
+  axis, and those row tuples repeat across cells, so an axis whose thin
+  cells hold T distinct tuples, T at most half those cells and at most
+  ``CELL_BLOCK``, rotates each tuple once, 2 T K^2 flop per axis, and its
+  thin columns gather their U rows; on any other axis U costs 2 n K^2
+  per column.
 
 What does not depend on the factors is an axis's solve plan
 (``_AxisPlan``), which ``fit`` builds once per axis before the first
 epoch: the empty columns, the column order and thin/thick split, the
-blocks, and per block the cell indices into each other axis (padding
-points at a zero sentinel row, and a block that gathers U rows keeps
-one index into the tuple table), the cell weights and the lambdas.  An
-epoch only forms the Gram product (and its eigendecomposition when a
-thin column exists), copies the other axes' factors into row tables,
-rotates the tuple table if the axis has one, gathers, accumulates and
-solves the systems, and refreshes the Gram.
+blocks, the tuple table if the axis has one, and per block the cell
+indices (into the tuple table for a thin block of such an axis, and
+otherwise into each other axis, with padding at a zero sentinel row),
+the cell weights and the lambdas.  An epoch only forms the Gram product
+(and its eigendecomposition when a thin column exists), copies the other
+axes' factors into row tables, rotates the tuple table, gathers,
+accumulates and solves the systems, and refreshes the Gram.
 
 Training runs on every CPU the process may use.  Once the Gram product
 is formed, the columns of an axis are independent systems, so ``_each``
@@ -314,25 +314,49 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.dot(a[0], b[0] if b.ndim == 3 else b)[None]
 
 
-def _worth_a_table(rows: int, cells: int) -> bool:
-    """Whether an axis rotates its table of ``rows`` other-axis row tuples
-    for thin blocks of ``cells`` padded cells: one K x K product per row
-    against one per cell, so when the table is no longer."""
-    return rows <= cells
+def _worth_a_table(tuples: int, cells: int) -> bool:
+    """Whether the thin columns of an axis, with ``cells`` stored cells
+    holding ``tuples`` distinct row tuples, gather their U rows from a
+    rotated table: when it spares at least half of the cells' rotations,
+    which pays for the extra gather, and holds no more rows than
+    ``CELL_BLOCK``, the rows of one block's stack."""
+    return tuples <= min(cells / 2, CELL_BLOCK)
+
+
+def _distinct(index: np.ndarray) -> tuple:
+    """The distinct columns of an (m, cells) array of non-negative
+    integers, in lexicographic order, and each cell's position among them.
+    Each row is ranked among its own values and merged into the key of the
+    rows before it, which is then renumbered, so a key stays below cells
+    times a row's distinct values.
+    """
+    key = None
+    for row in index:
+        values = np.flatnonzero(np.bincount(row))
+        rank = np.zeros(values[-1] + 1, dtype=np.int64)
+        rank[values] = np.arange(len(values))
+        if key is None:
+            key, table = rank[row], values[None]
+        else:
+            merged, key = np.unique(key * len(values) + rank[row], return_inverse=True)
+            table = np.vstack([table[:, merged // len(values)], values[merged % len(values)]])
+    return table, key
 
 
 class _AxisPlan:
     """The part of one axis solve that does not depend on the factors.
 
     Thin columns come first, each part in ascending cell count, cut into
-    ``_column_blocks`` blocks.  A block is (column ids, one (cols, width)
-    row index per other axis whose padding points at the sentinel row
-    S_a, cell weights, lambdas, thin or not).  A block in ``tabled``
-    gathers its U rows instead, and keeps one index into the table of
-    other-axis row tuples, of shape ``table_shape`` (the S_a + 1 per
-    other axis), raveled.  The work counts are ``n_thin``, ``n_thick``,
-    ``padded_cells`` and ``flop``, the module docstring's estimate summed
-    over the axis.
+    ``_column_blocks`` blocks.  A block is (column ids, cell index, cell
+    weights, lambdas, thin or not), the index and weights (cols, width)
+    arrays.  A block's index is a list of one array per other axis, whose
+    padding points at the sentinel row S_a, except on an axis with a
+    ``table``: the (D - 1, T) distinct other-axis row tuples of its thin
+    blocks, padding's all-sentinel tuple among them (None on other axes).
+    There a thin block's index is one array into the table.  The work
+    counts are ``n_thin``, ``n_thick``, ``padded_cells``, ``tuples`` (T, or
+    0 without a table) and ``flop``, the module docstring's estimate
+    summed over the axis.
     """
 
     def __init__(self, obs: ObservationTensor, axis: int, k: int, lambda_eff):
@@ -347,44 +371,39 @@ class _AxisPlan:
         # flop crossover of the two paths (in float: n^3 overflows int64)
         sizes = counts[cols].astype(np.float64)
         thin = (3.0 * sizes**2 * k + sizes**3 < float(k) ** 3) & (lam[cols] > 0)
+        thin_sizes = sizes[thin]
         cols = cols[np.lexsort((sizes, ~thin))]
         self.n_thin = int(thin.sum())
         self.n_thick = len(cols) - self.n_thin
-        cuts = _column_blocks(counts[cols], self.n_thin, CELL_BLOCK, SOLVE_BLOCK)
-        # thin blocks wider than one cell gather their U rows from one rotated
-        # table of every tuple of other-axis rows (``solve``), when it has no
-        # more rows than those blocks have padded cells.  A block of one-cell
-        # columns rotates its own rows: BLAS makes a one-row product as a
-        # matrix-vector product, whose sums run in another order than a GEMM
-        # row's.  Wider blocks get the bits of their own rotation wherever
-        # BLAS sums a GEMM row alike whatever the row count, as OpenBLAS
-        # 0.3.31 (SkylakeX kernels) does at K = 20 and 80 but not at every K.
-        self.table_shape = tuple(dims[a] + 1 for a in self.others)
-        tuples = math.prod(self.table_shape)
-        widths = [counts[cols[b1 - 1]] for _, b1 in cuts]
-        served = {
-            b: (b1 - b0) * n for b, ((b0, b1), n) in enumerate(zip(cuts, widths)) if b0 < self.n_thin and n > 1
-        }
-        self.tabled = set(served) if _worth_a_table(tuples, sum(served.values())) else set()
 
         self.blocks = []
-        gathered = 0  # stored cells whose U rows the table gives
-        for b, ((b0, b1), width) in enumerate(zip(cuts, widths)):
+        for b0, b1 in _column_blocks(counts[cols], self.n_thin, CELL_BLOCK, SOLVE_BLOCK):
             block = cols[b0:b1]
             n = counts[block]
-            offsets = np.arange(width)
+            offsets = np.arange(n[-1])
             pad = offsets >= n[:, None]
             cells = order[np.minimum(starts[block, None] + offsets, starts[block + 1, None] - 1)]
             index = [np.where(pad, dims[a], obs.coords[cells, a]) for a in self.others]
-            if b in self.tabled:
-                index = [np.ravel_multi_index(index, self.table_shape)]
-                gathered += int(n.sum())
             self.blocks.append((block, index, obs.weights[cells], lam[block, None], b0 < self.n_thin))
         self.padded_cells = sum(w.size for _, _, w, _, _ in self.blocks)
 
-        thin_sizes = sizes[thin]
+        # the thin blocks gather their U rows from one rotated table of their
+        # distinct row tuples (``solve``) when ``_worth_a_table``
+        self.table, self.tuples, gathered = None, 0, 0
+        thin_blocks = self.blocks[: sum(thin for *_, thin in self.blocks)]
+        if thin_blocks:
+            stacked = np.concatenate(
+                [np.reshape(index, (len(self.others), -1)) for _, index, *_ in thin_blocks], axis=1
+            )
+            table, inverse = _distinct(stacked)
+            if _worth_a_table(table.shape[1], thin_sizes.sum()):
+                self.table, self.tuples, gathered = table, table.shape[1], thin_sizes.sum()
+                parts = np.split(inverse, np.cumsum([w.size for _, _, w, _, _ in thin_blocks])[:-1])
+                for b, ((block, _, w, lam_b, _), part) in enumerate(zip(thin_blocks, parts)):
+                    self.blocks[b] = (block, part.reshape(w.shape), w, lam_b, True)
+
         self.flop = float(
-            2.0 * k * k * (sizes.sum() - gathered + bool(self.tabled) * tuples)
+            2.0 * k * k * (sizes.sum() - gathered + self.tuples)
             + 2.0 * k**3 / 3.0 * self.n_thick
             + (2.0 * thin_sizes**2 * k + 2.0 * thin_sizes**3 / 3.0).sum()
         )
@@ -423,13 +442,13 @@ class _AxisPlan:
             table = np.zeros((factor.shape[1] + 1, k))
             table[:-1] = factor.T
             rows.append(table)
-        if self.tabled:
-            # row (i_0, i_1, ...) is the product of those rows in the gather's
-            # order, so it has the gathered V row's bits
-            tuples = rows[0]
-            for r in rows[1:]:
-                tuples = (tuples[:, None, :] * r[None]).reshape(-1, k)
-            rotated = _matmul(tuples, basis)
+        if self.table is not None:
+            # row t is the product of the rows ``self.table[:, t]`` in the
+            # gather's order, so it has the bits of the V row a cell gathers
+            v = np.take(rows[0], self.table[0], axis=0)
+            for r, idx in zip(rows[1:], self.table[1:]):
+                v *= np.take(r, idx, axis=0)
+            rotated = _matmul(v, basis)
         eye = np.arange(k)
 
         # a thin block's product spans the whole block: its bits depend on the width
@@ -439,8 +458,8 @@ class _AxisPlan:
             for b, lo, hi in job:
                 block, index, w, lam, thin = self.blocks[b]
                 w, lam = w[lo:hi], lam[lo:hi]
-                if b in self.tabled:
-                    ys[b][lo:hi] = _solve_thin(np.take(rotated, index[0][lo:hi], axis=0), w, spectrum + lam)
+                if thin and self.table is not None:
+                    ys[b][lo:hi] = _solve_thin(np.take(rotated, index[lo:hi], axis=0), w, spectrum + lam)
                     continue
                 # Hadamard product of the other axes' columns, one K-vector per
                 # stored cell; w splits as 1 + (w - 1) so the zero cells are
@@ -496,7 +515,7 @@ def solve_axis(
     n x n system against the eigendecomposition of the Gram product,
     made once per call and only when a thin column exists,
     O(n K^2 + n^2 K + n^3) per column, or O(n^2 K + n^3) when it gathers
-    its cells' rotated rows from the axis's table of T other-axis row
+    its cells' rotated rows from the axis's table of T distinct row
     tuples, rotated once per call in O(T K^2).
 
     The sort, the split, the blocks and their cell indices, weights and
@@ -560,12 +579,12 @@ def fit(
     ]
     log.info(
         "solve plan: %d thick and %d thin columns, %d padded cells for %d stored, "
-        "%d tuple tables, %.3g flop per epoch",
+        "%d rotated row tuples, %.3g flop per epoch",
         sum(p.n_thick for p in plans),
         sum(p.n_thin for p in plans),
         sum(p.padded_cells for p in plans),
         d * obs.n_nonzero,
-        sum(bool(p.tabled) for p in plans),
+        sum(p.tuples for p in plans),
         sum(p.flop for p in plans),
     )
     for epoch in range(config.epochs):

@@ -390,11 +390,10 @@ class TestAxisPlan:
 
     def test_counts_follow_the_solvers_split(self):
         k = 6
-        # the second tensor's item axis is tabled
-        for dims, n_plus, tables in (((12, 30, 3), 80, 0), ((6, 40, 2), 120, 1)):
+        seen = {True: 0, False: 0}
+        for dims, n_plus in (((12, 30, 3), 80), ((6, 40, 2), 120)):
             obs = synthetic_tensor(dims, n_plus, seed=4)
             assert (obs.support[1] == 0).any()
-            tabled = 0
             for axis in range(obs.ndim):
                 lams = effective_lambdas(TrainConfig(reg=0.1, reg_mode="support"), obs, axis)
                 plan = _AxisPlan(obs, axis, k, lams)
@@ -404,20 +403,22 @@ class TestAxisPlan:
                 assert plan.n_thick == ((counts > 0) & ~thin).sum()
                 n = counts[counts > 0].astype(np.float64)
                 n_thin = counts[thin].astype(np.float64)
-                # a tabled axis rotates its T row tuples once, 2 T K^2, in place
-                # of 2 n K^2 per column of its thin blocks wider than one cell
-                served = served_blocks(plan)
-                tuples = np.prod([obs.shape.dims[a] + 1 for a in range(obs.ndim) if a != axis])
-                rotated = 0
-                if served and tuples <= sum(served.values()):
-                    rotated = tuples - sum(counts[plan.blocks[b][0]].sum() for b in served)
-                    tabled += 1
+                # a tabled axis rotates the thin cells' T distinct other-axis
+                # tuples, and the all-sentinel one of padding, once, 2 T K^2,
+                # in place of 2 n K^2 per thin column
+                others = [a for a in range(obs.ndim) if a != axis]
+                cells = thin[obs.coords[:, axis]]
+                tuples = len({tuple(c) for c in obs.coords[cells][:, others]})
+                tuples += sum(w.size for _, _, w, _, t in plan.blocks if t) > n_thin.sum()
+                tabled = bool(thin.any()) and tuples <= n_thin.sum() / 2
+                assert plan.tuples == tabled * tuples
+                seen[tabled] += bool(thin.any())
                 expected = (
-                    2 * (n.sum() + rotated) * k * k + plan.n_thick * 2 * k**3 / 3
+                    2 * (n.sum() - tabled * n_thin.sum() + plan.tuples) * k * k + plan.n_thick * 2 * k**3 / 3
                     + (2 * n_thin**2 * k + 2 * n_thin**3 / 3).sum()
                 )
                 assert plan.flop == pytest.approx(expected, rel=1e-12)
-            assert tabled == tables
+        assert seen[True] and seen[False]
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_fit_builds_each_plan_once(self, monkeypatch, epochs):
@@ -739,67 +740,119 @@ def counted_columns(counts, others, seed=17):
 THIN_COUNTS = [1, 1, 1] + [3] * 20 + [5] * 20 + [9] * 40 + [60] * 4
 
 
-def served_blocks(plan):
-    """{block number: padded cells} of the plan's thin blocks wider than one cell."""
-    return {b: w.size for b, (_, _, w, _, thin) in enumerate(plan.blocks) if thin and w.shape[1] > 1}
-
-
 class TestTupleTable:
-    """An axis whose row tuples are no more than its thin blocks' padded
-    cells rotates them once, and its thin blocks gather U rows."""
+    """An axis whose thin cells repeat their row tuples rotates each
+    distinct tuple once, and its thin columns gather U rows."""
 
-    @pytest.mark.parametrize("others", [(400,), (60, 3)])
+    @pytest.mark.parametrize(
+        "counts, others",
+        [
+            (THIN_COUNTS, (60,)),
+            (THIN_COUNTS, (60, 3)),
+            (THIN_COUNTS, (10, 3, 2)),
+            ([5] * 8, (9,)),  # no padding
+        ],
+    )
+    def test_table_holds_each_thin_tuple_once(self, counts, others):
+        obs = counted_columns(counts, others)
+        plan = _AxisPlan(obs, 0, 20, 0.1)
+        sizes = [s + 1 for s in others]
+        assert plan.table.shape == (len(others), plan.tuples)
+        assert (np.diff(np.ravel_multi_index(plan.table, sizes)) > 0).all()
+        order, starts = obs.axis_groups(0)
+        tuples, thin_cells, padded = set(), 0, 0
+        for block, index, w, _, thin in plan.blocks:
+            if not thin:
+                assert len(index) == len(others)
+                continue
+            # each cell's own tuple at its index, padding's all-sentinel one beyond
+            want = np.empty((len(others),) + w.shape, dtype=np.int64)
+            want[:] = np.array(others)[:, None, None]
+            for row, j in enumerate(block):
+                cells = order[starts[j] : starts[j + 1]]
+                want[:, row, : len(cells)] = obs.coords[cells][:, 1:].T
+                tuples.update(map(tuple, obs.coords[cells][:, 1:]))
+                thin_cells += len(cells)
+            assert (plan.table[:, index] == want).all()
+            padded += w.size
+        assert thin_cells == sum(n for n in counts if n < 60)
+        assert plan.tuples == len(tuples) + (padded > thin_cells) <= thin_cells / 2
+        assert plan.flop == pytest.approx(
+            2 * 20 * 20 * (obs.n_nonzero - thin_cells + plan.tuples) + plan.n_thick * 2 * 20**3 / 3
+            + sum(2 * n * n * 20 + 2 * n**3 / 3 for n in counts if n < 60),
+            rel=1e-12,
+        )
+
+    @pytest.mark.parametrize(
+        "counts, others, cell_block, tabled",
+        [
+            (THIN_COUNTS, (60, 3), 8192, True),
+            (THIN_COUNTS, (60, 3), 150, False),  # more tuples than CELL_BLOCK
+            (THIN_COUNTS, (400,), 8192, False),  # more than half as many tuples as cells
+            ([2, 3, 4] + [60] * 5, (2000,), 8192, False),  # a few thin columns, a large other axis
+            ([5] * 4, (6,), 8192, True),  # at most 6 tuples for 20 cells
+        ],
+    )
+    def test_table_iff_it_spares_half_the_rotations(self, monkeypatch, counts, others, cell_block, tabled):
+        monkeypatch.setattr(solver, "CELL_BLOCK", cell_block)
+        obs = counted_columns(counts, others)
+        plan = _AxisPlan(obs, 0, 20, 0.1)
+        thin = np.asarray(counts) < 60
+        cells = sum(n for n in counts if n < 60)
+        tuples = {tuple(c) for c in obs.coords[thin[obs.coords[:, 0]]][:, 1:]}
+        padded = sum(w.size for _, _, w, _, t in plan.blocks if t) > cells
+        assert (len(tuples) + padded <= min(cells / 2, cell_block)) == tabled
+        assert (plan.table is not None) == bool(plan.tuples) == tabled
+        # an untabled thin block keeps one index per other axis
+        assert all(isinstance(index, list) != tabled for _, index, *_, t in plan.blocks if t)
+
+    @pytest.mark.parametrize("others", [(60,), (60, 3)])
     @pytest.mark.parametrize("k", [20, 80])
-    def test_same_bits_as_rotating_each_block(self, monkeypatch, others, k):
+    def test_same_bits_on_one_two_and_three_lanes(self, monkeypatch, others, k):
         # signed factors: a padding cell must gather an exact zero whatever
         # the signs of the rows beside its sentinel tuple
         monkeypatch.setattr(solver, "init_factors", signed_factors)
         obs = counted_columns(THIN_COUNTS, others)
         plan = _AxisPlan(obs, 0, k, 0.1)
-        assert plan.tabled == set(served_blocks(plan))
-        assert any(thin and w.shape[1] == 1 for _, _, w, _, thin in plan.blocks)
-        assert all(len(index) == 1 for b, (_, index, *_) in enumerate(plan.blocks) if b in plan.tabled)
+        assert plan.tuples and any(thin and w.shape[1] == 1 for _, _, w, _, thin in plan.blocks)
         config = TrainConfig(features=k, epochs=2, reg=0.1, seed=8)
         fits = []
-        for rule, tabled in ((solver._worth_a_table, True), (lambda rows, cells: False, False)):
-            monkeypatch.setattr(solver, "_worth_a_table", rule)
-            assert bool(_AxisPlan(obs, 0, k, 0.1).tabled) == tabled
-            for count in (1, 2, 3):
-                monkeypatch.setattr(solver, "_cpu_count", lambda: count)
-                fits.append(fit(obs, config))
+        for count in (1, 2, 3):
+            monkeypatch.setattr(solver, "_cpu_count", lambda: count)
+            fits.append(fit(obs, config))
         for other in fits[1:]:
             assert same_bits(fits[0].factors + fits[0].grams, other.factors + other.grams)
 
+    @pytest.mark.parametrize("others", [(60,), (60, 3), (10, 3, 2)])
+    @pytest.mark.parametrize("k", [20, 80])
+    def test_same_solves_as_rotating_each_cell(self, monkeypatch, others, k):
+        # the same products either way, but BLAS may sum a product's row
+        # apart by the product's row count, so the bits may differ
+        obs = counted_columns(THIN_COUNTS, others)
+        config = TrainConfig(features=k, reg=0.1, seed=9)
+
+        def solved():
+            factors = signed_factors(config, obs.shape.dims)
+            model = Model(obs.shape, factors, [m @ m.T for m in factors], config)
+            solve_axis(model, obs, 0, 0.1)
+            return model.factors[0]
+
+        assert _AxisPlan(obs, 0, k, 0.1).tuples
+        got = solved()
+        monkeypatch.setattr(solver, "_worth_a_table", lambda tuples, cells: False)
+        np.testing.assert_allclose(got, solved(), rtol=1e-12, atol=1e-13)
+
     @pytest.mark.parametrize("others", [(60, 3), (10, 3, 2)])
     @pytest.mark.parametrize("k", [20, 80])
-    def test_tabled_axis_matches_dense_solves(self, k, others):
+    def test_thin_columns_match_dense_solves(self, k, others):
         obs = counted_columns(THIN_COUNTS, others)
-        assert _AxisPlan(obs, 0, k, 0.1).tabled
+        assert _AxisPlan(obs, 0, k, 0.1).tuples
         config = TrainConfig(features=k, reg=0.1, seed=9)
         factors = signed_factors(config, obs.shape.dims)
         model = Model(obs.shape, factors, [m @ m.T for m in factors], config)
         expected = np.stack([dense_solve_column(model, obs, 0, j, 0.1) for j in range(len(THIN_COUNTS))], axis=1)
         solve_axis(model, obs, 0, 0.1)
         np.testing.assert_allclose(model.factors[0], expected, rtol=1e-8, atol=1e-10)
-
-    @pytest.mark.parametrize(
-        "counts, others, tabled",
-        [
-            ([5] * 4, (19,), True),  # 20 tuples for 20 padded cells
-            ([5] * 4, (20,), False),  # 21 tuples
-            ([2, 3, 4] + [60] * 5, (2000,), False),  # a few thin columns, a large other axis
-            (THIN_COUNTS, (400,), True),
-            (THIN_COUNTS, (60, 3), True),
-            (THIN_COUNTS, (100, 20), False),
-        ],
-    )
-    def test_table_iff_no_more_tuples_than_padded_cells(self, counts, others, tabled):
-        plan = _AxisPlan(counted_columns(counts, others), 0, 20, 0.1)
-        served = served_blocks(plan)
-        assert plan.n_thin and served
-        assert plan.table_shape == tuple(s + 1 for s in others)
-        assert (np.prod(plan.table_shape) <= sum(served.values())) == tabled
-        assert plan.tabled == (set(served) if tabled else set())
 
     def test_no_table_and_no_eigh_without_a_thin_column(self, monkeypatch):
         k = 20
@@ -820,10 +873,10 @@ class TestTupleTable:
         model = Model(obs.shape, factors, [m @ m.T for m in factors], TrainConfig(features=k))
         for lam, thin in ((0.1, True), (0.0, False)):  # no column with lambda 0 is thin
             plan = _AxisPlan(obs, 0, k, lam)
-            assert bool(plan.n_thin) == bool(plan.tabled) == thin
+            assert bool(plan.n_thin) == (plan.table is not None) == bool(plan.tuples) == thin
             del eighs[:], products[:]
             plan.solve(model)
-            rotations = [shapes for shapes in products if shapes == ((41, k), (k, k))]
+            rotations = [shapes for shapes in products if shapes == ((plan.tuples, k), (k, k))]
             assert len(eighs) == len(rotations) == thin
 
 
