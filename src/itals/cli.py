@@ -82,7 +82,7 @@ _YES, _NO = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 def _config_flags(path, command: argparse.ArgumentParser, known: set) -> list:
     """The config lines as ``command``'s flags; ``known`` holds every subcommand's flags."""
     flags = []
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -5,15 +5,16 @@ Evaluation and serving rank through one scorer and one selection rule.
 model one matrix product of the user columns, weighted elementwise by
 the resolved request contexts, against the item factors; for a
 composite model the heaviest context state of each user picks the
-sub-model.  The selection rule keeps a row's top N, ties broken by
-ascending item id, with excluded items dropped and NaN scores last.
-Serving applies it to one row (``_top_n``), evaluation to every row of
-a block at once (``_top_n_rows``).  A row whose n-th smallest key is
-finite takes the keys at or below it as its candidates, since every
-excluded (+inf) and NaN key lies above; a row with fewer than n finite
-keys also keeps its NaN keys, which sort last.  The block form puts the
-candidates in a (rows x most candidates) grid, a reshape when every row
-has as many, and orders each row with one stable sort.
+sub-model (the module's one test of the model kind).  The selection
+rule keeps a row's top N, ties broken by ascending item id, with
+excluded items dropped and NaN scores last.  Serving applies it to one
+row (``_top_n``), evaluation to every row of a block at once
+(``_top_n_rows``).  A row whose n-th smallest key is finite takes the
+keys at or below it as its candidates, since every excluded (+inf) and
+NaN key lies above; a row with fewer than n finite keys also keeps its
+NaN keys, which sort last.  The block form puts the candidates in a
+(rows x most candidates) grid, a reshape when every row has as many,
+and orders each row with one stable sort.
 
 A request context is a list of (state, weight) pairs per context axis.
 One rule holds for every pair, checked by ``_check_pair``: the state is
@@ -28,7 +29,7 @@ normalized by ``_contexts`` and flattened by ``_pairs``.  Each block
 takes its rows' slice of the columns; ``_resolve`` turns it into
 weighted averages of the context factor columns (one gather when every
 list has one pair), and the composite takes the first pair of largest
-weight of every request, once per call.
+weight of every request of the block, in ``_score_rows``.
 
 ``score_items`` and ``recommend_topn`` are the one-user case.
 ``recall_precision_at`` refuses negative ids in either log and seen
@@ -221,30 +222,27 @@ class _Requests:
 
     Row j's pairs are ``states[offsets[j]:offsets[j + 1]]`` (int64, in
     the axis) with the matching ``weights`` (float64, finite and > 0);
-    no row is empty.  ``top`` caches ``heaviest``, and ``rows`` slices it
-    with the pairs, so iCA picks its sub-models once per ranking call.
+    no row is empty.  A ranking block scores the ``rows`` slice of its
+    users, and a composite model picks their sub-models by ``heaviest``.
     """
 
-    __slots__ = ("states", "weights", "offsets", "top")
+    __slots__ = ("states", "weights", "offsets")
 
-    def __init__(self, states, weights, offsets, top=None):
-        self.states, self.weights, self.offsets, self.top = states, weights, offsets, top
+    def __init__(self, states, weights, offsets):
+        self.states, self.weights, self.offsets = states, weights, offsets
 
     def rows(self, lo: int, hi: int) -> "_Requests":
         """The rows [lo, hi), as views."""
         a, b = self.offsets[lo], self.offsets[hi]
-        top = None if self.top is None else self.top[lo:hi]
-        return _Requests(self.states[a:b], self.weights[a:b], self.offsets[lo : hi + 1] - a, top)
+        return _Requests(self.states[a:b], self.weights[a:b], self.offsets[lo : hi + 1] - a)
 
     def heaviest(self) -> np.ndarray:
         """The state of each row's first pair of largest weight."""
-        if self.top is None:
-            lengths = np.diff(self.offsets)
-            col = np.repeat(np.arange(lengths.size), lengths)
-            top = np.flatnonzero(self.weights == np.maximum.reduceat(self.weights, self.offsets[:-1])[col])
-            # ``top`` holds the heaviest pairs in row order; keep each row's first
-            self.top = self.states[top[np.r_[True, col[top[1:]] != col[top[:-1]]]]]
-        return self.top
+        lengths = np.diff(self.offsets)
+        col = np.repeat(np.arange(lengths.size), lengths)
+        top = np.flatnonzero(self.weights == np.maximum.reduceat(self.weights, self.offsets[:-1])[col])
+        # ``top`` holds the heaviest pairs in row order; keep each row's first
+        return self.states[top[np.r_[True, col[top[1:]] != col[top[:-1]]]]]
 
 
 def _checked(states: np.ndarray, weights: np.ndarray, offsets: np.ndarray, size: int, pairs=None) -> _Requests:
@@ -315,32 +313,23 @@ def _request_columns(model, request_states, users: np.ndarray) -> dict:
     return {axis: _pairs(lists, dims[axis]) for axis, lists in _contexts(ctx_axes, states).items()}
 
 
-def _heaviest(requests, size: int) -> np.ndarray:
-    """The state of each request's first pair of largest weight; every pair is checked.
-
-    ``requests`` is a block's pair lists or their ``_Requests``.
-    """
-    if not isinstance(requests, _Requests):
-        requests = _pairs(requests, size)
-    return requests.heaviest()
-
-
 def _resolve(matrix: np.ndarray, requests) -> np.ndarray:
     """(K, B) weighted averages of ``matrix`` columns, one per request of (state, weight) pairs.
 
-    ``requests`` is a block's pair lists or their ``_Requests``.  Every
-    column sums its pairs in list order, so a block equals its lists
-    resolved one at a time bit for bit.  One list is a loop over its
-    pairs (fewer numpy calls).  A block gathers every list's first pair in
+    ``requests`` is one request's pair list, as ``[pairs]``, or a
+    ranking block's ``_Requests``.  Every column sums its pairs in list
+    order, so a block equals its lists resolved one at a time bit for bit.
+    One list is a loop over its pairs, the first that breaks the request
+    rule raising ContextError.  A block gathers every list's first pair in
     one pass, which is all a block of one-pair lists needs, then adds one
-    later list position's pairs at a time across the block.  A pair that
-    breaks the request rule raises ContextError, the first one named.
+    later list position's pairs at a time across the block.
     """
-    size = matrix.shape[1]
-    if not isinstance(requests, _Requests) and len(requests) == 1:
+    if not isinstance(requests, _Requests):
+        size = matrix.shape[1]
         vec = np.zeros(matrix.shape[0])
         total = 0.0
-        for state, weight in requests[0]:
+        (pairs,) = requests
+        for state, weight in pairs:
             # a valid pair of a Python int and float, the usual one, skips the call
             if not (
                 type(state) is int and 0 <= state < size
@@ -352,8 +341,6 @@ def _resolve(matrix: np.ndarray, requests) -> np.ndarray:
             vec += matrix[:, state] if weight == 1.0 else weight * matrix[:, state]
             total += weight
         return (vec if total == 1.0 else vec / total)[:, None]
-    if not isinstance(requests, _Requests):
-        requests = _pairs(requests, size)
     states, weights = requests.states, requests.weights
     first = requests.offsets[:-1]
     totals = weights[first]
@@ -378,16 +365,18 @@ def _resolve(matrix: np.ndarray, requests) -> np.ndarray:
 def _score_rows(model, users: np.ndarray, contexts: dict) -> np.ndarray:
     """(B, n_items) scores of the known ``users``, one row per user.
 
-    ``contexts`` maps each context axis to the B users' lists of (state,
-    weight) pairs.  A tensor model scores the block with one matrix
-    product of the user columns, weighted elementwise by the resolved
-    context vectors, against the item factors.  A composite model groups
-    the users by the sub-model their heaviest state selects; a null
-    sub-model scores 0.
+    ``contexts`` maps each context axis to the users' requests, as
+    ``_resolve`` takes them.  A tensor model scores the block with one
+    matrix product of the user columns, weighted elementwise by the
+    resolved context vectors, against the item factors.  A composite
+    model groups the users by the sub-model their heaviest state selects,
+    a serving list checked into columns first; a null sub-model scores 0.
     """
     if isinstance(model, CompositeModel):
-        (lists,) = contexts.values()
-        states = _heaviest(lists, model.n_states)
+        (requests,) = contexts.values()
+        if not isinstance(requests, _Requests):
+            requests = _pairs(requests, model.n_states)
+        states = requests.heaviest()
         scores = np.zeros((users.size, model.shape.dims[model.shape.item_axis]))
         for state in np.unique(states).tolist():
             sub = model.submodels[state]
@@ -646,9 +635,6 @@ def recall_precision_at(
         seen_cells, seen_ends = _cells_by_block(seen, block_of, base_of, n_blocks)
     # every known user's request, read and checked once
     contexts = _request_columns(model, request_states, users[:n_known]) if n_known else {}
-    if isinstance(model, CompositeModel):
-        for requests in contexts.values():
-            requests.heaviest()  # cached: each block takes its rows' sub-models
     steps = np.arange(1, n_max + 1, dtype=np.float64)
     macro = average == "macro"
     # running sums over users in user order: recall and precision terms

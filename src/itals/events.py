@@ -9,7 +9,8 @@ over its UTF-8 bytes:
   read under one line rule, a file's universal newlines: "\\n", "\\r\\n"
   and a lone "\\r" each end one line.  A path or a byte stream is decoded
   in that mode, and a text stream's chunks are translated to it with the
-  decoder that mode uses.  A block ends at its last "\\n".
+  decoder that mode uses.  One leading U+FEFF, a UTF-8 byte-order mark,
+  is dropped from every source.  A block ends at its last "\\n".
 - Blank lines, lines starting with '#' and whitespace-only lines
   (``str.isspace``) are skipped; the last are found among the lines whose
   first and last bytes can belong to whitespace, and only those few are
@@ -34,7 +35,7 @@ import io
 import math
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -178,9 +179,10 @@ def _universal(stream) -> Iterator[str]:
 
 
 def _stream_blocks(chunks: Iterable[str]) -> Iterator[tuple]:
-    """Blocks of text chunks whose lines end at "\\n"."""
+    """Blocks of text chunks whose lines end at "\\n"; one leading byte-order mark is not data."""
     pieces: list = []  # the text read since the last block
-    for chunk in chunks:
+    chunks = iter(chunks)
+    for chunk in chain([next(chunks, "").removeprefix("\ufeff")], chunks):
         cut = chunk.rfind("\n") + 1
         if cut:
             pieces.append(chunk[:cut])

@@ -31,12 +31,13 @@ length, a config that ``TrainConfig`` rejects (its checks keep every
 field within the trailer's), a config trailer whose K is not the
 factors', and a composite whose context axis is not one or whose
 sub-models' user count, item count or K differ from its own.
+``save_model`` packs every field to bytes before it opens the file, so a
+refusal, also of a role or id UTF-8 cannot encode, leaves the old file.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 import os
 import struct
 from pathlib import Path
@@ -122,15 +123,18 @@ class _Reader:
         return out
 
 
-def _write_str(fh: IO[bytes], text: str) -> None:
-    data = text.encode("utf-8")
-    fh.write(struct.pack("<I", len(data)) + data)
+def _texts_bytes(texts, what: str) -> bytes:
+    """Each text as a u32 byte length and its UTF-8 bytes; an error names a text UTF-8 cannot encode."""
+    try:
+        data = [text.encode("utf-8") for text in texts]
+    except UnicodeEncodeError as exc:
+        raise PersistenceError(f"the {what} {exc.object!r} cannot be saved: UTF-8 cannot encode it") from None
+    return b"".join(_LENGTH.pack(len(text)) + text for text in data)
 
 
-def _write_shape(fh: IO[bytes], shape: TensorShape, k: int) -> None:
-    fh.write(struct.pack(f"<II{shape.ndim}Q", shape.ndim, k, *shape.dims))
-    for role in shape.axis_roles:
-        _write_str(fh, role)
+def _shape_bytes(shape: TensorShape, k: int) -> bytes:
+    dims = struct.pack(f"<II{shape.ndim}Q", shape.ndim, k, *shape.dims)
+    return dims + _texts_bytes(shape.axis_roles, "axis role")
 
 
 def _read_shape(reader: _Reader):
@@ -192,25 +196,18 @@ def _check_submodels(model: CompositeModel) -> None:
             )
 
 
-def _write_core(fh: IO[bytes], shape: TensorShape, k: int, factors: list) -> None:
-    _write_shape(fh, shape, k)
-    for matrix in factors:
-        fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
-
-
 def _read_core(reader: _Reader):
     shape, k = _read_shape(reader)
     factors = [reader.matrix(k, s) for s in shape.dims]
     return shape, factors, _check_factors(shape, k, factors)
 
 
-def _write_id_maps(fh: IO[bytes], ndim: int, id_maps) -> None:
-    for ids in id_maps or [None] * ndim:
-        fh.write(struct.pack("<B", ids is not None))
-        if ids is not None:
-            fh.write(struct.pack("<Q", len(ids)))
-            for original in ids:
-                _write_str(fh, str(original))
+def _id_map_bytes(ndim: int, id_maps) -> bytes:
+    return b"".join(
+        b"\0" if ids is None
+        else struct.pack("<BQ", 1, len(ids)) + _texts_bytes(map(str, ids), f"axis {axis} id")
+        for axis, ids in enumerate(id_maps or [None] * ndim)
+    )
 
 
 def _read_id_maps(reader: _Reader, shape: TensorShape):
@@ -224,10 +221,13 @@ def _read_id_maps(reader: _Reader, shape: TensorShape):
     return maps
 
 
-def _write_config(fh: IO[bytes], config: TrainConfig) -> None:
-    fh.write(struct.pack("<IId", config.features, config.epochs, config.reg))
-    _write_str(fh, config.reg_mode)
-    fh.write(struct.pack("<qd", config.seed, config.init_scale))
+def _config_bytes(config: TrainConfig) -> bytes:
+    try:  # the config's checks bound its integers to the trailer's fields
+        c = dataclasses.replace(config)
+        mode = _texts_bytes([c.reg_mode], "reg_mode")
+        return struct.pack("<IId", c.features, c.epochs, c.reg) + mode + struct.pack("<qd", c.seed, c.init_scale)
+    except (ValueError, struct.error) as exc:
+        raise PersistenceError(f"the config cannot be saved: {exc}") from None
 
 
 def _read_config(reader: _Reader) -> TrainConfig:
@@ -240,37 +240,30 @@ def _read_config(reader: _Reader) -> TrainConfig:
 def save_model(model, path: Union[str, Path]) -> None:
     """Write a trained model (single or composite) to a binary file.
 
-    A model that ``load_model`` would reject raises ``PersistenceError``
-    before the file is opened, so an existing file is left as it was.
+    Every field is packed before the file is opened, so a model that
+    ``load_model`` would reject, or a role or id that UTF-8 cannot encode,
+    raises ``PersistenceError`` and leaves an existing file as it was.
     """
-    composite = isinstance(model, CompositeModel)
-    cores = [sub for sub in model.submodels if sub is not None] if composite else [model]
-    for core in cores:
-        _check_factors(core.shape, core.features, core.factors)
-    if composite:
+    if isinstance(model, CompositeModel):
         _check_submodels(model)
+        head = struct.pack("<III", FORMAT_VERSION, KIND_COMPOSITE, model.context_axis)
+        head += _shape_bytes(model.shape, model.features) + struct.pack("<Q", model.n_states)
+        cores = [(struct.pack("<B", sub is not None), sub) for sub in model.submodels]
+    else:
+        head = struct.pack("<II", FORMAT_VERSION, KIND_SINGLE)
+        cores = [(b"", model)]
+    parts = [MAGIC, head]  # byte strings and factor matrices, in file order
+    for flag, core in cores:
+        parts.append(flag)
+        if core is not None:
+            _check_factors(core.shape, core.features, core.factors)
+            parts.append(_shape_bytes(core.shape, core.features))
+            parts += [np.ascontiguousarray(matrix, dtype="<f8") for matrix in core.factors]
     _check_features(model.config, model.features)
     _check_id_maps(model.shape, model.id_maps)
-    trailer = io.BytesIO()
-    try:  # the config's checks bound its integers to the trailer's fields
-        _write_config(trailer, dataclasses.replace(model.config))
-    except (ValueError, struct.error) as exc:
-        raise PersistenceError(f"the config cannot be saved: {exc}") from None
+    parts += [_id_map_bytes(model.shape.ndim, model.id_maps), _config_bytes(model.config)]
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        if composite:
-            fh.write(struct.pack("<III", FORMAT_VERSION, KIND_COMPOSITE, model.context_axis))
-            _write_shape(fh, model.shape, model.features)
-            fh.write(struct.pack("<Q", model.n_states))
-            for sub in model.submodels:
-                fh.write(struct.pack("<B", sub is not None))
-                if sub is not None:
-                    _write_core(fh, sub.shape, sub.features, sub.factors)
-        else:
-            fh.write(struct.pack("<II", FORMAT_VERSION, KIND_SINGLE))
-            _write_core(fh, model.shape, model.features, model.factors)
-        _write_id_maps(fh, model.shape.ndim, model.id_maps)
-        fh.write(trailer.getvalue())
+        fh.writelines(parts)
 
 
 def load_model(path: Union[str, Path]):

@@ -637,6 +637,22 @@ class TestRecommendCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert [line.split("\t")[2] for line in lines] == ["0"] * 10
 
+    def test_a_log_with_a_byte_order_mark(self, workdir, capsys):
+        # its first user used to be "\ufeffuser…": unknown to --user, and a
+        # model trained on it failed eval's id-prefix check on the plain log
+        plain = write_events(workdir / "ev.tsv")
+        marked = workdir / "bom.tsv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        first = plain.read_text().split("\t", 1)[0]
+        model = workdir / "m.itals"
+        flags = ("--context", "none", "--k", 2, "--epochs", 1, "--lambda", 0.1)
+        assert run("train", "--input", marked, "--output", model, *flags) == 0
+        assert load_model(model).id_maps[0][0] == first
+        capsys.readouterr()
+        assert run("recommend", "--model", model, "--user", first) == 0
+        assert capsys.readouterr().out != ""
+        assert run("eval", "--model", model, "--input", plain, "--split-ts", 15 * DAY, "--context", "none") == 0
+
     def test_dense_index_for_a_model_without_id_maps(self, workdir, capsys):
         obs = synthetic_tensor((3, 4), 6, seed=0)
         model = workdir / "m.itals"
@@ -774,6 +790,19 @@ class TestConfigFile:
         assert capsys.readouterr().out == ""
         assert "expected key = value" in caplog.text
         assert not out.exists()
+
+    def test_a_leading_byte_order_mark_is_not_part_of_a_key(self, workdir, capsys, caplog):
+        # "\ufeffk" used to be an unknown option
+        src = write_events(workdir / "ev.tsv")
+        cfg = workdir / "run.cfg"
+        cfg.write_text(f"k = 2\ninput = {src}\nepochs = 1\n", encoding="utf-8-sig")
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbfk = 2")
+        model = workdir / "m.itals"
+        assert run("--config", cfg, "train", "--output", model) == 0
+        assert json.loads(capsys.readouterr().out)["features"] == 2
+        cfg.write_text("k = 2\nlamda = 5\n", encoding="utf-8-sig")
+        assert run("--config", cfg, "train", "--input", src, "--output", model) == 1
+        assert "run.cfg:2: unknown option 'lamda'" in caplog.text
 
     def test_missing_required_option(self, workdir):
         src = write_events(workdir / "ev.tsv")

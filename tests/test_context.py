@@ -28,7 +28,7 @@ from itals import (
     time_band_states,
 )
 from itals import context
-from itals.evaluation import _resolve, score_items
+from itals.evaluation import _pairs, _resolve, score_items
 
 from conftest import basket_dataset, make_event_log, seasonal_dataset
 
@@ -852,7 +852,7 @@ class TestResolveContextMatrix:
              for _ in range(int(rng.integers(1, 5)))]
             for _ in range(40)
         ]
-        block = _resolve(matrix, lists)
+        block = _resolve(matrix, _pairs(lists, 9))
         assert block.shape == (6, 40)
         for j, pairs in enumerate(lists):
             assert block[:, j].tobytes() == resolve_one(matrix, pairs).tobytes()
@@ -865,7 +865,7 @@ class TestResolveContextMatrix:
             [(int(rng.integers(0, 30)), float(rng.uniform(0.1, 2.0))) for _ in range(length)]
             for length in (1, 5_000, 3, 1, 2)
         ]
-        block = _resolve(matrix, lists)
+        block = _resolve(matrix, _pairs(lists, 30))
         for j, pairs in enumerate(lists):
             assert block[:, j].tobytes() == resolve_one(matrix, pairs).tobytes()
 
@@ -876,7 +876,7 @@ class TestResolveContextMatrix:
         kinds = ((np.float32, fractions), (np.float16, fractions), (np.int64, counts), (int, counts))
         for kind, values in kinds:
             pairs = [(state, kind(value)) for state, value in enumerate(values)]
-            block = _resolve(matrix, [pairs, [(3, 1.0)]])
+            block = _resolve(matrix, _pairs([pairs, [(3, 1.0)]], 4))
             expected = looped_vector(matrix, [(s, float(w)) for s, w in pairs])
             assert block[:, 0].tobytes() == expected.tobytes()
             assert resolve_one(matrix, pairs).tobytes() == expected.tobytes()
@@ -888,23 +888,23 @@ class TestResolveContextMatrix:
         with pytest.raises(EvalError, match="empty"):
             recall_precision_at(context_model(matrix), test, 2, {0: [(0, 1.0)], 1: []})
         with pytest.raises(ContextError, match=r"context state 7 out of bounds \(size 2\)"):
-            _resolve(matrix, [[(0, 1.0)], [(1, 1.0), (7, 1.0)]])
+            _resolve(matrix, _pairs([[(0, 1.0)], [(1, 1.0), (7, 1.0)]], 2))
         with pytest.raises(ContextError, match=r"context state 0.7 out of bounds \(size 2\)"):
-            _resolve(matrix, [[(0, 1.0)], [(1, 1.0), (0.7, 1.0)]])
+            _resolve(matrix, _pairs([[(0, 1.0)], [(1, 1.0), (0.7, 1.0)]], 2))
         for weight in (0.0, -0.5, np.nan, np.inf):
             with pytest.raises(ContextError, match="finite and > 0"):
-                _resolve(matrix, [[(0, 1.0)], [(0, 1.0), (1, weight)]])
+                _resolve(matrix, _pairs([[(0, 1.0)], [(0, 1.0), (1, weight)]], 2))
 
     def test_numpy_integer_states(self):
         matrix = np.random.default_rng(5).normal(size=(3, 4))
         lists = [[(1, 0.5), (3, 1.0)], [(2, 1.0)]]
-        expected = _resolve(matrix, lists)
+        expected = _resolve(matrix, _pairs(lists, 4))
         for kind in (np.int64, np.uint64, np.int32):
             mixed = [[(kind(s), w) for s, w in lists[0]], lists[1]]
-            assert _resolve(matrix, mixed).tobytes() == expected.tobytes()
+            assert _resolve(matrix, _pairs(mixed, 4)).tobytes() == expected.tobytes()
             assert resolve_one(matrix, mixed[0]).tobytes() == expected[:, 0].tobytes()
         for state in (1.0, np.float64(1.0), "1", None):
             with pytest.raises(ContextError, match="out of bounds"):
-                _resolve(matrix, [[(state, 1.0)], [(2, 1.0)]])
+                _resolve(matrix, _pairs([[(state, 1.0)], [(2, 1.0)]], 4))
             with pytest.raises(ContextError, match="out of bounds"):
                 resolve_one(matrix, [(state, 1.0)])

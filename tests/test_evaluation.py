@@ -743,7 +743,7 @@ class TestBlockRanking:
         model = scoring_model(*(rng.normal(size=(k, s)) for s in (n_users, n_items, n_states)))
         states = rng.integers(0, n_states, n_users)
         requests = [[(int(s), 1.0)] for s in states]
-        contexts = evaluation._contexts(model.shape.context_axes, requests)
+        contexts = evaluation._request_columns(model, dict(enumerate(requests)), np.arange(n_users))
         block = evaluation._score_rows(model, np.arange(n_users), contexts)
         rows = np.stack([score_items(model, user, requests[user]) for user in range(n_users)])
         user_m, item_m, context_m = model.factors
@@ -1042,7 +1042,7 @@ class TestBlockRanking:
         matrix[rng.random(matrix.shape) < 0.2] = -0.0
         weights = (1.0, 0.3, 2.5, 1e-3, 7.0, 1 / 3)
         lists = [[(int(rng.integers(0, n_states)), float(rng.choice(weights)))] for _ in range(60)]
-        block = evaluation._resolve(matrix, lists)
+        block = evaluation._resolve(matrix, evaluation._pairs(lists, n_states))
         for j, pairs in enumerate(lists):
             assert block[:, j].tobytes() == evaluation._resolve(matrix, [pairs]).tobytes()
         # a sum that starts at zero turns -0.0 into +0.0
@@ -1096,7 +1096,7 @@ class TestBlockRanking:
             for pairs in lists:
                 heaviest = max(weight for _, weight in pairs)
                 expected.append(next(state for state, weight in pairs if weight == heaviest))
-            assert evaluation._heaviest(lists, 4).tolist() == expected
+            assert evaluation._pairs(lists, 4).heaviest().tolist() == expected
             # the first bad pair in list order is named, wherever the lists put it
             bad = [(pairs[:], int(rng.integers(0, len(pairs) + 1))) for pairs in lists]
             picks = rng.choice(len(lists), min(3, len(lists)), replace=False)
@@ -1110,7 +1110,7 @@ class TestBlockRanking:
                     if first is None and not (0 <= state < 4 and 0 < weight < np.inf):
                         first = (state, weight)
             with pytest.raises(ContextError) as block_error:
-                evaluation._heaviest([pairs for pairs, _ in bad], 4)
+                evaluation._pairs([pairs for pairs, _ in bad], 4).heaviest()
             with pytest.raises(ContextError) as pair_error:
                 evaluation._check_pair(*first, 4)
             assert str(block_error.value) == str(pair_error.value)

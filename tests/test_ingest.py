@@ -37,6 +37,8 @@ def _rows(source, counts):
     try:
         for line_no, raw in enumerate(lines, start=1):
             line = raw.rstrip("\r\n")
+            if line_no == 1:
+                line = line.removeprefix("\ufeff")  # a byte-order mark is not data
             if not line or line[0] == "#" or line.isspace():
                 continue
             fields = line.split("\t")
@@ -306,6 +308,24 @@ class TestEventsEqualOracle:
         text = "\ud800\ti\t1\nu\t\udfff\t2\n"
         assert_same(ingest_events(io.StringIO(text)), oracle_events(io.StringIO(text)))
 
+    @pytest.mark.parametrize("chars", [1, 2, 7, None])
+    def test_a_leading_byte_order_mark_is_not_data(self, chars, monkeypatch, tmp_path):
+        # "\ufeffu1" used to be the first user's id in every source form
+        if chars is not None:
+            monkeypatch.setattr(events, "_BLOCK_CHARS", chars)
+        plain = "u1\ti\t1\n\ufeffv\tj\t2\n"
+        want = ingest_events(io.StringIO(plain))
+        assert want.user_ids == ["u1", "\ufeffv"]  # only the source's first character is dropped
+        for make in sources("\ufeff" + plain, tmp_path).values():
+            assert_same(ingest_events(make()), want)
+            assert_same(oracle_events(make()), want)
+        assert ingest_events(io.StringIO("\ufeff\ufeff" + plain)).user_ids == ["\ufeffu1", "\ufeffv"]
+        # line numbers do not move
+        want = ("ParseError", 2, "line 2: expected 3 or 4 tab-separated fields, got 1")
+        for text in ("\ufeffu\ti\t1\nbad\n", "\ufeff\nbad\n", "\ufeff#\nbad"):
+            for form, make in sources(text, tmp_path).items():
+                assert outcome(ingest_events, make()) == want, form
+
     def test_a_line_longer_than_a_block(self, monkeypatch):
         monkeypatch.setattr(events, "_BLOCK_CHARS", 16)
         text = "u\ti\t1\n" + "v" * 100 + "\tj\t2\nw\tk\t3\n" + "z" * 50 + "\tq\t" + "4" * 18
@@ -373,6 +393,22 @@ class TestOtherReadersEqualOracle:
                 assert got[0].dtype == got[1].dtype == np.int64
                 got = (got[0].tolist(), got[1].tolist(), got[2])
             assert got == want
+
+    def test_a_leading_byte_order_mark_in_the_other_readers(self, tmp_path):
+        ratings = "u1\ti\t5\t1\nu2\tj\t4\t2\n"
+        want = ingest_ratings(io.StringIO(ratings))
+        assert want.user_ids == ["u1", "u2"]
+        for make in sources("\ufeff" + ratings, tmp_path).values():
+            assert_same(ingest_ratings(make()), want)
+        rows = "i\tbooks\nj\tfood\n"
+        want = read_category_rows(io.StringIO(rows), ["i", "j"])
+        assert want[2] == ["books", "food"]
+        for make in sources("\ufeff" + rows, tmp_path).values():
+            got = read_category_rows(make(), ["i", "j"])
+            assert (got[0].tolist(), got[1].tolist(), got[2]) == (want[0].tolist(), want[1].tolist(), want[2])
+        bad = "u\ti\t5\t1\nu\ti\tbad\t2\n"
+        want = outcome(ingest_ratings, io.StringIO(bad))
+        assert want[1] == 2 and outcome(ingest_ratings, io.StringIO("\ufeff" + bad)) == want
 
 
 class TestWriteEventsTsv:

@@ -1,3 +1,4 @@
+import io
 import struct
 import time
 from pathlib import Path
@@ -12,6 +13,7 @@ from itals import (
     TrainConfig,
     fit,
     fit_ica,
+    ingest_events,
     load_model,
     save_model,
     score_items,
@@ -165,6 +167,24 @@ class TestErrors:
         saved = path.read_bytes()
         setattr(model.config, field, value)
         with pytest.raises(PersistenceError, match=f"the config cannot be saved: {field} must be"):
+            save_model(model, path)
+        assert path.read_bytes() == saved
+
+    def test_save_refuses_a_role_or_id_that_utf8_cannot_encode(self, tmp_path):
+        # the ingest keeps a text stream's lone surrogate; saving it used to
+        # escape as UnicodeEncodeError after the file was cut
+        (lone,) = ingest_events(io.StringIO("u\ud800\ti\t1\n")).user_ids
+        _, model = random_trained(17)
+        path = tmp_path / "m"
+        save_model(model, path)
+        saved = path.read_bytes()
+        model.id_maps[0][1] = lone
+        with pytest.raises(PersistenceError, match=r"the axis 0 id 'u\\ud800' cannot be saved: UTF-8"):
+            save_model(model, path)
+        assert path.read_bytes() == saved
+        model.id_maps[0][1] = "u1"
+        model.shape = TensorShape(model.shape.dims, ("user", "item", "band\udc80"))
+        with pytest.raises(PersistenceError, match=r"the axis role 'band\\udc80' cannot be saved"):
             save_model(model, path)
         assert path.read_bytes() == saved
 
